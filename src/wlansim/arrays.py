@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -104,6 +104,15 @@ class Scenario:
 
     def validate(self) -> None:
         """Raise ValueError with a field-level message on the first problem."""
+        for name in ("carrier_hz", "spacing_wavelengths", "step_size", "noise_power", "sampling_hz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
+        for i, src in enumerate(self.sources):
+            for name in ("angle_rad", "normalized_freq", "amplitude"):
+                value = getattr(src, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"sources[{i}].{name}: must be finite, got {value}")
         if self.carrier_hz <= 0:
             raise ValueError(f"carrier_hz: must be positive, got {self.carrier_hz}")
         if self.num_elements < 1:
@@ -234,40 +243,72 @@ def _source_sample(source: Source, seed: int, stream: int, n: int) -> complex:
     return source.amplitude * cmath.exp(1j * phase)
 
 
-def _noise_vector(num_elements: int, power: float, seed: int, n: int) -> np.ndarray:
+def _noise_block(num_elements: int, power: float, seed: int, rows: range) -> np.ndarray:
+    # One keyed generator per row: row n draws its real parts, then its
+    # imaginary parts, from the (seed, noise stream, n) generator.
     if power == 0.0:
-        return np.zeros(num_elements, dtype=complex)
-    rng = _stream_rng(seed, _NOISE_STREAM, n)
+        return np.zeros((len(rows), num_elements), dtype=complex)
+    re = np.empty((len(rows), num_elements))
+    im = np.empty((len(rows), num_elements))
+    for r, n in enumerate(rows):
+        rng = _stream_rng(seed, _NOISE_STREAM, n)
+        rng.standard_normal(out=re[r])
+        rng.standard_normal(out=im[r])
     scale = math.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(num_elements) + 1j * rng.standard_normal(num_elements))
+    return scale * (re + 1j * im)
 
 
-def synthesize(scenario: Scenario, n: int) -> Snapshot:
-    """Generate observation vector x(n) and reference sample d(n).
+def synthesize_blocks(
+    scenario: Scenario, start: int, stop: int, rows: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(X, d)`` for consecutive blocks of at most ``rows``
+    snapshots covering ``start <= n < stop``.
 
-    ``x`` is the steering-weighted sum of all source samples plus circular
-    complex Gaussian noise of the configured power; ``d`` is the desired
-    source's clean sample.  Deterministic given (scenario, seed, n).
+    Row ``j`` of the block that starts at ``first`` is x(first + j), the
+    steering-weighted sum of all source samples plus circular complex
+    Gaussian noise of the configured power; ``d[j]`` is the desired
+    source's clean sample.  Every row is keyed on its own sample index,
+    so it does not depend on the block it was generated in.  The scenario
+    is validated, and each steering vector computed, once per call.
     """
     scenario.validate()
     cfg = scenario.array
-    x = np.zeros(cfg.num_elements, dtype=complex)
-    d = 0j
-    for i, src in enumerate(scenario.sources):
-        s = _source_sample(src, scenario.seed, 1 + i, n)
-        x += s * steering_vector(src.angle_rad, cfg)
-        if src.role == ROLE_DESIRED:
-            d += s
-    x += _noise_vector(cfg.num_elements, scenario.noise_power, scenario.seed, n)
-    return Snapshot(x=x, d=d, index=n)
+    steering = [steering_vector(src.angle_rad, cfg) for src in scenario.sources]
+    for first in range(start, stop, rows):
+        block = range(first, min(first + rows, stop))
+        X = np.zeros((len(block), cfg.num_elements), dtype=complex)
+        d = np.zeros(len(block), dtype=complex)
+        for i, (src, a) in enumerate(zip(scenario.sources, steering)):
+            s = np.array([_source_sample(src, scenario.seed, 1 + i, n) for n in block], dtype=complex)
+            X += s[:, None] * a
+            if src.role == ROLE_DESIRED:
+                d += s
+        X += _noise_block(cfg.num_elements, scenario.noise_power, scenario.seed, block)
+        yield X, d
 
 
-def array_pattern(
-    w: np.ndarray, cfg: ArrayConfig, grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Gain of weight vector ``w`` over a grid of angles, in dB.
+def synthesize_block(scenario: Scenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generate observation vectors x(n) and reference samples d(n) for
+    ``start <= n < stop`` as one block: row ``n - start`` of ``X`` is
+    x(n) and ``d[n - start]`` is d(n) (see ``synthesize_blocks``).
+    """
+    if not start < stop:
+        raise ValueError(f"empty block: start {start} must be below stop {stop}")
+    return next(synthesize_blocks(scenario, start, stop, stop - start))
 
-    Gain is ``20*log10(|w^H a(theta)|)``, clamped at ``GAIN_FLOOR_DB``.
+
+def synthesize(scenario: Scenario, n: int) -> Snapshot:
+    """Generate observation vector x(n) and reference sample d(n): row 0
+    of ``synthesize_block(scenario, n, n + 1)``.  Deterministic given
+    (scenario, seed, n).
+    """
+    X, d = synthesize_block(scenario, n, n + 1)
+    return Snapshot(x=X[0], d=complex(d[0]), index=n)
+
+
+def gain_db(w: np.ndarray, cfg: ArrayConfig, angles: Sequence[float]) -> list[float]:
+    """Gain ``20*log10(|w^H a(theta)|)`` of weight vector ``w`` toward
+    each angle, in dB; ``-inf`` toward an exact null.
 
     Raises:
         ValueError: if the weight vector length does not match the array.
@@ -277,12 +318,21 @@ def array_pattern(
         raise ValueError(
             f"weight vector length {w.shape} does not match {cfg.num_elements} elements"
         )
-    out = []
-    for theta in grid:
+    gains = []
+    for theta in angles:
         mag = abs(np.vdot(w, steering_vector(theta, cfg)))
-        gain = 20.0 * math.log10(mag) if mag > 0 else GAIN_FLOOR_DB
-        out.append((float(theta), max(gain, GAIN_FLOOR_DB)))
-    return out
+        gains.append(20.0 * math.log10(mag) if mag > 0 else -math.inf)
+    return gains
+
+
+def array_pattern(
+    w: np.ndarray, cfg: ArrayConfig, grid: Sequence[float]
+) -> list[tuple[float, float]]:
+    """Gain of weight vector ``w`` over a grid of angles, in dB, clamped
+    at ``GAIN_FLOOR_DB`` (see ``gain_db``).
+    """
+    gains = gain_db(w, cfg, grid)
+    return [(float(theta), max(gain, GAIN_FLOOR_DB)) for theta, gain in zip(grid, gains)]
 
 
 def pattern_to_csv(pattern: Sequence[tuple[float, float]], out: IO[str]) -> None:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -26,8 +27,8 @@ from .arrays import (
     Scenario,
     WAVEFORM_SINUSOID,
     array_pattern,
+    gain_db,
     pattern_to_csv,
-    steering_vector,
 )
 from .channels import Band, Plan, channel_by_id, channels_to_csv, list_channels, overlap_fraction, plan_channels
 from .propagation import GeoPoint, PathLossModel
@@ -120,15 +121,16 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario) if args.scenario else _default_scenario_path()
     scenario = Scenario.from_json_file(scenario_path)
     if args.iterations is not None:
-        scenario = Scenario.from_dict({**scenario.to_dict(), "iterations": args.iterations})
+        scenario = replace(scenario, iterations=args.iterations)
     if args.seed is not None:
-        scenario = Scenario.from_dict({**scenario.to_dict(), "seed": args.seed})
-
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        scenario = replace(scenario, seed=args.seed)
+    scenario.validate()
 
     stride = max(1, scenario.iterations // 10)
     trace = nlms.run(scenario, snapshot_stride=stride)
+    # Created only now, so a rejected or diverged run leaves no directory.
+    out_dir = _resolve_out_dir(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     cfg = scenario.array
     grid = [(-math.pi / 2) + k * math.pi / (PATTERN_GRID_POINTS - 1) for k in range(PATTERN_GRID_POINTS)]
@@ -162,9 +164,9 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     desired = scenario.desired_source()
     interferers = [s for s in scenario.sources if s.role != "desired"]
     if interferers:
-        gain_d = _direction_gain(trace.converged_weights, cfg, desired.angle_rad)
-        gain_i = max(_direction_gain(trace.converged_weights, cfg, s.angle_rad) for s in interferers)
-        summary += f" null_depth_db={gain_d - gain_i:.2f}"
+        angles = [desired.angle_rad] + [s.angle_rad for s in interferers]
+        gains = gain_db(trace.converged_weights, cfg, angles)
+        summary += f" null_depth_db={gains[0] - max(gains[1:]):.2f}"
         first = interferers[0]
         if desired.waveform == WAVEFORM_SINUSOID and first.waveform == WAVEFORM_SINUSOID:
             d_bin = round(desired.normalized_freq * size) % size
@@ -177,11 +179,6 @@ def cmd_beamform(args: argparse.Namespace) -> int:
         summary += f" plateau_iteration={plateau}"
     print(summary)
     return EXIT_OK
-
-
-def _direction_gain(w: np.ndarray, cfg, angle: float) -> float:
-    mag = abs(np.vdot(w, steering_vector(angle, cfg)))
-    return 20.0 * math.log10(mag) if mag > 0 else -math.inf
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:

@@ -21,10 +21,6 @@ class SpectrumResult:
     magnitudes: np.ndarray
     size: int
 
-    @property
-    def bins(self) -> list[tuple[float, float]]:
-        return [(float(f), float(m)) for f, m in zip(self.freqs, self.magnitudes)]
-
 
 def dft_magnitude(signal: Sequence[complex], size: int, window: str | None = None) -> SpectrumResult:
     """Magnitude of the ``size``-point DFT of ``signal``, zero-padded.

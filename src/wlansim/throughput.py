@@ -74,16 +74,6 @@ class PhyConfig:
                 )
 
 
-@dataclass(frozen=True)
-class RateEntry:
-    config: PhyConfig
-    rate_mbps: float
-
-    def __post_init__(self) -> None:
-        if self.rate_mbps <= 0:
-            raise ValueError("rate must be positive")
-
-
 def max_client_rate(standard: Standard, streams: int) -> float:
     """Published peak client rate in Mbps.
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from wlansim.arrays import (
     default_scenario,
     steering_vector,
     synthesize,
+    synthesize_block,
+    synthesize_blocks,
 )
+from wlansim.nlms import CHUNK_ROWS
 
 
 def scenario_with(**overrides) -> Scenario:
@@ -148,6 +152,31 @@ class TestSynthesize:
         assert count >= 1e5
         assert total / count == pytest.approx(2.5, rel=0.03)
 
+    def test_block_rows_equal_single_snapshots_across_a_chunk_boundary(self):
+        sc = scenario_with(
+            noise_power=0.5,
+            seed=99,
+            sources=(
+                Source("desired", 0.3, "symbols", amplitude=1.5),
+                Source("interferer", -0.6, "sinusoid", 0.23, 0.8),
+            ),
+        )
+        start, stop = CHUNK_ROWS - 4, CHUNK_ROWS + 4
+        X, d = synthesize_block(sc, start, stop)
+        assert X.shape == (stop - start, sc.num_elements)
+        blocks = list(synthesize_blocks(sc, start, stop, 3))
+        assert [len(bd) for _, bd in blocks] == [3, 3, 2]
+        X3 = np.concatenate([bx for bx, _ in blocks])
+        d3 = np.concatenate([bd for _, bd in blocks])
+        for n in range(start, stop):
+            snap = synthesize(sc, n)
+            assert snap.x.tobytes() == X[n - start].tobytes() == X3[n - start].tobytes()
+            assert snap.d == d[n - start] == d3[n - start]
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="empty block"):
+            synthesize_block(scenario_with(), 5, 5)
+
     def test_missing_desired_source_rejected(self):
         with pytest.raises(ValueError, match="desired"):
             synthesize(scenario_with(sources=(Source("interferer", 0.1),)), 0)
@@ -173,6 +202,25 @@ class TestScenarioIO:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="iterations"):
             Scenario.from_json_file(path)
+
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("step_size",), math.nan, "step_size"),
+            (("noise_power",), math.inf, "noise_power"),
+            (("sampling_hz",), -math.inf, "sampling_hz"),
+            (("sources", 0, "amplitude"), math.nan, "sources[0].amplitude"),
+            (("sources", 1, "normalized_freq"), math.inf, "sources[1].normalized_freq"),
+        ],
+    )
+    def test_non_finite_fields_rejected_by_name(self, path, value, field):
+        data = default_scenario().to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field}: must be finite")):
+            Scenario.from_dict(data)
 
     def test_missing_field_reported(self, tmp_path):
         data = default_scenario().to_dict()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wlansim.arrays import default_scenario
 from wlansim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from wlansim.propagation import EARTH_RADIUS_M
 
@@ -64,6 +65,25 @@ class TestBeamformCommand:
         )
         assert code == EXIT_VALIDATION
         assert "iterations" in err
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("step_size", 3.0, "iteration"),
+            ("step_size", math.nan, "step_size"),
+            ("noise_power", math.inf, "noise_power"),
+        ],
+    )
+    def test_bad_numerics_exit_1_and_create_no_outputs(self, tmp_path, capsys, field, value, named):
+        data = default_scenario().to_dict()
+        data[field] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["beamform", "--scenario", str(scenario), "--out", str(out_dir)], capsys)
+        assert code == EXIT_VALIDATION
+        assert named in err
+        assert not out_dir.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         dir_a = tmp_path / "a"

@@ -1,12 +1,22 @@
 """Tests for the normalized-LMS step, stability bound, and full runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wlansim.arrays import Scenario, Snapshot, Source, default_scenario, steering_vector
+from wlansim.arrays import (
+    Scenario,
+    Snapshot,
+    Source,
+    default_scenario,
+    steering_vector,
+    synthesize,
+)
 from wlansim.nlms import (
+    CHUNK_ROWS,
+    RELATIVE_EPS,
     BeamformerState,
     StabilityInputs,
     initial_state,
@@ -221,3 +231,84 @@ class TestRun:
     def test_invalid_stride_rejected(self):
         with pytest.raises(ValueError):
             run(small_scenario(), snapshot_stride=0)
+
+
+def folded_run(scenario: Scenario, stride: int) -> dict:
+    """run() rebuilt as a fold of step() over synthesize(), one snapshot
+    at a time: the reference the array-at-a-time kernel must match."""
+    n_iter = scenario.iterations
+    expected_energy = scenario.num_elements * (
+        sum(s.amplitude**2 for s in scenario.sources) + scenario.noise_power
+    )
+    state = initial_state(scenario.num_elements, scenario.step_size, RELATIVE_EPS * expected_energy)
+    err, out, x0, snapshots, skipped = [], [], [], [], 0
+    tail_start = max(0, n_iter - max(1, n_iter // 10))
+    w_sum = np.zeros(scenario.num_elements, dtype=complex)
+    for n in range(n_iter):
+        snap = synthesize(scenario, n)
+        result = step(state, snap)
+        state = result.state
+        skipped += result.skipped
+        err.append(abs(result.e) ** 2)
+        out.append(result.y)
+        x0.append(snap.x[0])
+        if (n + 1) % stride == 0:
+            snapshots.append((n, state.w.copy()))
+        if n >= tail_start:
+            w_sum += state.w
+    if not snapshots or snapshots[-1][0] != n_iter - 1:
+        snapshots.append((n_iter - 1, state.w.copy()))
+    return {
+        "error_power": np.array(err),
+        "outputs": np.array(out, dtype=complex),
+        "first_element_input": np.array(x0, dtype=complex),
+        "final_weights": state.w,
+        "converged_weights": w_sum / (n_iter - tail_start),
+        "weight_snapshots": snapshots,
+        "skipped": skipped,
+    }
+
+
+EQUIVALENCE_CASES = {
+    # Three chunks, the last one partial.
+    "default_multi_chunk": lambda: replace(default_scenario(), iterations=2 * CHUNK_ROWS + 37),
+    "symbols_with_noise": lambda: small_scenario(
+        noise_power=0.2,
+        iterations=CHUNK_ROWS + 5,
+        sources=(
+            Source("desired", 0.5, "symbols", amplitude=1.0),
+            Source("interferer", -0.4, "symbols", amplitude=0.8),
+        ),
+    ),
+    # No energy and so no eps: every update takes the skipped branch.
+    "zero_energy": lambda: small_scenario(sources=(Source("desired", 0.5, "sinusoid", 0.11, 0.0),)),
+    "zero_step_size": lambda: small_scenario(step_size=0.0, noise_power=0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_run_equals_fold_of_step_bit_for_bit(case):
+    scenario = EQUIVALENCE_CASES[case]()
+    stride = 97
+    trace = run(scenario, snapshot_stride=stride)
+    ref = folded_run(scenario, stride)
+    for name in ("error_power", "outputs", "first_element_input", "final_weights", "converged_weights"):
+        assert getattr(trace, name).tobytes() == ref[name].tobytes(), name
+    assert len(trace.weight_snapshots) == len(ref["weight_snapshots"])
+    for (n, w), (n_ref, w_ref) in zip(trace.weight_snapshots, ref["weight_snapshots"]):
+        assert n == n_ref and w.tobytes() == w_ref.tobytes(), n
+    if case == "zero_energy":
+        assert ref["skipped"] == scenario.iterations
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-156])
+def test_divergence_is_a_validation_error_naming_the_iteration(amplitude):
+    """mu = 3 is outside NLMS's stable range.  At unit amplitude the error
+    power overflows; at 1e-156 the input energy is subnormal, so the
+    update overflows the weights first and the per-chunk check fires."""
+    scenario = replace(default_scenario(), step_size=3.0)
+    scenario = replace(
+        scenario, sources=tuple(replace(s, amplitude=amplitude) for s in scenario.sources), noise_power=0.0
+    )
+    with pytest.raises(ValueError, match=r"^iteration \d+: adaptation diverged"):
+        run(scenario)
