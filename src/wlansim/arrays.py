@@ -80,6 +80,24 @@ class Snapshot:
     index: int
 
 
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, convert, prefix: str = "", default=_REQUIRED):
+    """``convert(data[key])`` for a scenario file, with errors that name the field."""
+    name = prefix + key
+    if not isinstance(data, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'scenario'}: must be a JSON object")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"scenario file missing field {name!r}")
+        return default
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full description of one beamforming experiment.
@@ -162,30 +180,30 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        try:
-            sources = tuple(
-                Source(
-                    role=s["role"],
-                    angle_rad=float(s["angle_rad"]),
-                    waveform=s.get("waveform", WAVEFORM_SINUSOID),
-                    normalized_freq=float(s.get("normalized_freq", 0.0)),
-                    amplitude=float(s.get("amplitude", 1.0)),
-                )
-                for s in data["sources"]
+        raw_sources = _field(data, "sources", lambda v: v)
+        if not isinstance(raw_sources, list):
+            raise ValueError(f"sources: must be a list, got {type(raw_sources).__name__}")
+        sources = tuple(
+            Source(
+                role=_field(s, "role", str, f"sources[{i}]."),
+                angle_rad=_field(s, "angle_rad", float, f"sources[{i}]."),
+                waveform=_field(s, "waveform", str, f"sources[{i}].", WAVEFORM_SINUSOID),
+                normalized_freq=_field(s, "normalized_freq", float, f"sources[{i}].", 0.0),
+                amplitude=_field(s, "amplitude", float, f"sources[{i}].", 1.0),
             )
-            scenario = cls(
-                carrier_hz=float(data["carrier_hz"]),
-                num_elements=int(data["num_elements"]),
-                spacing_wavelengths=float(data["spacing_wavelengths"]),
-                step_size=float(data["step_size"]),
-                iterations=int(data["iterations"]),
-                seed=int(data["seed"]),
-                noise_power=float(data["noise_power"]),
-                sources=sources,
-                sampling_hz=float(data["sampling_hz"]) if "sampling_hz" in data else None,
-            )
-        except KeyError as exc:
-            raise ValueError(f"scenario file missing field {exc.args[0]!r}") from exc
+            for i, s in enumerate(raw_sources)
+        )
+        scenario = cls(
+            carrier_hz=_field(data, "carrier_hz", float),
+            num_elements=_field(data, "num_elements", int),
+            spacing_wavelengths=_field(data, "spacing_wavelengths", float),
+            step_size=_field(data, "step_size", float),
+            iterations=_field(data, "iterations", int),
+            seed=_field(data, "seed", int),
+            noise_power=_field(data, "noise_power", float),
+            sources=sources,
+            sampling_hz=_field(data, "sampling_hz", float, default=None),
+        )
         scenario.validate()
         return scenario
 

@@ -92,41 +92,40 @@ def _unii_channels() -> list[Channel]:
     ]
 
 
-_ISM24 = tuple(_ism24_channels())
-_UNII = tuple(_unii_channels())
-
-_PLAN_TABLE: dict[Plan, tuple[Channel, ...]] = {Plan.ISM24: _ISM24, Plan.UNII: _UNII}
+# Channel ids of the two plans do not overlap (1-14 vs 36-161), so an id
+# alone names its channel and its plan.
+_CHANNELS: dict[int, Channel] = {c.id: c for c in (*_ism24_channels(), *_unii_channels())}
 
 
 def list_channels(band: Band) -> list[Channel]:
     """Return the full static plan for one band, sorted by channel id."""
     if not isinstance(band, Band):
         raise ValueError(f"unknown band: {band!r}")
-    return [c for c in _PLAN_TABLE[_BAND_PLAN[band]] if c.band is band]
+    return [c for c in _CHANNELS.values() if c.band is band]
 
 
 def plan_channels(plan: Plan) -> list[Channel]:
     """Return every channel of a plan (14 for ISM24, 23 for UNII)."""
     if not isinstance(plan, Plan):
         raise ValueError(f"unknown plan: {plan!r}")
-    return list(_PLAN_TABLE[plan])
+    return [c for c in _CHANNELS.values() if c.plan is plan]
 
 
-def channel_by_id(channel_id: int, plan: Plan) -> Channel:
-    """Look up one channel in a plan.
+def channel_by_id(channel_id: int) -> Channel:
+    """Look up one channel by id in either plan.
 
     Raises:
-        KeyError: if the id is not part of the plan.
+        KeyError: if the id is in no known plan.
     """
-    for c in _PLAN_TABLE[plan]:
-        if c.id == channel_id:
-            return c
-    raise KeyError(f"channel {channel_id} not in plan {plan.value}")
+    try:
+        return _CHANNELS[channel_id]
+    except KeyError:
+        raise KeyError(f"channel {channel_id} not in any known plan") from None
 
 
-def eirp_limit_of(channel_id: int, plan: Plan) -> float:
+def eirp_limit_of(channel_id: int) -> float:
     """Return the static EIRP limit of a channel in milliwatts."""
-    return channel_by_id(channel_id, plan).eirp_mw
+    return channel_by_id(channel_id).eirp_mw
 
 
 def overlap_fraction(a: Channel, b: Channel) -> float:

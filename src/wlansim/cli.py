@@ -42,7 +42,6 @@ from .survey import (
     summarize,
 )
 from .throughput import (
-    Modulation,
     PhyConfig,
     Standard,
     curve_to_csv,
@@ -90,20 +89,9 @@ def _resolve_out_dir(arg_value: str | None) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _overlap_plan(plan_arg: str | None, ids: list[int]) -> Plan:
-    if plan_arg is not None:
-        return Plan.ISM24 if plan_arg == "ism24" else Plan.UNII
-    for plan in (Plan.ISM24, Plan.UNII):
-        if all(any(c.id == i for c in plan_channels(plan)) for i in ids):
-            return plan
-    raise KeyError(f"channels {ids} are not both in one plan")
-
-
 def cmd_channels(args: argparse.Namespace) -> int:
     if args.overlap:
-        plan = _overlap_plan(args.plan, args.overlap)
-        a = channel_by_id(args.overlap[0], plan)
-        b = channel_by_id(args.overlap[1], plan)
+        a, b = (channel_by_id(cid) for cid in args.overlap)
         print(overlap_fraction(a, b))
         return EXIT_OK
     plan_arg = args.plan or "unii"
@@ -159,31 +147,36 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     _write_manifest(out_dir, digest, scenario.seed, outputs)
 
     final_err = float(np.mean(trace.error_power[-max(1, scenario.iterations // 10):]))
-    summary = f"final_error_power={final_err:.6e}"
+    fields = [("final_error_power", final_err, ".6e")]
 
     desired = scenario.desired_source()
     interferers = [s for s in scenario.sources if s.role != "desired"]
     if interferers:
         angles = [desired.angle_rad] + [s.angle_rad for s in interferers]
         gains = gain_db(trace.converged_weights, cfg, angles)
-        summary += f" null_depth_db={gains[0] - max(gains[1:]):.2f}"
+        fields.append(("null_depth_db", gains[0] - max(gains[1:]), ".2f"))
         first = interferers[0]
         if desired.waveform == WAVEFORM_SINUSOID and first.waveform == WAVEFORM_SINUSOID:
             d_bin = round(desired.normalized_freq * size) % size
             i_bin = round(first.normalized_freq * size) % size
             if d_bin != i_bin:
                 d_chg, i_chg = suppression_report(before, after, d_bin, i_bin, size)
-                summary += f" desired_change_db={d_chg:.2f} interferer_change_db={i_chg:.2f}"
+                fields += [("desired_change_db", d_chg, ".2f"), ("interferer_change_db", i_chg, ".2f")]
     plateau = trace.plateau_iteration()
     if plateau is not None:
-        summary += f" plateau_iteration={plateau}"
-    print(summary)
+        fields.append(("plateau_iteration", plateau, "d"))
+    # A field with no finite value (all-zero weights give -inf gains) is left
+    # out, as an undefined plateau is.
+    print(" ".join(f"{name}={value:{fmt}}" for name, value, fmt in fields if math.isfinite(value)))
     return EXIT_OK
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ap_position = None
+    if args.ap_lat is not None and args.ap_lon is not None:
+        ap_position = GeoPoint(args.ap_lat, args.ap_lon)
+    if args.fit and ap_position is None:
+        raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
     log_path = Path(args.log)
     with open(log_path, "r", encoding="utf-8") as f:
         records, errors = parse_log(f, args.format)
@@ -191,28 +184,26 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     for lineno, message in errors:
         print(f"  line {lineno}: {message}", file=sys.stderr)
 
-    ap_position = None
-    if args.ap_lat is not None and args.ap_lon is not None:
-        ap_position = GeoPoint(args.ap_lat, args.ap_lon)
     summaries = summarize(records, ap_position=ap_position)
-    plan = Plan.ISM24 if args.plan == "ism24" else Plan.UNII
-    pairs = interference_report(summaries, plan, coverage_threshold_dbm=args.coverage_threshold)
-
-    outputs = ["summaries.csv", "interference.csv"]
-    with open(out_dir / "summaries.csv", "w", encoding="utf-8", newline="") as f:
-        summaries_to_csv(summaries, f)
-    with open(out_dir / "interference.csv", "w", encoding="utf-8", newline="") as f:
-        interference_to_csv(pairs, f)
-
+    pairs = interference_report(summaries, coverage_threshold_dbm=args.coverage_threshold)
+    fit = None
     if args.fit:
-        if ap_position is None:
-            raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
         points = [
             (s.distance_m, s.mean_rssi_dbm)
             for s in summaries
             if s.distance_m is not None and s.distance_m > 0
         ]
         fit = fit_path_loss(points, args.tx_eirp)
+
+    # Created only now, so a rejected run leaves no directory.
+    out_dir = _resolve_out_dir(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = ["summaries.csv", "interference.csv"]
+    with open(out_dir / "summaries.csv", "w", encoding="utf-8", newline="") as f:
+        summaries_to_csv(summaries, f)
+    with open(out_dir / "interference.csv", "w", encoding="utf-8", newline="") as f:
+        interference_to_csv(pairs, f)
+    if fit is not None:
         print(
             f"fit: exponent={fit.exponent:.4f} reference_loss_db={fit.reference_loss_db:.2f} "
             f"residual_rms_db={fit.residual_rms_db:.2f} samples={fit.sample_count}"
@@ -223,13 +214,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def cmd_throughput(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = PhyConfig(
         standard=Standard(args.standard),
         channel_width_mhz=args.width,
         spatial_streams=args.streams,
-        modulation=Modulation.QAM256 if args.modulation == "qam256" else Modulation.QAM64,
     )
     model = PathLossModel.free_space(args.frequency)
     if args.exponent is not None:
@@ -237,6 +225,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     distances = [args.min_distance + k * args.step for k in range(args.points)]
     curve = throughput_vs_distance(cfg, model, args.tx_eirp, distances)
 
+    out_dir = _resolve_out_dir(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "throughput.csv", "w", encoding="utf-8", newline="") as f:
         curve_to_csv(cfg, model, args.tx_eirp, curve, f)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
@@ -246,8 +236,16 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 is the I/O-error code here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wlansim",
         description="WLAN channel, propagation and adaptive-beamforming simulator",
     )
@@ -255,18 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("channels", help="print a channel plan or one overlap fraction")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
         "--plan",
         default=None,
         choices=["ism24", "unii", "unii_a", "unii_b", "unii_c"],
-        help="channel plan or sub-band (default: unii for listing, inferred for --overlap)",
+        help="channel plan or sub-band to list (default: unii)",
     )
-    p.add_argument(
+    mode.add_argument(
         "--overlap",
         nargs=2,
         type=int,
         metavar=("A", "B"),
-        help="print the overlap fraction of two channel ids from the plan",
+        help="print the overlap fraction of two channel ids of one plan",
     )
     p.set_defaults(func=cmd_channels)
 
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="ingest a survey log and report coverage/interference")
     p.add_argument("log", help="survey log file")
     p.add_argument("--format", default="csv", choices=["csv", "kml"])
-    p.add_argument("--plan", default="ism24", choices=["ism24", "unii"])
     p.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
     p.add_argument("--coverage-threshold", type=float, default=-80.0,
                    help="RSSI threshold (dBm) defining an AP's coverage region")
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard", default="ac", choices=["n", "ac"])
     p.add_argument("--streams", type=int, default=3)
     p.add_argument("--width", type=int, default=20, help="channel width in MHz")
-    p.add_argument("--modulation", default="qam64", choices=["qam64", "qam256"])
     p.add_argument("--tx-eirp", type=float, default=20.0)
     p.add_argument("--frequency", type=float, default=5e9, help="carrier frequency in Hz")
     p.add_argument("--exponent", type=float, help="path-loss exponent (default: free space)")

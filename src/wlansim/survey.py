@@ -298,13 +298,14 @@ def fit_path_loss(
 
 def interference_report(
     summaries: Sequence[ApSummary],
-    plan: Plan,
     coverage_threshold_dbm: float = DEFAULT_COVERAGE_THRESHOLD_DBM,
 ) -> list[InterferencePair]:
     """Pairwise channel overlap and co-location across the surveyed APs.
 
     An AP's coverage region is the set of cells where its mean RSSI meets
     the threshold; two APs are co-located when those regions intersect.
+    Each AP's plan follows from its channel id; a pair of APs in different
+    plans has overlap 0.
     """
     cells: dict[str, set[tuple[int, int]]] = {}
     counts: dict[str, dict[int, int]] = {}
@@ -316,17 +317,17 @@ def interference_report(
         counts[s.bssid][s.channel_id] += 1
     # Channel per AP: the most common value across its groups, smallest id on ties.
     channels = {
-        bssid: min(by_channel, key=lambda cid: (-by_channel[cid], cid))
+        bssid: channel_by_id(min(by_channel, key=lambda cid: (-by_channel[cid], cid)))
         for bssid, by_channel in counts.items()
     }
 
     pairs = []
     bssids = sorted(cells)
     for i, a in enumerate(bssids):
+        ca = channels[a]
         for b in bssids[i + 1 :]:
-            overlap = overlap_fraction(
-                channel_by_id(channels[a], plan), channel_by_id(channels[b], plan)
-            )
+            cb = channels[b]
+            overlap = overlap_fraction(ca, cb) if ca.plan is cb.plan else 0.0
             pairs.append(
                 InterferencePair(
                     bssid_a=a,

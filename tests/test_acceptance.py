@@ -60,7 +60,7 @@ def test_criterion_2_modulation_gain():
 
 def test_criterion_3_channel_geometry():
     start = time.perf_counter()
-    trio = [channel_by_id(i, Plan.ISM24) for i in (1, 6, 11)]
+    trio = [channel_by_id(i) for i in (1, 6, 11)]
     trio_ok = all(overlap_fraction(a, b) == 0.0 for a, b in itertools.combinations(trio, 2))
     unii_ok = all(
         overlap_fraction(a, b) == 0.0

@@ -74,11 +74,11 @@ class TestPlanTables:
 class TestEirpLimits:
     @pytest.mark.parametrize("cid,mw", [(36, 200.0), (100, 1000.0), (149, 4000.0)])
     def test_unii_limits(self, cid, mw):
-        assert eirp_limit_of(cid, Plan.UNII) == mw
+        assert eirp_limit_of(cid) == mw
 
     def test_unknown_channel(self):
         with pytest.raises(KeyError):
-            eirp_limit_of(37, Plan.UNII)
+            eirp_limit_of(37)
 
     def test_all_limits_positive(self):
         for plan in Plan:
@@ -87,22 +87,22 @@ class TestEirpLimits:
 
 class TestOverlap:
     def test_identity_is_one(self):
-        ch1 = channel_by_id(1, Plan.ISM24)
+        ch1 = channel_by_id(1)
         assert overlap_fraction(ch1, ch1) == 1.0
 
     def test_ch1_ch6_disjoint(self):
-        ch1 = channel_by_id(1, Plan.ISM24)
-        ch6 = channel_by_id(6, Plan.ISM24)
+        ch1 = channel_by_id(1)
+        ch6 = channel_by_id(6)
         assert overlap_fraction(ch1, ch6) == 0.0
 
     def test_ch1_ch2_is_17_over_22(self):
-        ch1 = channel_by_id(1, Plan.ISM24)
-        ch2 = channel_by_id(2, Plan.ISM24)
+        ch1 = channel_by_id(1)
+        ch2 = channel_by_id(2)
         # Adjacent 22 MHz rectangles offset by 5 MHz share 17 MHz.
         assert overlap_fraction(ch1, ch2) == pytest.approx(float(Fraction(17, 22)), abs=1e-12)
 
     def test_one_six_eleven_pairwise_disjoint(self):
-        trio = [channel_by_id(i, Plan.ISM24) for i in (1, 6, 11)]
+        trio = [channel_by_id(i) for i in (1, 6, 11)]
         for a, b in itertools.combinations(trio, 2):
             assert overlap_fraction(a, b) == 0.0
 
@@ -128,8 +128,8 @@ class TestOverlap:
                 assert overlap_fraction(a, b) == pytest.approx(mask_overlap_oracle(a, b), abs=1e-9)
 
     def test_mixed_plans_rejected(self):
-        ch1 = channel_by_id(1, Plan.ISM24)
-        ch36 = channel_by_id(36, Plan.UNII)
+        ch1 = channel_by_id(1)
+        ch36 = channel_by_id(36)
         with pytest.raises(ValueError, match="plan"):
             overlap_fraction(ch1, ch36)
 

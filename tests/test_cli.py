@@ -49,6 +49,30 @@ class TestChannelsCommand:
         assert "error" in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["coverage", "survey.csv", "--plan", "unii"], "--plan"),
+            (["throughput", "--modulation", "qam256"], "--modulation"),
+            (["channels", "--plan", "ism24", "--overlap", "1", "6"], "--overlap"),
+            (["coverage", "survey.csv", "--bogus"], "--bogus"),
+        ],
+    )
+    def test_usage_error_exits_1_naming_the_flag(self, tmp_path, capsys, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)  # a parser that accepted argv would write here
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == EXIT_OK
+        assert "wlansim" in capsys.readouterr().out
+
+
 class TestBeamformCommand:
     def test_default_scenario_reports_deep_null(self, tmp_path, capsys):
         code, out, _ = run_cli(["beamform", "--out", str(tmp_path)], capsys)
@@ -72,6 +96,8 @@ class TestBeamformCommand:
             ("step_size", 3.0, "iteration"),
             ("step_size", math.nan, "step_size"),
             ("noise_power", math.inf, "noise_power"),
+            ("sources", 5, "sources"),
+            ("iterations", [1], "iterations"),
         ],
     )
     def test_bad_numerics_exit_1_and_create_no_outputs(self, tmp_path, capsys, field, value, named):
@@ -84,6 +110,17 @@ class TestBeamformCommand:
         assert code == EXIT_VALIDATION
         assert named in err
         assert not out_dir.exists()
+
+    def test_zero_step_size_summary_is_finite(self, tmp_path, capsys):
+        data = default_scenario().to_dict()
+        data["step_size"] = 0.0  # weights stay zero: every array gain is -inf
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        code, out, _ = run_cli(["beamform", "--scenario", str(scenario), "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_OK
+        assert "nan" not in out and "inf" not in out
+        values = re.findall(r"=(\S+)", out)
+        assert values and all(math.isfinite(float(v)) for v in values)
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         dir_a = tmp_path / "a"
@@ -172,6 +209,46 @@ class TestCoverageCommand:
         )
         assert code == EXIT_VALIDATION
         assert "ap-lat" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_with_one_distance_leaves_no_outputs(self, tmp_path, capsys):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:6]) + "\n")  # header + the 5 samples at 5 m
+        code, _, err = run_cli(
+            [
+                "coverage", str(log), "--out", str(tmp_path / "out"), "--fit",
+                "--ap-lat", "51.8776", "--ap-lon", "0.9426",
+            ],
+            capsys,
+        )
+        assert code == EXIT_VALIDATION
+        assert "two points" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "channel_a,channel_b,verdict",
+        [
+            (1, 36, "0.0,1,0"),  # 2.4 and 5 GHz: different plans never overlap
+            (36, 36, "1.0,1,1"),  # a log of 5 GHz APs only
+        ],
+    )
+    def test_plan_inferred_per_ap(self, tmp_path, capsys, channel_a, channel_b, verdict):
+        log = tmp_path / "survey.csv"
+        log.write_text(
+            "t,bssid,ssid,channel,rssi_dbm,lat,lon\n"
+            + "".join(
+                f"2013-05-14T09:00:0{k}Z,{mac},eduroam,{cid},-50.0,51.8776,0.9426\n"
+                for mac, cid in (("00:11:22:33:44:55", channel_a), ("00:11:22:33:44:66", channel_b))
+                for k in range(5)
+            )
+        )
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(["coverage", str(log), "--out", str(out_dir)], capsys)
+        assert code == EXIT_OK
+        rows = (out_dir / "interference.csv").read_text().splitlines()
+        assert rows[1:] == [f"00:11:22:33:44:55,00:11:22:33:44:66,{verdict}"]
 
     def test_malformed_line_count_reported(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"

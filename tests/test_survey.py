@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from oracles import synth_fit_points
 
-from wlansim.channels import Plan, channel_by_id, overlap_fraction
+from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.propagation import GeoPoint
 from wlansim.survey import (
     ApSummary,
@@ -232,7 +232,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 11, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, Plan.ISM24)
+        (pair,) = interference_report(summaries)
         assert pair.overlap == 0.0
         assert pair.co_located
         assert not pair.interferes
@@ -242,7 +242,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 36, 51.8776, 0.9426),
             summary_at(AP_B, 36, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, Plan.UNII)
+        (pair,) = interference_report(summaries)
         assert pair.overlap == 1.0
         assert pair.co_located
         assert pair.interferes
@@ -252,14 +252,14 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 3, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(near, Plan.ISM24)
+        (pair,) = interference_report(near)
         assert pair.overlap == pytest.approx(12 / 22, abs=1e-12)
         assert pair.interferes
         far = [
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 3, 51.9776, 0.9426),  # ~11 km away
         ]
-        (pair,) = interference_report(far, Plan.ISM24)
+        (pair,) = interference_report(far)
         assert pair.overlap == pytest.approx(12 / 22, abs=1e-12)
         assert not pair.interferes
 
@@ -268,16 +268,26 @@ class TestInterferenceReport:
             summary_at(AP_A, 2, 51.8776, 0.9426),
             summary_at(AP_B, 5, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, Plan.ISM24)
+        (pair,) = interference_report(summaries)
         expected = overlap_fraction(
-            channel_by_id(2, Plan.ISM24), channel_by_id(5, Plan.ISM24)
+            channel_by_id(2), channel_by_id(5)
         )
         assert pair.overlap == expected
+
+    def test_cross_plan_pair_has_zero_overlap(self):
+        summaries = [
+            summary_at(AP_A, 1, 51.8776, 0.9426),
+            summary_at(AP_B, 36, 51.8776, 0.9426),
+        ]
+        (pair,) = interference_report(summaries)
+        assert pair.overlap == 0.0
+        assert pair.co_located
+        assert not pair.interferes
 
     def test_weak_coverage_not_colocated(self):
         summaries = [
             summary_at(AP_A, 1, 51.8776, 0.9426, rssi=-85.0),
             summary_at(AP_B, 1, 51.8776, 0.9426, rssi=-60.0),
         ]
-        (pair,) = interference_report(summaries, Plan.ISM24, coverage_threshold_dbm=-80.0)
+        (pair,) = interference_report(summaries, coverage_threshold_dbm=-80.0)
         assert not pair.co_located
