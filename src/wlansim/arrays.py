@@ -3,9 +3,15 @@
 A scenario describes one adaptive-beamforming experiment: the array
 geometry, a set of angular sources (one of which is the desired signal),
 the additive noise power, and the adaptation parameters.  Snapshots are
-complex baseband observation vectors; all randomness is keyed on
-``(seed, stream, sample index)`` so any snapshot is reproducible in
-isolation and independent of generation order.
+complex baseband observation vectors.
+
+All randomness comes from counter-based Philox4x64 streams (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed on
+``(seed, stream)`` with ``0 <= seed < 2**64``: stream 0 is the noise and
+stream ``1 + i`` the symbols of source ``i``.  Sample ``n`` reads a fixed
+range of words at a fixed counter offset, so any snapshot is reproducible
+in isolation, independent of generation order, and a block of snapshots
+comes from one draw per stream.
 """
 
 from __future__ import annotations
@@ -83,6 +89,14 @@ class Snapshot:
 _REQUIRED = object()
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a JSON boolean and a float that is not a
+    whole number (NaN and inf too)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value}")
+    return int(value)
+
+
 def _field(data: dict, key: str, convert, prefix: str = "", default=_REQUIRED):
     """``convert(data[key])`` for a scenario file, with errors that name the field."""
     name = prefix + key
@@ -141,6 +155,8 @@ class Scenario:
             raise ValueError(f"step_size: must be >= 0, got {self.step_size}")
         if self.iterations < 1:
             raise ValueError(f"iterations: must be >= 1, got {self.iterations}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed: must be in [0, 2**64), got {self.seed}")
         if self.noise_power < 0:
             raise ValueError(f"noise_power: must be >= 0, got {self.noise_power}")
         if not self.sources:
@@ -195,11 +211,11 @@ class Scenario:
         )
         scenario = cls(
             carrier_hz=_field(data, "carrier_hz", float),
-            num_elements=_field(data, "num_elements", int),
+            num_elements=_field(data, "num_elements", _integer),
             spacing_wavelengths=_field(data, "spacing_wavelengths", float),
             step_size=_field(data, "step_size", float),
-            iterations=_field(data, "iterations", int),
-            seed=_field(data, "seed", int),
+            iterations=_field(data, "iterations", _integer),
+            seed=_field(data, "seed", _integer),
             noise_power=_field(data, "noise_power", float),
             sources=sources,
             sampling_hz=_field(data, "sampling_hz", float, default=None),
@@ -247,33 +263,37 @@ def steering_vector(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * k * cfg.spacing_wavelengths * math.sin(theta_rad))
 
 
-def _stream_rng(seed: int, stream: int, n: int) -> np.random.Generator:
-    # Keyed generator: reproducible per sample, independent of call order.
-    return np.random.default_rng((seed, stream, n))
+def _stream_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    # Words start .. start + count - 1 of the (seed, stream) Philox4x64
+    # sequence, whose word 4c is the first that Philox(counter=c) returns
+    # (numpy encrypts counter value c + 1 first, so word 0 is the output
+    # of counter value 1).
+    bitgen = np.random.Philox(key=(stream << 64) | seed, counter=start // 4)
+    return bitgen.random_raw(start % 4 + count)[start % 4 :]
 
 
-def _source_sample(source: Source, seed: int, stream: int, n: int) -> complex:
+def _source_samples(source: Source, seed: int, stream: int, rows: range) -> np.ndarray:
     if source.waveform == WAVEFORM_SINUSOID:
-        return source.amplitude * cmath.exp(2j * math.pi * source.normalized_freq * n)
-    # Random QPSK-style symbols on the unit circle.
-    rng = _stream_rng(seed, stream, n)
-    phase = (int(rng.integers(0, 4)) + 0.5) * math.pi / 2
-    return source.amplitude * cmath.exp(1j * phase)
+        w = 2j * math.pi * source.normalized_freq
+        return np.array([source.amplitude * cmath.exp(w * n) for n in rows])
+    # Random QPSK-style symbols on the unit circle: sample n takes its
+    # phase from the top two bits of word n of its stream.
+    qpsk = np.exp(1j * (np.arange(4) + 0.5) * (math.pi / 2))
+    return source.amplitude * qpsk[_stream_words(seed, stream, rows.start, len(rows)) >> np.uint64(62)]
 
 
 def _noise_block(num_elements: int, power: float, seed: int, rows: range) -> np.ndarray:
-    # One keyed generator per row: row n draws its real parts, then its
-    # imaginary parts, from the (seed, noise stream, n) generator.
+    # Row n reads 2 * num_elements words (radii, then angles for Box-Muller)
+    # from word n * width of the noise stream, width rounded up to whole
+    # Philox blocks.
     if power == 0.0:
         return np.zeros((len(rows), num_elements), dtype=complex)
-    re = np.empty((len(rows), num_elements))
-    im = np.empty((len(rows), num_elements))
-    for r, n in enumerate(rows):
-        rng = _stream_rng(seed, _NOISE_STREAM, n)
-        rng.standard_normal(out=re[r])
-        rng.standard_normal(out=im[r])
-    scale = math.sqrt(power / 2.0)
-    return scale * (re + 1j * im)
+    width = -(-2 * num_elements // 4) * 4
+    words = _stream_words(seed, _NOISE_STREAM, rows.start * width, len(rows) * width)
+    u = (words.reshape(len(rows), width)[:, : 2 * num_elements] >> np.uint64(11)) * 2.0**-53
+    radius = math.sqrt(power / 2.0) * np.sqrt(-2.0 * np.log1p(-u[:, :num_elements]))
+    angle = 2.0 * math.pi * u[:, num_elements:]
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
 def synthesize_blocks(
@@ -297,7 +317,7 @@ def synthesize_blocks(
         X = np.zeros((len(block), cfg.num_elements), dtype=complex)
         d = np.zeros(len(block), dtype=complex)
         for i, (src, a) in enumerate(zip(scenario.sources, steering)):
-            s = np.array([_source_sample(src, scenario.seed, 1 + i, n) for n in block], dtype=complex)
+            s = _source_samples(src, scenario.seed, 1 + i, block)
             X += s[:, None] * a
             if src.role == ROLE_DESIRED:
                 d += s

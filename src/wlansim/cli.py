@@ -173,7 +173,10 @@ def cmd_beamform(args: argparse.Namespace) -> int:
 
 def cmd_coverage(args: argparse.Namespace) -> int:
     ap_position = None
-    if args.ap_lat is not None and args.ap_lon is not None:
+    if (args.ap_lat is None) != (args.ap_lon is None):
+        given, missing = ("--ap-lat", "--ap-lon") if args.ap_lon is None else ("--ap-lon", "--ap-lat")
+        raise ValueError(f"{given} requires {missing}")
+    if args.ap_lat is not None:
         ap_position = GeoPoint(args.ap_lat, args.ap_lon)
     if args.fit and ap_position is None:
         raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
@@ -228,7 +231,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     out_dir = _resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "throughput.csv", "w", encoding="utf-8", newline="") as f:
-        curve_to_csv(cfg, model, args.tx_eirp, curve, f)
+        curve_to_csv(curve, f)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     _write_manifest(out_dir, digest, None, ["throughput.csv"])

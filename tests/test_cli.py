@@ -98,6 +98,8 @@ class TestBeamformCommand:
             ("noise_power", math.inf, "noise_power"),
             ("sources", 5, "sources"),
             ("iterations", [1], "iterations"),
+            ("iterations", 300.7, "iterations"),
+            ("num_elements", 2.9, "num_elements"),
         ],
     )
     def test_bad_numerics_exit_1_and_create_no_outputs(self, tmp_path, capsys, field, value, named):
@@ -109,6 +111,14 @@ class TestBeamformCommand:
         code, _, err = run_cli(["beamform", "--scenario", str(scenario), "--out", str(out_dir)], capsys)
         assert code == EXIT_VALIDATION
         assert named in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_exits_1_naming_seed(self, tmp_path, capsys, seed):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["beamform", "--out", str(out_dir), "--iterations", "50", "--seed", seed], capsys)
+        assert code == EXIT_VALIDATION
+        assert "seed" in err
         assert not out_dir.exists()
 
     def test_zero_step_size_summary_is_finite(self, tmp_path, capsys):
@@ -209,6 +219,17 @@ class TestCoverageCommand:
         )
         assert code == EXIT_VALIDATION
         assert "ap-lat" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "given,missing", [(["--ap-lat", "51.8776"], "--ap-lon"), (["--ap-lon", "0.9426"], "--ap-lat")]
+    )
+    def test_half_given_ap_position_rejected(self, tmp_path, capsys, given, missing):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+        code, _, err = run_cli(["coverage", str(log), "--out", str(tmp_path / "out"), *given], capsys)
+        assert code == EXIT_VALIDATION
+        assert missing in err
         assert not (tmp_path / "out").exists()
 
     def test_fit_with_one_distance_leaves_no_outputs(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from wlansim.throughput import (
     contention_degradation,
     curve_to_csv,
     default_snr_staircase,
+    link_snr,
     max_client_rate,
     noise_floor_dbm,
     snr_to_rate,
@@ -164,10 +165,30 @@ class TestDistanceCurves:
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         curve = throughput_vs_distance(cfg, self.model, 10.0, [1.0, 2.0])
         out = io.StringIO()
-        curve_to_csv(cfg, self.model, 10.0, curve, out)
+        curve_to_csv(curve, out)
         lines = out.getvalue().splitlines()
         assert lines[0] == "distance_m,rate_mbps,snr_db"
         assert len(lines) == 3
+
+    def test_csv_computes_each_link_snr_once(self, monkeypatch):
+        import wlansim.throughput as throughput
+
+        cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return link_snr(*args)
+
+        monkeypatch.setattr(throughput, "link_snr", counted)
+        curve = throughput_vs_distance(cfg, self.model, 10.0, self.distances)
+        out = io.StringIO()
+        curve_to_csv(curve, out)
+        assert len(calls) == len(self.distances)
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert [float(snr) for _, _, snr in rows] == [
+            link_snr(self.model, 10.0, d, cfg.channel_width_mhz) for d in self.distances
+        ]
 
 
 class TestContention:
