@@ -21,6 +21,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -67,14 +68,18 @@ class Source:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("angle_rad", "normalized_freq", "amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
         if self.role not in (ROLE_DESIRED, ROLE_INTERFERER):
-            raise ValueError(f"source role must be 'desired' or 'interferer', got {self.role!r}")
+            raise ValueError(f"role: must be 'desired' or 'interferer', got {self.role!r}")
         if not abs(self.angle_rad) < math.pi / 2:
-            raise ValueError(f"source angle {self.angle_rad} not strictly inside (-pi/2, pi/2)")
+            raise ValueError(f"angle_rad: {self.angle_rad} not strictly inside (-pi/2, pi/2)")
         if self.waveform not in (WAVEFORM_SINUSOID, WAVEFORM_SYMBOLS):
-            raise ValueError(f"unknown waveform {self.waveform!r}")
+            raise ValueError(f"waveform: unknown waveform {self.waveform!r}")
         if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+            raise ValueError(f"amplitude: must be >= 0, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -89,27 +94,49 @@ class Snapshot:
 _REQUIRED = object()
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean is refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """``int(value)``, refusing a JSON boolean and a float that is not a
-    whole number (NaN and inf too)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, got {value}")
-    return int(value)
+    """A JSON number that is a whole number (``300.0`` reads as 300; NaN,
+    inf, a string or a boolean is refused)."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
 
 
-def _field(data: dict, key: str, convert, prefix: str = "", default=_REQUIRED):
+def _field(data: dict, key: str, convert, default=_REQUIRED):
     """``convert(data[key])`` for a scenario file, with errors that name the field."""
-    name = prefix + key
-    if not isinstance(data, dict):
-        raise ValueError(f"{prefix.rstrip('.') or 'scenario'}: must be a JSON object")
     if key not in data:
         if default is _REQUIRED:
-            raise ValueError(f"scenario file missing field {name!r}")
+            raise ValueError(f"{key}: missing from the scenario file")
         return default
     try:
         return convert(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _source(data, i: int) -> Source:
+    """Build ``sources[i]`` of a scenario file; every error names ``sources[i]``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"sources[{i}]: must be a JSON object")
+    try:
+        return Source(
+            role=_field(data, "role", str),
+            angle_rad=_field(data, "angle_rad", _number),
+            waveform=_field(data, "waveform", str, WAVEFORM_SINUSOID),
+            normalized_freq=_field(data, "normalized_freq", _number, 0.0),
+            amplitude=_field(data, "amplitude", _number, 1.0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"sources[{i}].{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -134,17 +161,12 @@ class Scenario:
     def array(self) -> ArrayConfig:
         return ArrayConfig(self.num_elements, self.spacing_wavelengths)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError with a field-level message on the first problem."""
         for name in ("carrier_hz", "spacing_wavelengths", "step_size", "noise_power", "sampling_hz"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name}: must be finite, got {value}")
-        for i, src in enumerate(self.sources):
-            for name in ("angle_rad", "normalized_freq", "amplitude"):
-                value = getattr(src, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"sources[{i}].{name}: must be finite, got {value}")
         if self.carrier_hz <= 0:
             raise ValueError(f"carrier_hz: must be positive, got {self.carrier_hz}")
         if self.num_elements < 1:
@@ -165,10 +187,7 @@ class Scenario:
             raise ValueError("sources: no source with role 'desired'")
 
     def desired_source(self) -> Source:
-        for s in self.sources:
-            if s.role == ROLE_DESIRED:
-                return s
-        raise ValueError("sources: no source with role 'desired'")
+        return next(s for s in self.sources if s.role == ROLE_DESIRED)
 
     def to_dict(self) -> dict:
         d = {
@@ -196,61 +215,34 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ValueError("scenario: must be a JSON object")
         raw_sources = _field(data, "sources", lambda v: v)
         if not isinstance(raw_sources, list):
             raise ValueError(f"sources: must be a list, got {type(raw_sources).__name__}")
-        sources = tuple(
-            Source(
-                role=_field(s, "role", str, f"sources[{i}]."),
-                angle_rad=_field(s, "angle_rad", float, f"sources[{i}]."),
-                waveform=_field(s, "waveform", str, f"sources[{i}].", WAVEFORM_SINUSOID),
-                normalized_freq=_field(s, "normalized_freq", float, f"sources[{i}].", 0.0),
-                amplitude=_field(s, "amplitude", float, f"sources[{i}].", 1.0),
-            )
-            for i, s in enumerate(raw_sources)
-        )
-        scenario = cls(
-            carrier_hz=_field(data, "carrier_hz", float),
+        return cls(
+            carrier_hz=_field(data, "carrier_hz", _number),
             num_elements=_field(data, "num_elements", _integer),
-            spacing_wavelengths=_field(data, "spacing_wavelengths", float),
-            step_size=_field(data, "step_size", float),
+            spacing_wavelengths=_field(data, "spacing_wavelengths", _number),
+            step_size=_field(data, "step_size", _number),
             iterations=_field(data, "iterations", _integer),
             seed=_field(data, "seed", _integer),
-            noise_power=_field(data, "noise_power", float),
-            sources=sources,
-            sampling_hz=_field(data, "sampling_hz", float, default=None),
+            noise_power=_field(data, "noise_power", _number),
+            sources=tuple(_source(s, i) for i, s in enumerate(raw_sources)),
+            sampling_hz=_field(data, "sampling_hz", _number, default=None),
         )
-        scenario.validate()
-        return scenario
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
 
-    def to_json_file(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
 
 def default_scenario() -> Scenario:
-    """The shipped 8-element experiment: equal-power desired/interferer
-    tones at +/- pi/4 with 20 dB per-element SNR and step size 0.32."""
-    return Scenario(
-        carrier_hz=5e9,
-        num_elements=8,
-        spacing_wavelengths=0.5,
-        step_size=0.32,
-        iterations=5000,
-        seed=20240511,
-        noise_power=0.01,
-        sources=(
-            Source(ROLE_DESIRED, math.pi / 4, WAVEFORM_SINUSOID, 0.125, 1.0),
-            Source(ROLE_INTERFERER, -math.pi / 4, WAVEFORM_SINUSOID, 0.25, 1.0),
-        ),
-        sampling_hz=1e10,
-    )
+    """The shipped experiment, read from ``data/default_scenario.json``,
+    its one definition."""
+    text = resources.files("wlansim").joinpath("data/default_scenario.json").read_text(encoding="utf-8")
+    return Scenario.from_dict(json.loads(text))
 
 
 def steering_vector(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
@@ -306,10 +298,9 @@ def synthesize_blocks(
     steering-weighted sum of all source samples plus circular complex
     Gaussian noise of the configured power; ``d[j]`` is the desired
     source's clean sample.  Every row is keyed on its own sample index,
-    so it does not depend on the block it was generated in.  The scenario
-    is validated, and each steering vector computed, once per call.
+    so it does not depend on the block it was generated in.  Each steering
+    vector is computed once per call.
     """
-    scenario.validate()
     cfg = scenario.array
     steering = [steering_vector(src.angle_rad, cfg) for src in scenario.sources]
     for first in range(start, stop, rows):

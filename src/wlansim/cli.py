@@ -17,7 +17,6 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .arrays import (
     Scenario,
     WAVEFORM_SINUSOID,
     array_pattern,
+    default_scenario,
     gain_db,
     pattern_to_csv,
 )
@@ -57,10 +57,6 @@ OUTPUT_DIR_ENV = "WLANSIM_OUTPUT_DIR"
 
 SPECTRUM_SIZE = 512
 PATTERN_GRID_POINTS = 721
-
-
-def _default_scenario_path() -> Path:
-    return Path(str(resources.files("wlansim").joinpath("data/default_scenario.json")))
 
 
 def _sha256_file(path: Path) -> str:
@@ -106,19 +102,14 @@ def cmd_channels(args: argparse.Namespace) -> int:
 
 
 def cmd_beamform(args: argparse.Namespace) -> int:
-    scenario_path = Path(args.scenario) if args.scenario else _default_scenario_path()
-    scenario = Scenario.from_json_file(scenario_path)
+    scenario = Scenario.from_json_file(args.scenario) if args.scenario else default_scenario()
     if args.iterations is not None:
         scenario = replace(scenario, iterations=args.iterations)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    scenario.validate()
 
     stride = max(1, scenario.iterations // 10)
     trace = nlms.run(scenario, snapshot_stride=stride)
-    # Created only now, so a rejected or diverged run leaves no directory.
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     cfg = scenario.array
     grid = [(-math.pi / 2) + k * math.pi / (PATTERN_GRID_POINTS - 1) for k in range(PATTERN_GRID_POINTS)]
@@ -127,24 +118,6 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     size = min(SPECTRUM_SIZE, scenario.iterations)
     before = trace.first_element_input[-size:]
     after = trace.outputs[-size:]
-
-    outputs = ["trace.csv", "weights.csv", "pattern.csv", "spectrum_before.csv", "spectrum_after.csv"]
-    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="") as f:
-        nlms.trace_to_csv(trace, f)
-    with open(out_dir / "weights.csv", "w", encoding="utf-8", newline="") as f:
-        nlms.weights_to_csv(trace, f)
-    with open(out_dir / "pattern.csv", "w", encoding="utf-8", newline="") as f:
-        pattern_to_csv(pattern, f)
-    # "Before" is the raw element-0 input; "after" the adapted array output.
-    with open(out_dir / "spectrum_before.csv", "w", encoding="utf-8", newline="") as f:
-        spectrum_to_csv(dft_magnitude(before, size), f)
-    with open(out_dir / "spectrum_after.csv", "w", encoding="utf-8", newline="") as f:
-        spectrum_to_csv(dft_magnitude(after, size), f)
-    # Digest the effective scenario so flag overrides are captured too.
-    digest = hashlib.sha256(
-        json.dumps(scenario.to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    _write_manifest(out_dir, digest, scenario.seed, outputs)
 
     final_err = float(np.mean(trace.error_power[-max(1, scenario.iterations // 10):]))
     fields = [("final_error_power", final_err, ".6e")]
@@ -165,6 +138,28 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     plateau = trace.plateau_iteration()
     if plateau is not None:
         fields.append(("plateau_iteration", plateau, "d"))
+
+    # Created only now, so a rejected, diverged or failed run leaves no directory.
+    out_dir = _resolve_out_dir(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = ["trace.csv", "weights.csv", "pattern.csv", "spectrum_before.csv", "spectrum_after.csv"]
+    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="") as f:
+        nlms.trace_to_csv(trace, f)
+    with open(out_dir / "weights.csv", "w", encoding="utf-8", newline="") as f:
+        nlms.weights_to_csv(trace, f)
+    with open(out_dir / "pattern.csv", "w", encoding="utf-8", newline="") as f:
+        pattern_to_csv(pattern, f)
+    # "Before" is the raw element-0 input; "after" the adapted array output.
+    with open(out_dir / "spectrum_before.csv", "w", encoding="utf-8", newline="") as f:
+        spectrum_to_csv(dft_magnitude(before, size), f)
+    with open(out_dir / "spectrum_after.csv", "w", encoding="utf-8", newline="") as f:
+        spectrum_to_csv(dft_magnitude(after, size), f)
+    # Digest the effective scenario so flag overrides are captured too.
+    digest = hashlib.sha256(
+        json.dumps(scenario.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+    _write_manifest(out_dir, digest, scenario.seed, outputs)
+
     # A field with no finite value (all-zero weights give -inf gains) is left
     # out, as an undefined plateau is.
     print(" ".join(f"{name}={value:{fmt}}" for name, value, fmt in fields if math.isfinite(value)))

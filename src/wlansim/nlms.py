@@ -158,7 +158,6 @@ def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTr
         ValueError: if the adaptation diverges (error power or weights
             stop being finite), naming the iteration.
     """
-    scenario.validate()
     if snapshot_stride is not None and snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     n_iter = scenario.iterations

@@ -249,14 +249,56 @@ class TestScenarioIO:
     def test_json_roundtrip(self, tmp_path):
         sc = default_scenario()
         path = tmp_path / "scenario.json"
-        sc.to_json_file(path)
+        path.write_text(json.dumps(sc.to_dict()))
         assert Scenario.from_json_file(path) == sc
 
-    def test_shipped_scenario_file_matches_default(self):
-        from wlansim.cli import _default_scenario_path
+    def test_shipped_scenario_values(self):
+        assert default_scenario() == Scenario(
+            carrier_hz=5e9,
+            num_elements=8,
+            spacing_wavelengths=0.5,
+            step_size=0.32,
+            iterations=5000,
+            seed=20240511,
+            noise_power=0.01,
+            sources=(
+                Source("desired", math.pi / 4, "sinusoid", 0.125, 1.0),
+                Source("interferer", -math.pi / 4, "sinusoid", 0.25, 1.0),
+            ),
+            sampling_hz=1e10,
+        )
 
-        shipped = Scenario.from_json_file(_default_scenario_path())
-        assert shipped == default_scenario()
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: replace(default_scenario(), step_size=math.nan), "step_size"),
+            (lambda: replace(default_scenario(), iterations=0), "iterations"),
+            (lambda: scenario_with(sources=(Source("interferer", 0.1),)), "sources"),
+        ],
+        ids=["replace_nan_step_size", "replace_zero_iterations", "no_desired_source"],
+    )
+    def test_invalid_scenario_rejected_at_construction(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            build()
+
+    @pytest.mark.parametrize(
+        "index,key,value",
+        [
+            (1, "amplitude", -1),
+            (0, "role", "jammer"),
+            (0, "waveform", "chirp"),
+            (1, "angle_rad", 2.0),
+            (0, "angle_rad", "0.785"),
+            (1, "normalized_freq", True),
+        ],
+    )
+    def test_source_errors_name_the_source(self, tmp_path, index, key, value):
+        data = default_scenario().to_dict()
+        data["sources"][index][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="^" + re.escape(f"sources[{index}].{key}: ")):
+            Scenario.from_json_file(path)
 
     def test_validation_messages_name_the_field(self, tmp_path):
         data = default_scenario().to_dict()
@@ -294,6 +336,9 @@ class TestScenarioIO:
             ("seed", 1.5),
             ("seed", -1),
             ("seed", 2**64),
+            ("iterations", "300"),
+            ("num_elements", "8"),
+            ("seed", "7"),
         ],
     )
     def test_integer_fields_rejected_by_name(self, field, value):

@@ -100,6 +100,12 @@ class TestBeamformCommand:
             ("iterations", [1], "iterations"),
             ("iterations", 300.7, "iterations"),
             ("num_elements", 2.9, "num_elements"),
+            ("iterations", "300", "iterations"),
+            ("step_size", " 0.32 ", "step_size"),
+            ("seed", "7", "seed"),
+            ("step_size", True, "step_size"),
+            ("noise_power", False, "noise_power"),
+            pytest.param("step_size", 10**400, "step_size", id="step_size-int-beyond-float"),
         ],
     )
     def test_bad_numerics_exit_1_and_create_no_outputs(self, tmp_path, capsys, field, value, named):
@@ -119,6 +125,19 @@ class TestBeamformCommand:
         code, _, err = run_cli(["beamform", "--out", str(out_dir), "--iterations", "50", "--seed", seed], capsys)
         assert code == EXIT_VALIDATION
         assert "seed" in err
+        assert not out_dir.exists()
+
+    def test_failed_summary_leaves_no_outputs(self, tmp_path, capsys):
+        data = default_scenario().to_dict()
+        data["noise_power"] = 0.0
+        for source in data["sources"]:
+            source["amplitude"] = 0.0  # a silent array: the suppression report has no reference
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["beamform", "--scenario", str(scenario), "--out", str(out_dir)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "zero magnitude" in err
         assert not out_dir.exists()
 
     def test_zero_step_size_summary_is_finite(self, tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""The README's command lines are ones the CLI accepts."""
+"""The README's command lines are ones the CLI accepts, and its scenario
+example is one the scenario loader accepts."""
 
+import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from wlansim.arrays import Scenario
 from wlansim.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -24,3 +28,9 @@ def test_readme_command_parses(line):
         build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"README line rejected by the parser (exit {exc.code}): {line}")
+
+
+def test_readme_scenario_example_loads():
+    example = re.search(r"## Scenario files.*?```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert example, "no JSON block under 'Scenario files'"
+    Scenario.from_dict(json.loads(example.group(1)))
