@@ -183,8 +183,11 @@ class Scenario:
             raise ValueError(f"noise_power: must be >= 0, got {self.noise_power}")
         if not self.sources:
             raise ValueError("sources: at least one source required")
-        if not any(s.role == ROLE_DESIRED for s in self.sources):
+        desired = [i for i, s in enumerate(self.sources) if s.role == ROLE_DESIRED]
+        if not desired:
             raise ValueError("sources: no source with role 'desired'")
+        if len(desired) > 1:
+            raise ValueError(f"sources[{desired[1]}].role: only one source may be 'desired'")
 
     def desired_source(self) -> Source:
         return next(s for s in self.sources if s.role == ROLE_DESIRED)

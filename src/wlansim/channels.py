@@ -123,11 +123,6 @@ def channel_by_id(channel_id: int) -> Channel:
         raise KeyError(f"channel {channel_id} not in any known plan") from None
 
 
-def eirp_limit_of(channel_id: int) -> float:
-    """Return the static EIRP limit of a channel in milliwatts."""
-    return channel_by_id(channel_id).eirp_mw
-
-
 def overlap_fraction(a: Channel, b: Channel) -> float:
     """Spectral overlap of two channels as a fraction of ``a``'s bandwidth.
 

@@ -116,8 +116,9 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     pattern = array_pattern(trace.converged_weights, cfg, grid)
 
     size = min(SPECTRUM_SIZE, scenario.iterations)
-    before = trace.first_element_input[-size:]
-    after = trace.outputs[-size:]
+    # "Before" is the raw element-0 input; "after" the adapted array output.
+    before = dft_magnitude(trace.first_element_input[-size:], size)
+    after = dft_magnitude(trace.outputs[-size:], size)
 
     final_err = float(np.mean(trace.error_power[-max(1, scenario.iterations // 10):]))
     fields = [("final_error_power", final_err, ".6e")]
@@ -133,7 +134,7 @@ def cmd_beamform(args: argparse.Namespace) -> int:
             d_bin = round(desired.normalized_freq * size) % size
             i_bin = round(first.normalized_freq * size) % size
             if d_bin != i_bin:
-                d_chg, i_chg = suppression_report(before, after, d_bin, i_bin, size)
+                d_chg, i_chg = suppression_report(before, after, d_bin, i_bin)
                 fields += [("desired_change_db", d_chg, ".2f"), ("interferer_change_db", i_chg, ".2f")]
     plateau = trace.plateau_iteration()
     if plateau is not None:
@@ -149,11 +150,10 @@ def cmd_beamform(args: argparse.Namespace) -> int:
         nlms.weights_to_csv(trace, f)
     with open(out_dir / "pattern.csv", "w", encoding="utf-8", newline="") as f:
         pattern_to_csv(pattern, f)
-    # "Before" is the raw element-0 input; "after" the adapted array output.
     with open(out_dir / "spectrum_before.csv", "w", encoding="utf-8", newline="") as f:
-        spectrum_to_csv(dft_magnitude(before, size), f)
+        spectrum_to_csv(before, f)
     with open(out_dir / "spectrum_after.csv", "w", encoding="utf-8", newline="") as f:
-        spectrum_to_csv(dft_magnitude(after, size), f)
+        spectrum_to_csv(after, f)
     # Digest the effective scenario so flag overrides are captured too.
     digest = hashlib.sha256(
         json.dumps(scenario.to_dict(), sort_keys=True).encode()

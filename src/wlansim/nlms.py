@@ -84,29 +84,6 @@ def step(state: BeamformerState, snap: Snapshot) -> StepResult:
     return StepResult(y=y, e=e, state=replace(state, w=w_next, n=state.n + 1))
 
 
-@dataclass(frozen=True)
-class StabilityInputs:
-    """Measured powers entering the step-size stability bound."""
-
-    input_power: float
-    error_power: float
-    deviation: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.input_power <= 0:
-            raise ValueError(f"input power must be positive, got {self.input_power}")
-        if self.error_power <= 0:
-            raise ValueError(f"error power must be positive, got {self.error_power}")
-
-
-def stability_upper_bound(s: StabilityInputs) -> float:
-    """Upper bound on the step size: ``2 * (input/error power) * deviation``.
-
-    Reported for diagnostics; callers compare ``mu < bound`` themselves.
-    """
-    return 2.0 * (s.input_power / s.error_power) * s.deviation
-
-
 @dataclass
 class ConvergenceTrace:
     """Per-iteration record of one adaptive run.

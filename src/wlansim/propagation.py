@@ -1,15 +1,12 @@
-"""Free-space and log-distance path loss, geographic distance, and SINR.
+"""Free-space and log-distance path loss, geographic distance, link budget.
 
-All path losses are in dB, powers in dBm unless stated otherwise.  The
-interference aggregation in :func:`sinr` sums interferer powers linearly
-(in milliwatts), each weighted by its spectral overlap fraction.
+All path losses are in dB, powers in dBm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS_M = 6_371_000.0
@@ -91,35 +88,6 @@ class PathLossModel:
         return self.reference_loss_db + 10.0 * self.exponent * math.log10(distance_m)
 
 
-def received_power(eirp_dbm: float, path_loss_db: float, rx_gain_db: float = 0.0) -> float:
-    """Link budget: EIRP minus path loss plus receive antenna gain, in dBm."""
-    return eirp_dbm - path_loss_db + rx_gain_db
-
-
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0:
-        raise ValueError(f"power must be positive, got {mw} mW")
-    return 10.0 * math.log10(mw)
-
-
-def sinr(
-    desired_dbm: float,
-    interferers: Iterable[Tuple[float, float]],
-    noise_dbm: float,
-) -> float:
-    """Signal to interference-plus-noise ratio, in dB.
-
-    Each interferer is a ``(power_dbm, overlap_fraction)`` pair; its power
-    enters the denominator linearly, weighted by the overlap fraction.
-    An empty interferer list reduces this to plain SNR.
-    """
-    denom_mw = dbm_to_mw(noise_dbm)
-    for power_dbm, overlap in interferers:
-        if not 0.0 <= overlap <= 1.0:
-            raise ValueError(f"overlap fraction {overlap} outside [0, 1]")
-        denom_mw += overlap * dbm_to_mw(power_dbm)
-    return mw_to_dbm(dbm_to_mw(desired_dbm) / denom_mw)
+def received_power(eirp_dbm: float, path_loss_db: float) -> float:
+    """Link budget: EIRP minus path loss, in dBm (0 dBi receive gain)."""
+    return eirp_dbm - path_loss_db

@@ -22,11 +22,8 @@ class SpectrumResult:
     size: int
 
 
-def dft_magnitude(signal: Sequence[complex], size: int, window: str | None = None) -> SpectrumResult:
+def dft_magnitude(signal: Sequence[complex], size: int) -> SpectrumResult:
     """Magnitude of the ``size``-point DFT of ``signal``, zero-padded.
-
-    ``window='hann'`` applies a Hann window before the transform (report
-    aesthetics only; windowing breaks the Parseval identity).
 
     Raises:
         ValueError: for an empty signal or ``size`` below the signal length.
@@ -36,38 +33,34 @@ def dft_magnitude(signal: Sequence[complex], size: int, window: str | None = Non
         raise ValueError("signal must be a nonempty 1-D sequence")
     if size < x.size:
         raise ValueError(f"transform size {size} smaller than signal length {x.size}")
-    if window == "hann":
-        x = x * np.hanning(x.size)
-    elif window is not None:
-        raise ValueError(f"unknown window {window!r}")
     mags = np.abs(np.fft.fft(x, n=size))
     freqs = np.arange(size) / size
     return SpectrumResult(freqs=freqs, magnitudes=mags, size=size)
 
 
 def suppression_report(
-    before: Sequence[complex],
-    after: Sequence[complex],
+    before: SpectrumResult,
+    after: SpectrumResult,
     desired_bin: int,
     interferer_bin: int,
-    size: int,
 ) -> tuple[float, float]:
     """Per-bin magnitude change of ``after`` relative to ``before``, in dB.
 
     Returns ``(desired_change_db, interferer_change_db)``.
 
     Raises:
-        ValueError: for identical probe bins or a zero before-magnitude at
-            a probed bin (the ratio would be undefined).
+        ValueError: for spectra of different sizes, identical probe bins
+            or a zero before-magnitude at a probed bin (the ratio would be
+            undefined).
     """
+    if before.size != after.size:
+        raise ValueError(f"spectrum sizes differ: {before.size} vs {after.size}")
     if desired_bin == interferer_bin:
         raise ValueError("desired and interferer bins must be distinct")
-    spec_before = dft_magnitude(before, size)
-    spec_after = dft_magnitude(after, size)
 
     def change(bin_idx: int) -> float:
-        b = spec_before.magnitudes[bin_idx]
-        a = spec_after.magnitudes[bin_idx]
+        b = before.magnitudes[bin_idx]
+        a = after.magnitudes[bin_idx]
         if b == 0.0:
             raise ValueError(f"zero magnitude at bin {bin_idx} in the 'before' spectrum")
         if a == 0.0:

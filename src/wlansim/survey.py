@@ -36,7 +36,7 @@ RSSI_MAX_DBM = 0.0
 
 LOW_CONFIDENCE_COUNT = 5
 DEFAULT_COVERAGE_THRESHOLD_DBM = -80.0
-DEFAULT_GRID_M = 1.0
+GRID_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -202,21 +202,20 @@ def parse_log(
     return records, errors
 
 
-def location_cell(pos: GeoPoint, grid_m: float = DEFAULT_GRID_M) -> tuple[int, int]:
-    """Quantize a position to a local metric grid cell.
+def location_cell(pos: GeoPoint) -> tuple[int, int]:
+    """Quantize a position to a cell of the local ``GRID_M`` metric grid.
 
     Equirectangular projection: adequate for survey-scale extents and
     independent of input order.
     """
     y = EARTH_RADIUS_M * math.radians(pos.latitude)
     x = EARTH_RADIUS_M * math.radians(pos.longitude) * math.cos(math.radians(pos.latitude))
-    return (math.floor(x / grid_m), math.floor(y / grid_m))
+    return (math.floor(x / GRID_M), math.floor(y / GRID_M))
 
 
 def summarize(
     records: Sequence[MeasurementRecord],
     ap_position: GeoPoint | None = None,
-    grid_m: float = DEFAULT_GRID_M,
 ) -> list[ApSummary]:
     """Aggregate records into per-(AP, location-cell) RSSI statistics.
 
@@ -228,7 +227,7 @@ def summarize(
         raise ValueError("no records to summarize")
     groups: dict[tuple[str, tuple[int, int]], list[MeasurementRecord]] = {}
     for rec in records:
-        groups.setdefault((rec.bssid, location_cell(rec.pos, grid_m)), []).append(rec)
+        groups.setdefault((rec.bssid, location_cell(rec.pos)), []).append(rec)
 
     summaries = []
     for (bssid, cell), members in sorted(groups.items()):

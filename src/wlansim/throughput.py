@@ -1,8 +1,8 @@
 """PHY rate limits, modulation accounting, and throughput-vs-distance curves.
 
 Peak client rates are the published single- and three-stream figures for
-the two modelled standards; the SNR-to-rate staircase is configurable
-because no standard mapping is mandated.
+the two modelled standards.  No standard mandates an SNR-to-rate mapping;
+the curve uses :func:`default_snr_staircase`, 8 even rungs up to the cap.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class PhyConfig:
     standard: Standard
     channel_width_mhz: int = 20
     spatial_streams: int = 1
-    modulation: Modulation = Modulation.QAM64
 
     def __post_init__(self) -> None:
         if not 1 <= self.spatial_streams <= 8:
@@ -66,8 +65,6 @@ class PhyConfig:
                 )
             if self.spatial_streams > 4:
                 raise ValueError("802.11n supports at most 4 spatial streams")
-            if self.modulation is Modulation.QAM256:
-                raise ValueError("802.11n does not support 256-QAM")
         else:
             if self.channel_width_mhz not in _AC_WIDTHS:
                 raise ValueError(
@@ -114,9 +111,13 @@ def default_snr_staircase(cap_mbps: float) -> list[tuple[float, float]]:
 
 
 def snr_to_rate(snr_db: float, staircase: Sequence[tuple[float, float]]) -> float:
-    """Highest staircase rate whose threshold the SNR reaches, else 0."""
+    """Highest staircase rate whose threshold the SNR reaches, else 0.
+
+    ``staircase`` must be in ascending order, as :func:`default_snr_staircase`
+    builds it.
+    """
     rate = 0.0
-    for threshold, step_rate in sorted(staircase):
+    for threshold, step_rate in staircase:
         if snr_db >= threshold:
             rate = step_rate
     return rate
@@ -127,10 +128,9 @@ def link_snr(
     tx_eirp_dbm: float,
     distance_m: float,
     channel_width_mhz: int,
-    rx_gain_db: float = 0.0,
 ) -> float:
     """SNR at the receiver for one link distance, in dB."""
-    rx_dbm = received_power(tx_eirp_dbm, model.path_loss(distance_m), rx_gain_db)
+    rx_dbm = received_power(tx_eirp_dbm, model.path_loss(distance_m))
     return rx_dbm - noise_floor_dbm(channel_width_mhz)
 
 
@@ -165,14 +165,12 @@ def throughput_vs_distance(
     model: PathLossModel,
     tx_eirp_dbm: float,
     distances: Sequence[float],
-    staircase: Sequence[tuple[float, float]] | None = None,
-    rx_gain_db: float = 0.0,
 ) -> RateCurve:
     """Rate curve over distances, capped at the standard's peak client rate.
 
-    Distances must be positive and sorted ascending.  The default
-    staircase is :func:`default_snr_staircase` built on that cap, so the
-    curve is monotone non-increasing in distance.
+    Distances must be positive and sorted ascending.  Rates follow
+    :func:`default_snr_staircase` built on that cap, so the curve is
+    monotone non-increasing in distance.
 
     Raises:
         ValueError: for an empty or unsorted/non-positive distance list.
@@ -185,33 +183,14 @@ def throughput_vs_distance(
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be sorted ascending")
     cap = max_client_rate(cfg.standard, cfg.spatial_streams)
-    if staircase is None:
-        staircase = default_snr_staircase(cap)
+    staircase = default_snr_staircase(cap)
     curve = RateCurve()
     for d in distances:
-        snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz, rx_gain_db)
+        snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz)
         curve.distance_m.append(d)
         curve.rate_mbps.append(min(snr_to_rate(snr, staircase), cap))
         curve.snr_db.append(snr)
     return curve
-
-
-def contention_degradation(
-    rate_mbps: float, co_channel: Sequence[tuple[float, float]]
-) -> float:
-    """Airtime-share degradation from co-channel neighbours.
-
-    Each neighbour is ``(overlap_fraction, activity_fraction)``; the rate
-    is scaled by ``max(0, 1 - sum(overlap * activity))``.
-    """
-    lost = 0.0
-    for overlap, activity in co_channel:
-        if not 0.0 <= overlap <= 1.0:
-            raise ValueError(f"overlap fraction {overlap} outside [0, 1]")
-        if not 0.0 <= activity <= 1.0:
-            raise ValueError(f"activity fraction {activity} outside [0, 1]")
-        lost += overlap * activity
-    return rate_mbps * max(0.0, 1.0 - lost)
 
 
 def curve_to_csv(curve: RateCurve, out: IO[str]) -> None:

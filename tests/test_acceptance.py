@@ -165,7 +165,9 @@ def test_criterion_6_interference_suppression():
     after = trace.outputs[-size:]
     d_bin = round(desired.normalized_freq * size)
     i_bin = round(interferer.normalized_freq * size)
-    d_chg, i_chg = suppression_report(before, after, d_bin, i_bin, size)
+    d_chg, i_chg = suppression_report(
+        dft_magnitude(before, size), dft_magnitude(after, size), d_bin, i_bin
+    )
 
     ok = depth >= 30.0 and i_chg <= -20.0 and abs(d_chg) <= 1.0 and elapsed < 10.0
     report(

@@ -12,7 +12,6 @@ from wlansim.channels import (
     Plan,
     channel_by_id,
     channels_to_csv,
-    eirp_limit_of,
     list_channels,
     overlap_fraction,
     plan_channels,
@@ -74,11 +73,11 @@ class TestPlanTables:
 class TestEirpLimits:
     @pytest.mark.parametrize("cid,mw", [(36, 200.0), (100, 1000.0), (149, 4000.0)])
     def test_unii_limits(self, cid, mw):
-        assert eirp_limit_of(cid) == mw
+        assert channel_by_id(cid).eirp_mw == mw
 
     def test_unknown_channel(self):
         with pytest.raises(KeyError):
-            eirp_limit_of(37)
+            channel_by_id(37)
 
     def test_all_limits_positive(self):
         for plan in Plan:

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import wlansim
 from wlansim.arrays import default_scenario
 from wlansim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from wlansim.propagation import EARTH_RADIUS_M
+from wlansim.spectrum import dft_magnitude
 
 BEAMFORM_OUTPUTS = [
     "trace.csv",
@@ -72,6 +74,13 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_OK
         assert "wlansim" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore:Support for `.tool.setuptools.`")  # setuptools "beta" notice
+    def test_package_version_is_the_module_version(self):
+        pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+        root = Path(__file__).resolve().parent.parent
+        config = pyproject.read_configuration(root / "pyproject.toml", expand=True)
+        assert config["project"]["version"] == wlansim.__version__ == "0.1.0"
+
 
 class TestBeamformCommand:
     def test_default_scenario_reports_deep_null(self, tmp_path, capsys):
@@ -106,6 +115,12 @@ class TestBeamformCommand:
             ("step_size", True, "step_size"),
             ("noise_power", False, "noise_power"),
             pytest.param("step_size", 10**400, "step_size", id="step_size-int-beyond-float"),
+            pytest.param(
+                "sources",
+                [dict(src, role="desired") for src in default_scenario().to_dict()["sources"]],
+                "sources[1].role",
+                id="second-desired-source",
+            ),
         ],
     )
     def test_bad_numerics_exit_1_and_create_no_outputs(self, tmp_path, capsys, field, value, named):
@@ -118,6 +133,18 @@ class TestBeamformCommand:
         assert code == EXIT_VALIDATION
         assert named in err
         assert not out_dir.exists()
+
+    def test_each_spectrum_is_transformed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dft_magnitude(*args, **kwargs)
+
+        monkeypatch.setattr(wlansim.cli, "dft_magnitude", counted)
+        monkeypatch.setattr(wlansim.spectrum, "dft_magnitude", counted)
+        assert run_cli(["beamform", "--out", str(tmp_path)], capsys)[0] == EXIT_OK
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_uint64_exits_1_naming_seed(self, tmp_path, capsys, seed):

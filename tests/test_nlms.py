@@ -1,4 +1,4 @@
-"""Tests for the normalized-LMS step, stability bound, and full runs."""
+"""Tests for the normalized-LMS step and full runs."""
 
 import math
 from dataclasses import replace
@@ -18,10 +18,8 @@ from wlansim.nlms import (
     CHUNK_ROWS,
     RELATIVE_EPS,
     BeamformerState,
-    StabilityInputs,
     initial_state,
     run,
-    stability_upper_bound,
     step,
 )
 
@@ -118,25 +116,6 @@ class TestStep:
             bound = state.mu * abs(result.e) / np.linalg.norm(x)
             assert change <= bound * (1 + 1e-12)
             state = result.state
-
-
-class TestStabilityBound:
-    @pytest.mark.parametrize(
-        "inputs,expected",
-        [((1.0, 1.0, 1.0), 2.0), ((4.0, 1.0, 1.0), 8.0), ((1.0, 2.0, 0.5), 0.5)],
-    )
-    def test_bound_expression(self, inputs, expected):
-        ip, ep, dev = inputs
-        assert stability_upper_bound(StabilityInputs(ip, ep, dev)) == expected
-
-    def test_nonpositive_powers_rejected(self):
-        with pytest.raises(ValueError):
-            StabilityInputs(0.0, 1.0)
-        with pytest.raises(ValueError):
-            StabilityInputs(1.0, -2.0)
-
-    def test_deviation_defaults_to_one(self):
-        assert stability_upper_bound(StabilityInputs(3.0, 1.0)) == 6.0
 
 
 def small_scenario(**overrides) -> Scenario:

@@ -1,0 +1,62 @@
+"""Byte pins of the default CLI outputs.
+
+Each pin is the first 12 hex digits of the SHA-256 of one output of a
+default run.  A refactor that claims identical outputs must leave every
+pin as it is; a change that alters output bytes on purpose updates the
+pin and says why.  ``manifest.json`` is not pinned: it holds a timestamp.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from wlansim.cli import EXIT_OK, main
+
+DATA = Path(__file__).parent / "data"
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+@pytest.mark.parametrize(
+    "plan,pin",
+    [("unii", "ef926975a820"), ("ism24", "6cb14c42d643")],
+)
+def test_channel_plan_stdout(capsys, plan, pin):
+    assert main(["channels", "--plan", plan]) == EXIT_OK
+    assert digest(capsys.readouterr().out.encode()) == pin
+
+
+@pytest.mark.parametrize(
+    "argv,pins",
+    [
+        pytest.param(["throughput"], {"throughput.csv": "d0a0dade24a5"}, id="throughput"),
+        pytest.param(
+            ["coverage", str(DATA / "survey.kml"), "--format", "kml"],
+            {"summaries.csv": "07a6bd36ebdd", "interference.csv": "9ae65c5d1fee"},
+            id="coverage-kml",
+        ),
+        pytest.param(
+            ["beamform"],
+            {
+                "trace.csv": "91264a0b92fd",
+                "weights.csv": "7645d2691ca9",
+                "pattern.csv": "dcfe6f52e039",
+                "spectrum_before.csv": "1df6a835b0e7",
+                "spectrum_after.csv": "228ea068066e",
+                "stdout": "50e52a6ca78e",
+            },
+            id="beamform",
+        ),
+    ],
+)
+def test_default_output_files(tmp_path, capsys, argv, pins):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    got = {
+        name: digest(stdout if name == "stdout" else (tmp_path / name).read_bytes())
+        for name in pins
+    }
+    assert got == pins

@@ -1,4 +1,4 @@
-"""Tests for geographic distance, path loss and SINR."""
+"""Tests for geographic distance, path loss and the link budget."""
 
 import math
 
@@ -9,12 +9,9 @@ from wlansim.propagation import (
     SPEED_OF_LIGHT,
     GeoPoint,
     PathLossModel,
-    dbm_to_mw,
     friis_path_loss,
     haversine_distance,
-    mw_to_dbm,
     received_power,
-    sinr,
 )
 
 LONDON = GeoPoint(51.5074, -0.1278)
@@ -110,31 +107,6 @@ class TestPathLossModel:
 
 class TestLinkBudget:
     def test_received_power_examples(self):
-        assert received_power(20.0, 40.0, 0.0) == -20.0
-        assert received_power(23.0, 0.0, 0.0) == 23.0
-        assert received_power(30.0, 46.42, 3.0) == pytest.approx(-13.42, abs=1e-12)
-
-
-class TestSinr:
-    def test_reduces_to_snr_without_interferers(self):
-        assert sinr(-40.0, [], -90.0) == pytest.approx(50.0, abs=1e-12)
-
-    def test_equal_cochannel_interferer_negligible_noise(self):
-        assert sinr(-40.0, [(-40.0, 1.0)], -300.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_matches_linear_domain_oracle(self):
-        desired, noise = -40.0, -95.0
-        interferers = [(-50.0, 0.5)]
-        expected = mw_to_dbm(
-            dbm_to_mw(desired) / (dbm_to_mw(noise) + 0.5 * dbm_to_mw(-50.0))
-        )
-        assert sinr(desired, interferers, noise) == pytest.approx(expected, abs=1e-12)
-
-    def test_monotone_in_interferer_power_and_overlap(self):
-        base = sinr(-40.0, [(-60.0, 0.5)], -90.0)
-        assert sinr(-40.0, [(-55.0, 0.5)], -90.0) < base
-        assert sinr(-40.0, [(-60.0, 0.8)], -90.0) < base
-
-    def test_overlap_range_validated(self):
-        with pytest.raises(ValueError):
-            sinr(-40.0, [(-50.0, 1.5)], -90.0)
+        assert received_power(20.0, 40.0) == -20.0
+        assert received_power(23.0, 0.0) == 23.0
+        assert received_power(30.0, 46.42) == pytest.approx(-16.42, abs=1e-12)
