@@ -1,8 +1,10 @@
 """Command-line interface: one subcommand per simulator area.
 
-Every file-producing invocation writes a ``manifest.json`` next to its
-outputs recording the tool version, a SHA-256 digest of the input
-configuration, the seed in effect, a timestamp and the produced files.
+Every file-producing invocation publishes through ``_publish``: outputs
+move into place only once all are written, then ``manifest.json``, which
+records the tool version, a SHA-256 digest of the effective input
+configuration, the seed in effect, a timestamp, the output list and each
+output's SHA-256.  A failed run leaves no partial set.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 """
@@ -17,7 +19,9 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import IO, Callable
 
 import numpy as np
 
@@ -61,28 +65,42 @@ PATTERN_GRID_POINTS = 721
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            h.update(chunk)
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, digest: str, seed: int | None, outputs: list[str]) -> None:
-    manifest = {
-        "tool_version": __version__,
-        "config_sha256": digest,
-        "seed": seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+def _publish(out_arg: str | None, writers: dict[str, Callable[[IO[str]], None]], config: dict) -> None:
+    """Write each output, then ``manifest.json``, into the output directory.
 
-
-def _resolve_out_dir(arg_value: str | None) -> Path:
-    if arg_value:
-        return Path(arg_value)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    return Path(env) if env else Path(".")
+    Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
+    any output is replaced and the new one is moved in last, so a manifest
+    always describes the files beside it."""
+    out_dir = Path(out_arg or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = {name: out_dir / f".{name}.tmp" for name in [*writers, "manifest.json"]}
+    try:
+        for name, write in writers.items():
+            with open(temps[name], "w", encoding="utf-8", newline="") as f:
+                write(f)
+        manifest = {
+            "tool_version": __version__,
+            "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+            "seed": config.get("seed"),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "outputs": list(writers),
+            "output_sha256": {name: _sha256_file(temps[name]) for name in writers},
+        }
+        with open(temps["manifest.json"], "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2)
+            f.write("\n")
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+        for name, temp in temps.items():
+            os.replace(temp, out_dir / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def cmd_channels(args: argparse.Namespace) -> int:
@@ -140,25 +158,15 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     if plateau is not None:
         fields.append(("plateau_iteration", plateau, "d"))
 
-    # Created only now, so a rejected, diverged or failed run leaves no directory.
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = ["trace.csv", "weights.csv", "pattern.csv", "spectrum_before.csv", "spectrum_after.csv"]
-    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="") as f:
-        nlms.trace_to_csv(trace, f)
-    with open(out_dir / "weights.csv", "w", encoding="utf-8", newline="") as f:
-        nlms.weights_to_csv(trace, f)
-    with open(out_dir / "pattern.csv", "w", encoding="utf-8", newline="") as f:
-        pattern_to_csv(pattern, f)
-    with open(out_dir / "spectrum_before.csv", "w", encoding="utf-8", newline="") as f:
-        spectrum_to_csv(before, f)
-    with open(out_dir / "spectrum_after.csv", "w", encoding="utf-8", newline="") as f:
-        spectrum_to_csv(after, f)
-    # Digest the effective scenario so flag overrides are captured too.
-    digest = hashlib.sha256(
-        json.dumps(scenario.to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    _write_manifest(out_dir, digest, scenario.seed, outputs)
+    # Published only now, so a rejected, diverged or failed run leaves no directory.
+    writers = {
+        "trace.csv": partial(nlms.trace_to_csv, trace),
+        "weights.csv": partial(nlms.weights_to_csv, trace),
+        "pattern.csv": partial(pattern_to_csv, pattern),
+        "spectrum_before.csv": partial(spectrum_to_csv, before),
+        "spectrum_after.csv": partial(spectrum_to_csv, after),
+    }
+    _publish(args.out, writers, scenario.to_dict())  # the effective scenario: flag overrides count
 
     # A field with no finite value (all-zero weights give -inf gains) is left
     # out, as an undefined plateau is.
@@ -193,21 +201,16 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         ]
         fit = fit_path_loss(points, args.tx_eirp)
 
-    # Created only now, so a rejected run leaves no directory.
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = ["summaries.csv", "interference.csv"]
-    with open(out_dir / "summaries.csv", "w", encoding="utf-8", newline="") as f:
-        summaries_to_csv(summaries, f)
-    with open(out_dir / "interference.csv", "w", encoding="utf-8", newline="") as f:
-        interference_to_csv(pairs, f)
+    # Published only now, so a rejected run leaves no directory.
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
+    writers = {"summaries.csv": partial(summaries_to_csv, summaries),
+               "interference.csv": partial(interference_to_csv, pairs)}
+    _publish(args.out, writers, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:
         print(
             f"fit: exponent={fit.exponent:.4f} reference_loss_db={fit.reference_loss_db:.2f} "
             f"residual_rms_db={fit.residual_rms_db:.2f} samples={fit.sample_count}"
         )
-
-    _write_manifest(out_dir, _sha256_file(log_path), None, outputs)
     return EXIT_OK
 
 
@@ -223,13 +226,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     distances = [args.min_distance + k * args.step for k in range(args.points)]
     curve = throughput_vs_distance(cfg, model, args.tx_eirp, distances)
 
-    out_dir = _resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "throughput.csv", "w", encoding="utf-8", newline="") as f:
-        curve_to_csv(curve, f)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-    _write_manifest(out_dir, digest, None, ["throughput.csv"])
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    _publish(args.out, {"throughput.csv": partial(curve_to_csv, curve)}, options)
     print(f"cap_mbps={max(r for _, r in curve)}")
     return EXIT_OK
 

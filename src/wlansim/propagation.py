@@ -46,12 +46,12 @@ def friis_path_loss(distance_m: float, frequency_hz: float) -> float:
     speed of light; exactly 20 dB per decade of distance or frequency.
 
     Raises:
-        ValueError: if distance or frequency is not positive.
+        ValueError: if distance or frequency is not positive and finite.
     """
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
+    if not 0 < distance_m < math.inf:
+        raise ValueError(f"distance must be positive and finite, got {distance_m}")
+    if not 0 < frequency_hz < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {frequency_hz}")
     return (
         20.0 * math.log10(distance_m)
         + 20.0 * math.log10(frequency_hz)
@@ -72,10 +72,12 @@ class PathLossModel:
     frequency_hz: float
 
     def __post_init__(self) -> None:
-        if self.exponent < 1.0:
-            raise ValueError(f"path-loss exponent must be >= 1, got {self.exponent}")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+        if not math.isfinite(self.reference_loss_db):
+            raise ValueError(f"reference loss must be finite, got {self.reference_loss_db}")
+        if not 1.0 <= self.exponent < math.inf:
+            raise ValueError(f"path-loss exponent must be finite and >= 1, got {self.exponent}")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError(f"frequency must be positive and finite, got {self.frequency_hz}")
 
     @classmethod
     def free_space(cls, frequency_hz: float) -> "PathLossModel":

@@ -268,8 +268,11 @@ def fit_path_loss(
     ``10*log10(distance)`` via the closed-form normal equations.
 
     Raises:
-        ValueError: with fewer than two distinct positive distances.
+        ValueError: with fewer than two distinct positive distances, or a
+            non-finite EIRP.
     """
+    if not math.isfinite(tx_eirp_dbm):
+        raise ValueError(f"tx_eirp_dbm must be finite, got {tx_eirp_dbm}")
     if len(points) < 2:
         raise ValueError("need at least two points to fit")
     if any(d <= 0 for d, _ in points):
@@ -305,7 +308,12 @@ def interference_report(
     the threshold; two APs are co-located when those regions intersect.
     Each AP's plan follows from its channel id; a pair of APs in different
     plans has overlap 0.
+
+    Raises:
+        ValueError: for a non-finite coverage threshold.
     """
+    if not math.isfinite(coverage_threshold_dbm):
+        raise ValueError(f"coverage_threshold_dbm must be finite, got {coverage_threshold_dbm}")
     cells: dict[str, set[tuple[int, int]]] = {}
     counts: dict[str, dict[int, int]] = {}
     for s in summaries:

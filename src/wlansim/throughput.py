@@ -168,18 +168,21 @@ def throughput_vs_distance(
 ) -> RateCurve:
     """Rate curve over distances, capped at the standard's peak client rate.
 
-    Distances must be positive and sorted ascending.  Rates follow
+    Distances must be positive, finite and sorted ascending.  Rates follow
     :func:`default_snr_staircase` built on that cap, so the curve is
     monotone non-increasing in distance.
 
     Raises:
-        ValueError: for an empty or unsorted/non-positive distance list.
+        ValueError: for a non-finite EIRP, or an empty, unsorted,
+            non-positive or non-finite distance list.
         KeyError: when the config has no tabulated peak rate.
     """
+    if not math.isfinite(tx_eirp_dbm):
+        raise ValueError(f"tx_eirp_dbm must be finite, got {tx_eirp_dbm}")
     if len(distances) == 0:
         raise ValueError("distance list must be nonempty")
-    if any(d <= 0 for d in distances):
-        raise ValueError("distances must be positive")
+    if any(not 0 < d < math.inf for d in distances):
+        raise ValueError("distances must be positive and finite")
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be sorted ascending")
     cap = max_client_rate(cfg.standard, cfg.spatial_streams)

@@ -186,6 +186,23 @@ class TestBeamformCommand:
         for name in BEAMFORM_OUTPUTS:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
+    def test_failed_write_leaves_no_partial_set(self, tmp_path, capsys, monkeypatch):
+        def failing(result, out):
+            out.write("frequency_bin,")
+            raise OSError("disk full")
+
+        earlier, fresh = tmp_path / "earlier", tmp_path / "fresh"
+        assert run_cli(["beamform", "--iterations", "300", "--seed", "1", "--out", str(earlier)], capsys)[0] == EXIT_OK
+        complete_set = {p.name: p.read_bytes() for p in earlier.iterdir()}
+        # The spectra are written after trace, weights and pattern: a failure mid-set.
+        monkeypatch.setattr(wlansim.cli, "spectrum_to_csv", failing)
+        for out_dir in (earlier, fresh):
+            code, out, err = run_cli(["beamform", "--iterations", "300", "--seed", "2", "--out", str(out_dir)], capsys)
+            assert code == EXIT_IO
+            assert "disk full" in err and out == ""
+        assert {p.name: p.read_bytes() for p in earlier.iterdir()} == complete_set
+        assert list(fresh.iterdir()) == []
+
     def test_manifest_records_digest_and_outputs(self, tmp_path, capsys):
         run_cli(["beamform", "--out", str(tmp_path)], capsys)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -317,6 +334,41 @@ class TestCoverageCommand:
         rows = (out_dir / "interference.csv").read_text().splitlines()
         assert rows[1:] == [f"00:11:22:33:44:55,00:11:22:33:44:66,{verdict}"]
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--fit", "--tx-eirp", "nan"], "tx_eirp_dbm"),
+            (["--fit", "--tx-eirp", "inf"], "tx_eirp_dbm"),
+            (["--coverage-threshold", "nan"], "coverage_threshold_dbm"),
+        ],
+        ids=["fit-tx-eirp-nan", "fit-tx-eirp-inf", "coverage-threshold-nan"],
+    )
+    def test_non_finite_option_exits_1_naming_it(self, tmp_path, capsys, flags, named):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            ["coverage", str(log), "--out", str(out_dir), "--ap-lat", "51.8776", "--ap-lon", "0.9426", *flags],
+            capsys,
+        )
+        assert code == EXIT_VALIDATION
+        assert named in err
+        assert not out_dir.exists()
+
+    def test_config_digest_covers_the_options(self, tmp_path, capsys):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+
+        def config_sha256(name, threshold):
+            out_dir = tmp_path / name
+            argv = ["coverage", str(log), "--out", str(out_dir), "--coverage-threshold", threshold]
+            assert run_cli(argv, capsys)[0] == EXIT_OK
+            return json.loads((out_dir / "manifest.json").read_text())["config_sha256"]
+
+        first = config_sha256("a", "-80")
+        assert config_sha256("b", "-80") == first
+        assert config_sha256("c", "-52") != first
+
     def test_malformed_line_count_reported(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
         write_survey_csv(log)
@@ -344,6 +396,24 @@ class TestThroughputCommand:
         )
         assert code == EXIT_VALIDATION
         assert "20/40" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--tx-eirp", "nan", "tx_eirp_dbm"),
+            ("--exponent", "nan", "exponent"),
+            ("--frequency", "nan", "frequency"),
+            ("--frequency", "inf", "frequency"),
+            ("--min-distance", "inf", "distances"),
+            ("--step", "nan", "distances"),
+        ],
+    )
+    def test_non_finite_input_exits_1_and_creates_no_outputs(self, tmp_path, capsys, flag, value, named):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["throughput", flag, value, "--points", "3", "--out", str(out_dir)], capsys)
+        assert code == EXIT_VALIDATION
+        assert named in err
+        assert not out_dir.exists()
 
     def test_default_sweep_is_monotone(self, tmp_path, capsys):
         code, _, _ = run_cli(["throughput", "--out", str(tmp_path)], capsys)

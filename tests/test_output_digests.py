@@ -3,10 +3,12 @@
 Each pin is the first 12 hex digits of the SHA-256 of one output of a
 default run.  A refactor that claims identical outputs must leave every
 pin as it is; a change that alters output bytes on purpose updates the
-pin and says why.  ``manifest.json`` is not pinned: it holds a timestamp.
+pin and says why.  ``manifest.json`` is not pinned, as it holds a
+timestamp, but the output SHA-256s it records must agree with the pins.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,5 @@ def test_default_output_files(tmp_path, capsys, argv, pins):
         for name in pins
     }
     assert got == pins
+    recorded = json.loads((tmp_path / "manifest.json").read_text())["output_sha256"]
+    assert all(recorded[name].startswith(pin) for name, pin in pins.items() if name != "stdout")

@@ -87,7 +87,13 @@ class TestFriis:
         assert friis_path_loss(2.0, 2.4e9) > friis_path_loss(1.9, 2.4e9)
         assert friis_path_loss(2.0, 5e9) > friis_path_loss(2.0, 2.4e9)
 
-    @pytest.mark.parametrize("d,f", [(0.0, 2.4e9), (-1.0, 2.4e9), (1.0, 0.0), (1.0, -5.0)])
+    @pytest.mark.parametrize(
+        "d,f",
+        [
+            (0.0, 2.4e9), (-1.0, 2.4e9), (1.0, 0.0), (1.0, -5.0),
+            (math.nan, 2.4e9), (math.inf, 2.4e9), (1.0, math.nan), (1.0, math.inf),
+        ],
+    )
     def test_domain_errors(self, d, f):
         with pytest.raises(ValueError):
             friis_path_loss(d, f)
@@ -103,6 +109,20 @@ class TestPathLossModel:
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ValueError):
             PathLossModel(40.0, 0.5, 2.4e9)
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            ((math.nan, 2.0, 2.4e9), "reference loss"),
+            ((40.0, math.nan, 2.4e9), "exponent"),
+            ((40.0, math.inf, 2.4e9), "exponent"),
+            ((40.0, 2.0, math.nan), "frequency"),
+            ((40.0, 2.0, math.inf), "frequency"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            PathLossModel(*fields)
 
 
 class TestLinkBudget:
