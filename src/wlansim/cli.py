@@ -306,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # A KeyError's str() adds quotes; a UnicodeDecodeError's args[0] is only the codec.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

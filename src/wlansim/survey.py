@@ -1,4 +1,5 @@
-"""Survey-log ingestion, per-AP aggregation, and path-loss fitting.
+"""Survey-log ingestion, per-AP aggregation, pairwise interference, and
+path-loss fitting.
 
 Input logs carry one row per RSSI sample: timestamp, AP MAC, SSID,
 channel, signal strength and GPS position.  Two formats are accepted:
@@ -20,7 +21,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .channels import Plan, channel_by_id, overlap_fraction, plan_channels
 from .propagation import EARTH_RADIUS_M, GeoPoint, haversine_distance
@@ -88,8 +89,7 @@ class FitResult:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class InterferencePair:
+class InterferencePair(NamedTuple):
     """Channel overlap and geographic co-location verdict for an AP pair."""
 
     bssid_a: str
@@ -121,7 +121,16 @@ def parse_csv_log(stream: IO[str]) -> tuple[list[MeasurementRecord], list[tuple[
     records: list[MeasurementRecord] = []
     errors: list[tuple[int, str]] = []
     reader = csv.reader(stream)
-    for lineno, row in enumerate(reader, start=1):
+    lineno = 0
+    while True:
+        lineno += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # e.g. an over-long field; the reader resumes on the next line
+            errors.append((lineno, str(exc)))
+            continue
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if lineno == 1 and [c.strip().lower() for c in row] == CSV_COLUMNS:
@@ -324,26 +333,21 @@ def interference_report(
         counts[s.bssid][s.channel_id] += 1
     # Channel per AP: the most common value across its groups, smallest id on ties.
     channels = {
-        bssid: channel_by_id(min(by_channel, key=lambda cid: (-by_channel[cid], cid)))
+        bssid: min(by_channel, key=lambda cid: (-by_channel[cid], cid))
         for bssid, by_channel in counts.items()
     }
-
-    pairs = []
+    in_use = [channel_by_id(cid) for cid in sorted(set(channels.values()))]
+    overlap = {
+        (a.id, b.id): overlap_fraction(a, b) if a.plan is b.plan else 0.0
+        for a in in_use
+        for b in in_use
+    }
     bssids = sorted(cells)
-    for i, a in enumerate(bssids):
-        ca = channels[a]
-        for b in bssids[i + 1 :]:
-            cb = channels[b]
-            overlap = overlap_fraction(ca, cb) if ca.plan is cb.plan else 0.0
-            pairs.append(
-                InterferencePair(
-                    bssid_a=a,
-                    bssid_b=b,
-                    overlap=overlap,
-                    co_located=bool(cells[a] & cells[b]),
-                )
-            )
-    return pairs
+    return [
+        InterferencePair(a, b, overlap[channels[a], channels[b]], not cells[a].isdisjoint(cells[b]))
+        for i, a in enumerate(bssids)
+        for b in bssids[i + 1 :]
+    ]
 
 
 def summaries_to_csv(summaries: Iterable[ApSummary], out: IO[str]) -> None:
@@ -371,5 +375,6 @@ def interference_to_csv(pairs: Iterable[InterferencePair], out: IO[str]) -> None
     """Write the pairwise interference report as CSV."""
     writer = csv.writer(out)
     writer.writerow(["bssid_a", "bssid_b", "overlap", "co_located", "interferes"])
-    for p in pairs:
-        writer.writerow([p.bssid_a, p.bssid_b, p.overlap, int(p.co_located), int(p.interferes)])
+    writer.writerows(
+        (p.bssid_a, p.bssid_b, p.overlap, int(p.co_located), int(p.interferes)) for p in pairs
+    )

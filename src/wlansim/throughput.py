@@ -139,14 +139,15 @@ class RateCurve(Sequence):
     points, with the link SNR in dB of each point in ``snr_db``.  Each
     column is an array of doubles, 8 bytes a point."""
 
-    def __init__(self) -> None:
+    def __init__(self, distances: Sequence[float]) -> None:
         # Imported here, not at module level: loading the extension module
         # adds ~0.05 MB to the peak RSS of every command, not only throughput.
         from array import array
 
-        self.distance_m = array("d")
-        self.rate_mbps = array("d")
-        self.snr_db = array("d")
+        # Sized once, filled by index: no reallocation while the curve grows.
+        self.distance_m = array("d", distances)
+        self.rate_mbps = array("d", bytes(8 * len(distances)))
+        self.snr_db = array("d", bytes(8 * len(distances)))
 
     def __len__(self) -> int:
         return len(self.distance_m)
@@ -173,8 +174,9 @@ def throughput_vs_distance(
     monotone non-increasing in distance.
 
     Raises:
-        ValueError: for a non-finite EIRP, or an empty, unsorted,
-            non-positive or non-finite distance list.
+        ValueError: for a non-finite EIRP, an empty, unsorted,
+            non-positive or non-finite distance list, or a path-loss
+            exponent so large that the link SNR overflows.
         KeyError: when the config has no tabulated peak rate.
     """
     if not math.isfinite(tx_eirp_dbm):
@@ -185,14 +187,18 @@ def throughput_vs_distance(
         raise ValueError("distances must be positive and finite")
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be sorted ascending")
-    cap = max_client_rate(cfg.standard, cfg.spatial_streams)
-    staircase = default_snr_staircase(cap)
-    curve = RateCurve()
-    for d in distances:
+    staircase = default_snr_staircase(max_client_rate(cfg.standard, cfg.spatial_streams))
+    curve = RateCurve(distances)
+    for i, d in enumerate(distances):
         snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz)
-        curve.distance_m.append(d)
-        curve.rate_mbps.append(min(snr_to_rate(snr, staircase), cap))
-        curve.snr_db.append(snr)
+        curve.rate_mbps[i] = snr_to_rate(snr, staircase)
+        curve.snr_db[i] = snr
+    # Path loss is monotone in distance, so finite end points bound every point.
+    if not (math.isfinite(curve.snr_db[0]) and math.isfinite(curve.snr_db[-1])):
+        raise ValueError(
+            f"path-loss exponent {model.exponent} overflows the link budget "
+            f"over {distances[0]}..{distances[-1]} m"
+        )
     return curve
 
 

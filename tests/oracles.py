@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 
+from wlansim.channels import channel_by_id
+
 
 def mask_overlap_oracle(a, b) -> float:
     """Brute-force integration of two rectangular spectral masks.
@@ -33,6 +35,33 @@ def mask_overlap_oracle(a, b) -> float:
         if in_a and in_b:
             width += hi - lo
     return width / a.bandwidth_hz
+
+
+def interference_oracle(summaries, threshold_dbm) -> list[tuple]:
+    """Pair by pair, from the summaries alone: (a, b, overlap, co_located, interferes).
+
+    An AP's channel is the id of most of its groups, the smaller id on a
+    tie; its coverage is the cells whose mean RSSI reaches the threshold.
+    Overlap integrates the two channels' masks, so a pair across plans
+    (2.4 vs 5 GHz) gets 0 from the spectrum itself.
+    """
+
+    def channel(bssid):
+        ids = [s.channel_id for s in summaries if s.bssid == bssid]
+        most = max(ids.count(c) for c in ids)
+        return channel_by_id(min(c for c in ids if ids.count(c) == most))
+
+    def coverage(bssid):
+        return {s.cell for s in summaries if s.bssid == bssid and s.mean_rssi_dbm >= threshold_dbm}
+
+    aps = sorted({s.bssid for s in summaries})
+    rows = []
+    for i, a in enumerate(aps):
+        for b in aps[i + 1 :]:
+            overlap = mask_overlap_oracle(channel(a), channel(b))
+            co_located = len(coverage(a) & coverage(b)) > 0
+            rows.append((a, b, overlap, co_located, overlap > 0 and co_located))
+    return rows
 
 
 def dft_oracle(signal, size) -> np.ndarray:

@@ -379,6 +379,30 @@ class TestCoverageCommand:
         assert "1 malformed" in out
         assert "line 32" in err
 
+    @pytest.mark.parametrize(
+        "extra,code,out_text,err_text",
+        [
+            pytest.param(
+                ("t," + "x" * 140_000 + "\n"
+                 "2013-05-14T09:09:00Z,00:11:22:33:44:55,eduroam,1,-60.0,51.8776,0.9426\n").encode(),
+                EXIT_OK, "parsed 31 records, 1 malformed lines", "line 32: field larger than field limit",
+                id="over-long-field",
+            ),
+            pytest.param(b"caf\xe9\n", EXIT_VALIDATION, "", "can't decode byte 0xe9", id="not-utf-8"),
+        ],
+    )
+    def test_malformed_input_keeps_the_exit_contract(self, tmp_path, capsys, extra, code, out_text, err_text):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+        with open(log, "ab") as f:
+            f.write(extra)
+        out_dir = tmp_path / "out"
+        got, out, err = run_cli(["coverage", str(log), "--out", str(out_dir)], capsys)
+        assert got == code
+        assert out_text in out
+        assert err_text in err
+        assert out_dir.exists() == (code == EXIT_OK)
+
 
 class TestThroughputCommand:
     def test_ac_three_stream_cap(self, tmp_path, capsys):
@@ -406,6 +430,7 @@ class TestThroughputCommand:
             ("--frequency", "inf", "frequency"),
             ("--min-distance", "inf", "distances"),
             ("--step", "nan", "distances"),
+            ("--exponent", "1e308", "exponent"),
         ],
     )
     def test_non_finite_input_exits_1_and_creates_no_outputs(self, tmp_path, capsys, flag, value, named):

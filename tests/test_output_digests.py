@@ -41,6 +41,11 @@ def test_channel_plan_stdout(capsys, plan, pin):
             id="coverage-kml",
         ),
         pytest.param(
+            ["coverage", str(DATA / "survey_mixed.csv")],
+            {"summaries.csv": "6d8f8912e7ec", "interference.csv": "bd93178648b0"},
+            id="coverage-mixed",
+        ),
+        pytest.param(
             ["beamform"],
             {
                 "trace.csv": "91264a0b92fd",

@@ -6,8 +6,11 @@ import statistics
 from pathlib import Path
 
 import pytest
-from oracles import synth_fit_points
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import interference_oracle, synth_fit_points
 
+import wlansim.survey
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.propagation import GeoPoint
 from wlansim.survey import (
@@ -291,3 +294,62 @@ class TestInterferenceReport:
         ]
         (pair,) = interference_report(summaries, coverage_threshold_dbm=-80.0)
         assert not pair.co_located
+
+    def test_overlap_computed_once_per_channel_pair(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.id, b.id))
+            return overlap_fraction(a, b)
+
+        monkeypatch.setattr(wlansim.survey, "overlap_fraction", counted)
+        channels = [1, 6, 36, 40]
+        summaries = [
+            summary_at(f"00:11:22:33:44:{k:02X}", channels[k % len(channels)], 51.8776, 0.9426)
+            for k in range(40)
+        ]
+        assert len(interference_report(summaries)) == 40 * 39 // 2
+        assert len(calls) <= len(channels) ** 2
+
+
+MACS = [f"00:11:22:33:44:{k:02X}" for k in range(6)]
+
+
+def summary_in_cell(bssid, channel, cell, rssi):
+    return ApSummary(
+        bssid=bssid, ssid="net", channel_id=channel, cell=cell, latitude=0.0, longitude=0.0,
+        mean_rssi_dbm=rssi, stddev_rssi_dbm=0.0, count=5, low_confidence=False,
+    )
+
+
+summary_lists = st.lists(
+    st.builds(
+        summary_in_cell,
+        bssid=st.sampled_from(MACS),
+        channel=st.sampled_from([1, 2, 6, 11, 14, 36, 40, 64, 149]),
+        cell=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        rssi=st.sampled_from([-90.0, -80.0, -70.0]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(summaries=summary_lists, threshold=st.sampled_from([-85.0, -80.0, -75.0]))
+@example(
+    # Mixed plans, a tie between channels 6 and 1 (1 wins), and an AP with no covered cell.
+    summaries=[
+        summary_in_cell(MACS[0], 6, (0, 0), -70.0),
+        summary_in_cell(MACS[0], 1, (0, 1), -70.0),
+        summary_in_cell(MACS[1], 3, (0, 1), -70.0),
+        summary_in_cell(MACS[2], 36, (0, 1), -70.0),
+        summary_in_cell(MACS[3], 1, (0, 0), -90.0),
+    ],
+    threshold=-80.0,
+)
+def test_report_matches_per_pair_oracle(summaries, threshold):
+    got = [
+        (p.bssid_a, p.bssid_b, p.overlap, p.co_located, p.interferes)
+        for p in interference_report(summaries, coverage_threshold_dbm=threshold)
+    ]
+    assert got == interference_oracle(summaries, threshold)
