@@ -2,9 +2,10 @@
 
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
-records the tool version, a SHA-256 digest of the effective input
-configuration, the seed in effect, a timestamp, the output list and each
-output's SHA-256.  A failed run leaves no partial set.
+records the tool and Python versions (and numpy's, when the command loaded
+it), a SHA-256 digest of the effective input configuration, the seed in
+effect, a timestamp, the output list and each output's SHA-256.  A failed
+run leaves no partial set.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 """
@@ -23,20 +24,9 @@ from functools import partial
 from pathlib import Path
 from typing import IO, Callable
 
-import numpy as np
-
-from . import __version__, nlms
-from .arrays import (
-    Scenario,
-    WAVEFORM_SINUSOID,
-    array_pattern,
-    default_scenario,
-    gain_db,
-    pattern_to_csv,
-)
+from . import __version__
 from .channels import Band, Plan, channel_by_id, channels_to_csv, list_channels, overlap_fraction, plan_channels
 from .propagation import GeoPoint, PathLossModel
-from .spectrum import dft_magnitude, spectrum_to_csv, suppression_report
 from .survey import (
     fit_path_loss,
     interference_report,
@@ -86,12 +76,15 @@ def _publish(out_arg: str | None, writers: dict[str, Callable[[IO[str]], None]],
                 write(f)
         manifest = {
             "tool_version": __version__,
+            "python_version": sys.version.split()[0],
             "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
             "seed": config.get("seed"),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": list(writers),
             "output_sha256": {name: _sha256_file(temps[name]) for name in writers},
         }
+        if "numpy" in sys.modules:  # only beamform loads it
+            manifest["numpy_version"] = sys.modules["numpy"].__version__
         with open(temps["manifest.json"], "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
             f.write("\n")
@@ -120,6 +113,11 @@ def cmd_channels(args: argparse.Namespace) -> int:
 
 
 def cmd_beamform(args: argparse.Namespace) -> int:
+    # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
+    from . import nlms
+    from .arrays import WAVEFORM_SINUSOID, Scenario, array_pattern, default_scenario, gain_db, pattern_to_csv
+    from .spectrum import dft_magnitude, spectrum_to_csv, suppression_report
+
     scenario = Scenario.from_json_file(args.scenario) if args.scenario else default_scenario()
     if args.iterations is not None:
         scenario = replace(scenario, iterations=args.iterations)
@@ -138,7 +136,7 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     before = dft_magnitude(trace.first_element_input[-size:], size)
     after = dft_magnitude(trace.outputs[-size:], size)
 
-    final_err = float(np.mean(trace.error_power[-max(1, scenario.iterations // 10):]))
+    final_err = float(trace.error_power[-max(1, scenario.iterations // 10):].mean())
     fields = [("final_error_power", final_err, ".6e")]
 
     desired = scenario.desired_source()

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -121,9 +120,10 @@ def parse_csv_log(stream: IO[str]) -> tuple[list[MeasurementRecord], list[tuple[
     records: list[MeasurementRecord] = []
     errors: list[tuple[int, str]] = []
     reader = csv.reader(stream)
-    lineno = 0
     while True:
-        lineno += 1
+        # Errors name the physical line where the record starts: a quoted
+        # field may span lines, so records and lines can differ in number.
+        lineno = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
@@ -145,11 +145,11 @@ def parse_csv_log(stream: IO[str]) -> tuple[list[MeasurementRecord], list[tuple[
     return records, errors
 
 
-def _local_tag(elem: ET.Element) -> str:
+def _local_tag(elem: "ET.Element") -> str:
     return elem.tag.rsplit("}", 1)[-1]
 
 
-def _placemark_fields(placemark: ET.Element) -> dict[str, str]:
+def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
     fields: dict[str, str] = {}
     for elem in placemark.iter():
         tag = _local_tag(elem)
@@ -170,6 +170,8 @@ def _placemark_fields(placemark: ET.Element) -> dict[str, str]:
 
 def parse_kml_log(stream: IO[str]) -> tuple[list[MeasurementRecord], list[tuple[int, str]]]:
     """Parse a KML survey log (Placemark points with ExtendedData fields)."""
+    import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
+
     records: list[MeasurementRecord] = []
     errors: list[tuple[int, str]] = []
     try:

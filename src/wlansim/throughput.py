@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import IO
 
 from .propagation import PathLossModel, received_power
@@ -91,6 +93,7 @@ def bits_per_symbol(modulation: Modulation) -> int:
     return int(math.log2(modulation.value))
 
 
+@lru_cache(maxsize=8)  # link_snr asks once per curve point; PhyConfig allows four widths
 def noise_floor_dbm(channel_width_mhz: int) -> float:
     """Thermal floor: -90 dBm in 20 MHz, +3 dB per width doubling."""
     if channel_width_mhz <= 0:
@@ -188,10 +191,15 @@ def throughput_vs_distance(
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be sorted ascending")
     staircase = default_snr_staircase(max_client_rate(cfg.standard, cfg.spatial_streams))
+    # snr_to_rate by bisection: rates[k] is the rate once k thresholds are
+    # reached.  A NaN SNR would land on the top rung, but finite end points
+    # (checked below) rule NaN out at every point.
+    thresholds = [threshold for threshold, _ in staircase]
+    rates = [0.0] + [rate for _, rate in staircase]
     curve = RateCurve(distances)
     for i, d in enumerate(distances):
         snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz)
-        curve.rate_mbps[i] = snr_to_rate(snr, staircase)
+        curve.rate_mbps[i] = rates[bisect_right(thresholds, snr)]
         curve.snr_db[i] = snr
     # Path loss is monotone in distance, so finite end points bound every point.
     if not (math.isfinite(curve.snr_db[0]) and math.isfinite(curve.snr_db[-1])):

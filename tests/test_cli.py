@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wlansim
@@ -141,8 +145,7 @@ class TestBeamformCommand:
             calls.append(args)
             return dft_magnitude(*args, **kwargs)
 
-        monkeypatch.setattr(wlansim.cli, "dft_magnitude", counted)
-        monkeypatch.setattr(wlansim.spectrum, "dft_magnitude", counted)
+        monkeypatch.setattr(wlansim.spectrum, "dft_magnitude", counted)  # cmd_beamform imports it per call
         assert run_cli(["beamform", "--out", str(tmp_path)], capsys)[0] == EXIT_OK
         assert len(calls) == 2
 
@@ -195,7 +198,7 @@ class TestBeamformCommand:
         assert run_cli(["beamform", "--iterations", "300", "--seed", "1", "--out", str(earlier)], capsys)[0] == EXIT_OK
         complete_set = {p.name: p.read_bytes() for p in earlier.iterdir()}
         # The spectra are written after trace, weights and pattern: a failure mid-set.
-        monkeypatch.setattr(wlansim.cli, "spectrum_to_csv", failing)
+        monkeypatch.setattr(wlansim.spectrum, "spectrum_to_csv", failing)  # cmd_beamform imports it per call
         for out_dir in (earlier, fresh):
             code, out, err = run_cli(["beamform", "--iterations", "300", "--seed", "2", "--out", str(out_dir)], capsys)
             assert code == EXIT_IO
@@ -210,6 +213,12 @@ class TestBeamformCommand:
         assert re.fullmatch(r"[0-9a-f]{64}", manifest["config_sha256"])
         assert manifest["seed"] == 20240511
         assert manifest["outputs"] == BEAMFORM_OUTPUTS
+
+    def test_manifest_names_the_runtime(self, tmp_path, capsys):
+        assert run_cli(["beamform", "--iterations", "50", "--out", str(tmp_path)], capsys)[0] == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["python_version"] == sys.version.split()[0]
+        assert manifest["numpy_version"] == np.__version__
 
     def test_missing_scenario_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -447,3 +456,46 @@ class TestThroughputCommand:
         assert len(rows) == 30
         rates = [float(r.split(",")[1]) for r in rows]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(wlansim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+class TestImports:
+    def test_cli_import_loads_neither_numpy_nor_elementtree(self):
+        done = run_python(
+            "import sys, wlansim.cli\n"
+            "print(sorted(m for m in ('numpy', 'xml.etree.ElementTree') if m in sys.modules))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_throughput_runs_without_numpy(self, tmp_path):
+        out_dir = tmp_path / "out"
+        done = run_python(
+            "import sys\n"
+            "from wlansim.cli import main\n"
+            f"code = main(['throughput', '--points', '5', '--out', {str(out_dir)!r}])\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["python_version"] == sys.version.split()[0]
+        assert "numpy_version" not in manifest
+
+    def test_submodules_resolve_on_first_use(self):
+        done = run_python(
+            "import sys, wlansim\n"
+            "print('wlansim.arrays' in sys.modules, wlansim.arrays.__name__)\n"
+            "from wlansim import survey\n"
+            "import wlansim.nlms\n"
+            "print(survey.__name__, wlansim.nlms.__name__)\n"
+            "wlansim.nope"
+        )
+        assert done.stdout.splitlines() == ["False wlansim.arrays", "wlansim.survey wlansim.nlms"]
+        assert "AttributeError: module 'wlansim' has no attribute 'nope'" in done.stderr

@@ -86,6 +86,26 @@ class TestCsvParsing:
         assert len(records) == 2
         assert errors[0][0] == 2
 
+    @pytest.mark.parametrize(
+        "lines,expected",
+        [
+            pytest.param(
+                [csv_line(), csv_line(ssid='"two\nlines"'), csv_line(), "bad,row", csv_line()],
+                [(5, "expected 7 columns, got 2")],
+                id="after-a-two-line-record",
+            ),
+            pytest.param(
+                [csv_line(), csv_line(ssid='"two\nlines",extra'), csv_line(rssi="+10")],
+                [(2, "expected 7 columns, got 8"), (4, "rssi '+10' violates the [-120, 0] dBm range")],
+                id="a-malformed-two-line-record",
+            ),
+        ],
+    )
+    def test_errors_name_the_physical_line_where_the_record_starts(self, lines, expected):
+        records, errors = parse_log(io.StringIO("\n".join(lines) + "\n"), "csv")
+        assert errors == expected
+        assert len(records) == len(lines) - len(expected)
+
     def test_zero_valid_records_is_an_error(self):
         with pytest.raises(ValueError, match="no valid"):
             parse_log(io.StringIO("garbage,line\n"), "csv")

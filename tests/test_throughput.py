@@ -150,6 +150,24 @@ class TestDistanceCurves:
         assert snr_to_rate(100.0, stairs) == 1300.0
         assert snr_to_rate(-10.0, stairs) == 0.0
 
+    def test_curve_rates_follow_snr_to_rate(self):
+        cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
+        stairs = default_snr_staircase(max_client_rate(cfg.standard, cfg.spatial_streams))
+        curve = throughput_vs_distance(cfg, self.model, -5.0, [1.0 + 0.25 * k for k in range(400)])
+        assert len(set(curve.rate_mbps)) == len(stairs) + 1  # every rung and the outage
+        assert list(curve.rate_mbps) == [snr_to_rate(snr, stairs) for snr in curve.snr_db]
+        # With no path loss at 1 m the SNR is EIRP + 90 dB exactly: land on,
+        # just below and just above every threshold.
+        lossless = PathLossModel(0.0, 2.0, 5e9)
+        for threshold, _ in stairs:
+            for snr in (threshold - 0.5, threshold, threshold + 0.5):
+                point = throughput_vs_distance(cfg, lossless, snr - 90.0, [1.0])
+                assert point.snr_db[0] == snr
+                assert point.rate_mbps[0] == snr_to_rate(snr, stairs)
+
+    def test_nan_snr_has_no_rate(self):
+        assert snr_to_rate(float("nan"), default_snr_staircase(1300.0)) == 0.0
+
     def test_csv_export_schema(self):
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         curve = throughput_vs_distance(cfg, self.model, 10.0, [1.0, 2.0])
