@@ -20,7 +20,7 @@ import cmath
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -193,27 +193,10 @@ class Scenario:
         return next(s for s in self.sources if s.role == ROLE_DESIRED)
 
     def to_dict(self) -> dict:
-        d = {
-            "carrier_hz": self.carrier_hz,
-            "num_elements": self.num_elements,
-            "spacing_wavelengths": self.spacing_wavelengths,
-            "step_size": self.step_size,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "noise_power": self.noise_power,
-            "sources": [
-                {
-                    "role": s.role,
-                    "angle_rad": s.angle_rad,
-                    "waveform": s.waveform,
-                    "normalized_freq": s.normalized_freq,
-                    "amplitude": s.amplitude,
-                }
-                for s in self.sources
-            ],
-        }
-        if self.sampling_hz is not None:
-            d["sampling_hz"] = self.sampling_hz
+        d = asdict(self)
+        d["sources"] = list(d["sources"])
+        if self.sampling_hz is None:
+            del d["sampling_hz"]
         return d
 
     @classmethod

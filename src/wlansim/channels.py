@@ -95,6 +95,7 @@ def _unii_channels() -> list[Channel]:
 # Channel ids of the two plans do not overlap (1-14 vs 36-161), so an id
 # alone names its channel and its plan.
 _CHANNELS: dict[int, Channel] = {c.id: c for c in (*_ism24_channels(), *_unii_channels())}
+CHANNEL_IDS = _CHANNELS.keys()
 
 
 def list_channels(band: Band) -> list[Channel]:

@@ -28,6 +28,7 @@ from . import __version__
 from .channels import Band, Plan, channel_by_id, channels_to_csv, list_channels, overlap_fraction, plan_channels
 from .propagation import GeoPoint, PathLossModel
 from .survey import (
+    DEFAULT_COVERAGE_THRESHOLD_DBM,
     fit_path_loss,
     interference_report,
     interference_to_csv,
@@ -101,13 +102,10 @@ def cmd_channels(args: argparse.Namespace) -> int:
         a, b = (channel_by_id(cid) for cid in args.overlap)
         print(overlap_fraction(a, b))
         return EXIT_OK
-    plan_arg = args.plan or "unii"
-    if plan_arg == "ism24":
-        chans = plan_channels(Plan.ISM24)
-    elif plan_arg == "unii":
-        chans = plan_channels(Plan.UNII)
+    if args.plan in {p.value for p in Plan}:
+        chans = plan_channels(Plan(args.plan))
     else:
-        chans = list_channels(Band(plan_arg))
+        chans = list_channels(Band(args.plan))
     channels_to_csv(chans, sys.stdout)
     return EXIT_OK
 
@@ -250,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
         "--plan",
-        default=None,
-        choices=["ism24", "unii", "unii_a", "unii_b", "unii_c"],
-        help="channel plan or sub-band to list (default: unii)",
+        default=Plan.UNII.value,
+        choices=sorted({m.value for m in (*Plan, *Band)}),
+        help="channel plan or sub-band to list (default: %(default)s)",
     )
     mode.add_argument(
         "--overlap",
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log", help="survey log file")
     p.add_argument("--format", default="csv", choices=["csv", "kml"])
     p.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
-    p.add_argument("--coverage-threshold", type=float, default=-80.0,
+    p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD_DBM,
                    help="RSSI threshold (dBm) defining an AP's coverage region")
     p.add_argument("--ap-lat", type=float, help="AP latitude for distance computation")
     p.add_argument("--ap-lon", type=float, help="AP longitude for distance computation")
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("throughput", help="export a throughput-vs-distance curve")
-    p.add_argument("--standard", default="ac", choices=["n", "ac"])
+    p.add_argument("--standard", default=Standard.AC80211.value, choices=[s.value for s in Standard])
     p.add_argument("--streams", type=int, default=3)
     p.add_argument("--width", type=int, default=20, help="channel width in MHz")
     p.add_argument("--tx-eirp", type=float, default=20.0)

@@ -26,6 +26,10 @@ RELATIVE_EPS = 1e-12
 # through their temporaries.
 CHUNK_ROWS = 256
 
+# The plateau criterion of ConvergenceTrace.plateau_iteration().
+PLATEAU_WINDOW = 100
+PLATEAU_REL_CHANGE = 1e-3
+
 
 @dataclass(frozen=True)
 class BeamformerState:
@@ -101,27 +105,26 @@ class ConvergenceTrace:
     weight_snapshots: list[tuple[int, np.ndarray]]
     final_weights: np.ndarray
     converged_weights: np.ndarray
-    seed: int
 
     @property
     def iterations(self) -> int:
         return len(self.error_power)
 
-    def plateau_iteration(self, window: int = 100, rel_change: float = 1e-3) -> int | None:
+    def plateau_iteration(self) -> int | None:
         """First iteration where the windowed error-power mean settles.
 
         The plateau criterion is a relative change of the trailing
-        ``window``-sample mean below ``rel_change``.  Reporting only; the
-        run itself never exits early.
+        ``PLATEAU_WINDOW``-sample mean below ``PLATEAU_REL_CHANGE``.
+        Reporting only; the run itself never exits early.
         """
-        if self.iterations < 2 * window:
+        if self.iterations < 2 * PLATEAU_WINDOW:
             return None
-        means = np.convolve(self.error_power, np.ones(window) / window, mode="valid")
-        prev = means[:-window]
-        cur = means[window:]
-        ok = np.abs(cur - prev) < rel_change * np.maximum(prev, 1e-300)
+        means = np.convolve(self.error_power, np.ones(PLATEAU_WINDOW) / PLATEAU_WINDOW, mode="valid")
+        prev = means[:-PLATEAU_WINDOW]
+        cur = means[PLATEAU_WINDOW:]
+        ok = np.abs(cur - prev) < PLATEAU_REL_CHANGE * np.maximum(prev, 1e-300)
         hits = np.nonzero(ok)[0]
-        return int(hits[0]) + 2 * window - 1 if hits.size else None
+        return int(hits[0]) + 2 * PLATEAU_WINDOW - 1 if hits.size else None
 
 
 def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTrace:
@@ -196,7 +199,6 @@ def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTr
         weight_snapshots=snapshots,
         final_weights=w.copy(),
         converged_weights=w_sum / (n_iter - tail_start),
-        seed=scenario.seed,
     )
 
 

@@ -10,8 +10,8 @@ channel, signal strength and GPS position.  Two formats are accepted:
   ExtendedData entries (``bssid``, ``ssid``, ``channel``, ``rssi_dbm``),
   with the timestamp in the Placemark's TimeStamp/when element.
 
-Parsing is best effort: malformed lines are reported with their line
-number and never abort the run.
+Parsing is best effort: a malformed sample is reported with the physical
+line its CSV record or KML placemark starts on and never aborts the run.
 """
 
 from __future__ import annotations
@@ -19,17 +19,15 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .channels import Plan, channel_by_id, overlap_fraction, plan_channels
+from .channels import CHANNEL_IDS, channel_by_id, overlap_fraction
 from .propagation import EARTH_RADIUS_M, GeoPoint, haversine_distance
 
 CSV_COLUMNS = ["t", "bssid", "ssid", "channel", "rssi_dbm", "lat", "lon"]
 
 _MAC_RE = re.compile(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$")
-
-_KNOWN_CHANNEL_IDS = {c.id for p in Plan for c in plan_channels(p)}
 
 RSSI_MIN_DBM = -120.0
 RSSI_MAX_DBM = 0.0
@@ -39,9 +37,8 @@ DEFAULT_COVERAGE_THRESHOLD_DBM = -80.0
 GRID_M = 1.0
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One survey sample."""
+class MeasurementRecord(NamedTuple):
+    """One survey sample; ``_record_from_fields`` is where a sample is checked."""
 
     t: str
     bssid: str
@@ -50,19 +47,8 @@ class MeasurementRecord:
     rssi_dbm: float
     pos: GeoPoint
 
-    def __post_init__(self) -> None:
-        if not _MAC_RE.match(self.bssid):
-            raise ValueError(f"invalid MAC address {self.bssid!r}")
-        if not RSSI_MIN_DBM <= self.rssi_dbm <= RSSI_MAX_DBM:
-            raise ValueError(
-                f"rssi {self.rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]"
-            )
-        if self.channel_id not in _KNOWN_CHANNEL_IDS:
-            raise ValueError(f"channel {self.channel_id} not in any known plan")
 
-
-@dataclass(frozen=True)
-class ApSummary:
+class ApSummary(NamedTuple):
     """RSSI statistics for one AP at one quantized survey location."""
 
     bssid: str
@@ -78,8 +64,7 @@ class ApSummary:
     distance_m: float | None = None
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Least-squares path-loss fit: loss = reference + 10*exponent*log10(d)."""
 
     exponent: float
@@ -101,48 +86,54 @@ class InterferencePair(NamedTuple):
         return self.overlap > 0.0 and self.co_located
 
 
+# A format yields (line, fields) per sample: the physical line where the
+# sample starts, and its field dict or, for a row that is bad at the
+# format level, the message to report.
+Rows = Iterator[tuple[int, dict[str, str] | str]]
+
+
 def _record_from_fields(fields: dict[str, str]) -> MeasurementRecord:
+    """Check one sample and build its record.
+
+    The one place a sample is checked.  A sample with several faults is
+    reported by the first check it fails, so the order below is output.
+    """
     rssi_text = fields["rssi_dbm"].strip()
     if rssi_text.startswith("+"):
         raise ValueError(f"rssi {rssi_text!r} violates the [-120, 0] dBm range")
-    return MeasurementRecord(
-        t=fields["t"].strip(),
-        bssid=fields["bssid"].strip(),
-        ssid=fields["ssid"].strip(),
-        channel_id=int(fields["channel"]),
-        rssi_dbm=float(rssi_text),
-        pos=GeoPoint(float(fields["lat"]), float(fields["lon"])),
-    )
+    bssid = fields["bssid"].strip()
+    channel_id = int(fields["channel"])
+    rssi_dbm = float(rssi_text)
+    pos = GeoPoint(float(fields["lat"]), float(fields["lon"]))
+    if not _MAC_RE.match(bssid):
+        raise ValueError(f"invalid MAC address {bssid!r}")
+    if not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
+        raise ValueError(f"rssi {rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
+    if channel_id not in CHANNEL_IDS:
+        raise ValueError(f"channel {channel_id} not in any known plan")
+    return MeasurementRecord(fields["t"].strip(), bssid, fields["ssid"].strip(), channel_id, rssi_dbm, pos)
 
 
-def parse_csv_log(stream: IO[str]) -> tuple[list[MeasurementRecord], list[tuple[int, str]]]:
-    """Parse a CSV survey log; returns (records, per-line errors)."""
-    records: list[MeasurementRecord] = []
-    errors: list[tuple[int, str]] = []
+def _csv_rows(stream: IO[str]) -> Rows:
     reader = csv.reader(stream)
     while True:
-        # Errors name the physical line where the record starts: a quoted
-        # field may span lines, so records and lines can differ in number.
+        # A quoted field may span lines, so records and lines can differ in number.
         lineno = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
-            break
+            return
         except csv.Error as exc:  # e.g. an over-long field; the reader resumes on the next line
-            errors.append((lineno, str(exc)))
+            yield lineno, str(exc)
             continue
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if lineno == 1 and [c.strip().lower() for c in row] == CSV_COLUMNS:
             continue
         if len(row) != len(CSV_COLUMNS):
-            errors.append((lineno, f"expected {len(CSV_COLUMNS)} columns, got {len(row)}"))
-            continue
-        try:
-            records.append(_record_from_fields(dict(zip(CSV_COLUMNS, row))))
-        except (ValueError, KeyError) as exc:
-            errors.append((lineno, str(exc)))
-    return records, errors
+            yield lineno, f"expected {len(CSV_COLUMNS)} columns, got {len(row)}"
+        else:
+            yield lineno, dict(zip(CSV_COLUMNS, row))
 
 
 def _local_tag(elem: "ET.Element") -> str:
@@ -150,7 +141,7 @@ def _local_tag(elem: "ET.Element") -> str:
 
 
 def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
-    fields: dict[str, str] = {}
+    fields: dict[str, str] = {"t": ""}
     for elem in placemark.iter():
         tag = _local_tag(elem)
         if tag == "Data":
@@ -168,46 +159,61 @@ def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
     return fields
 
 
-def parse_kml_log(stream: IO[str]) -> tuple[list[MeasurementRecord], list[tuple[int, str]]]:
-    """Parse a KML survey log (Placemark points with ExtendedData fields)."""
+def _kml_rows(stream: IO[str]) -> Rows:
+    """Placemarks, each at the line its start tag closes on (the document is
+    fed a line at a time), which for a one-line tag is the line it starts on."""
     import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
 
-    records: list[MeasurementRecord] = []
-    errors: list[tuple[int, str]] = []
+    parser = ET.XMLPullParser(("start", "end"))
+    starts: list[int] = []
     try:
-        root = ET.parse(stream).getroot()
+        # The "" after the last line closes the document.
+        for lineno, line in enumerate(chain(stream, [""]), start=1):
+            if line:
+                parser.feed(line)
+            else:
+                parser.close()
+            for event, elem in parser.read_events():
+                if _local_tag(elem) != "Placemark":
+                    continue
+                if event == "start":
+                    starts.append(lineno)
+                    continue
+                fields = _placemark_fields(elem)
+                missing = [k for k in ("bssid", "ssid", "channel", "rssi_dbm", "lat", "lon") if k not in fields]
+                if missing:
+                    fields = f"placemark missing fields: {', '.join(missing)}"
+                yield starts.pop(), fields
     except ET.ParseError as exc:
         raise ValueError(f"not a parseable KML document: {exc}") from exc
-    placemarks = [e for e in root.iter() if _local_tag(e) == "Placemark"]
-    for idx, placemark in enumerate(placemarks, start=1):
-        fields = _placemark_fields(placemark)
-        fields.setdefault("t", "")
-        missing = [k for k in ("bssid", "ssid", "channel", "rssi_dbm", "lat", "lon") if k not in fields]
-        if missing:
-            errors.append((idx, f"placemark missing fields: {', '.join(missing)}"))
-            continue
-        try:
-            records.append(_record_from_fields(fields))
-        except ValueError as exc:
-            errors.append((idx, str(exc)))
-    return records, errors
+
+
+_FORMATS = {"csv": _csv_rows, "kml": _kml_rows}
 
 
 def parse_log(
     stream: IO[str], fmt: str
 ) -> tuple[list[MeasurementRecord], list[tuple[int, str]]]:
-    """Parse a survey log in the given format ("csv" or "kml").
+    """Parse a survey log in the given format ("csv" or "kml") into records
+    and the ``(line, message)`` of each skipped sample.
 
     Raises:
-        ValueError: for an unknown format or when no line parses at all.
+        ValueError: for an unknown format, an unparseable KML document, or
+            when no sample parses at all.
     """
     fmt = fmt.lower()
-    if fmt == "csv":
-        records, errors = parse_csv_log(stream)
-    elif fmt == "kml":
-        records, errors = parse_kml_log(stream)
-    else:
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown log format {fmt!r} (expected 'csv' or 'kml')")
+    records: list[MeasurementRecord] = []
+    errors: list[tuple[int, str]] = []
+    for lineno, fields in _FORMATS[fmt](stream):
+        if isinstance(fields, str):
+            errors.append((lineno, fields))
+            continue
+        try:
+            records.append(_record_from_fields(fields))
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
     if not records:
         raise ValueError("no valid measurement records in input")
     return records, errors

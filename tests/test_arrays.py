@@ -1,6 +1,7 @@
 """Tests for steering vectors, snapshot synthesis and array patterns."""
 
 import cmath
+import hashlib
 import json
 import math
 import re
@@ -251,6 +252,34 @@ class TestScenarioIO:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(sc.to_dict()))
         assert Scenario.from_json_file(path) == sc
+
+    @pytest.mark.parametrize(
+        "sampling_hz,pin",
+        [(1e10, "04ca08a05224"), (None, "c4f3c67d840c")],
+        ids=["shipped", "no-sampling-hz"],
+    )
+    def test_to_dict_lists_every_field(self, sampling_hz, pin):
+        sc = replace(default_scenario(), sampling_hz=sampling_hz)
+        expected = {
+            "carrier_hz": sc.carrier_hz,
+            "num_elements": sc.num_elements,
+            "spacing_wavelengths": sc.spacing_wavelengths,
+            "step_size": sc.step_size,
+            "iterations": sc.iterations,
+            "seed": sc.seed,
+            "noise_power": sc.noise_power,
+            "sources": [
+                {"role": s.role, "angle_rad": s.angle_rad, "waveform": s.waveform,
+                 "normalized_freq": s.normalized_freq, "amplitude": s.amplitude}
+                for s in sc.sources
+            ],
+        }
+        if sampling_hz is not None:
+            expected["sampling_hz"] = sampling_hz
+        assert sc.to_dict() == expected
+        # The beamform manifest's config_sha256 is this digest.
+        blob = json.dumps(sc.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:12] == pin
 
     def test_shipped_scenario_values(self):
         assert default_scenario() == Scenario(

@@ -378,6 +378,13 @@ class TestCoverageCommand:
         assert config_sha256("b", "-80") == first
         assert config_sha256("c", "-52") != first
 
+    def test_kml_error_names_the_placemark_line(self, tmp_path, capsys):
+        kml = Path(__file__).parent / "data" / "survey.kml"
+        code, out, err = run_cli(["coverage", str(kml), "--format", "kml", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert "parsed 2 records, 1 malformed lines" in out
+        assert err == "  line 27: placemark missing fields: rssi_dbm\n"
+
     def test_malformed_line_count_reported(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
         write_survey_csv(log)
@@ -487,6 +494,18 @@ class TestImports:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["python_version"] == sys.version.split()[0]
         assert "numpy_version" not in manifest
+
+    def test_csv_coverage_runs_without_numpy_or_elementtree(self, tmp_path):
+        log = Path(__file__).parent / "data" / "survey_mixed.csv"
+        done = run_python(
+            "import sys\n"
+            "from wlansim.cli import main\n"
+            f"code = main(['coverage', {str(log)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, sorted(m for m in ('numpy', 'xml.etree.ElementTree') if m in sys.modules))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "out" / "summaries.csv").exists()
 
     def test_submodules_resolve_on_first_use(self):
         done = run_python(

@@ -37,12 +37,12 @@ def test_channel_plan_stdout(capsys, plan, pin):
         pytest.param(["throughput"], {"throughput.csv": "d0a0dade24a5"}, id="throughput"),
         pytest.param(
             ["coverage", str(DATA / "survey.kml"), "--format", "kml"],
-            {"summaries.csv": "07a6bd36ebdd", "interference.csv": "9ae65c5d1fee"},
+            {"summaries.csv": "07a6bd36ebdd", "interference.csv": "9ae65c5d1fee", "stderr": "2cc142289c07"},
             id="coverage-kml",
         ),
         pytest.param(
             ["coverage", str(DATA / "survey_mixed.csv")],
-            {"summaries.csv": "6d8f8912e7ec", "interference.csv": "bd93178648b0"},
+            {"summaries.csv": "6d8f8912e7ec", "interference.csv": "bd93178648b0", "stderr": "e3b0c44298fc"},
             id="coverage-mixed",
         ),
         pytest.param(
@@ -61,11 +61,12 @@ def test_channel_plan_stdout(capsys, plan, pin):
 )
 def test_default_output_files(tmp_path, capsys, argv, pins):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-    stdout = capsys.readouterr().out.encode()
+    captured = capsys.readouterr()
+    streams = {"stdout": captured.out.encode(), "stderr": captured.err.encode()}
     got = {
-        name: digest(stdout if name == "stdout" else (tmp_path / name).read_bytes())
+        name: digest(streams[name] if name in streams else (tmp_path / name).read_bytes())
         for name in pins
     }
     assert got == pins
     recorded = json.loads((tmp_path / "manifest.json").read_text())["output_sha256"]
-    assert all(recorded[name].startswith(pin) for name, pin in pins.items() if name != "stdout")
+    assert all(recorded[name].startswith(pin) for name, pin in pins.items() if name not in streams)

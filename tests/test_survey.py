@@ -133,8 +133,25 @@ class TestKmlParsing:
     def test_broken_placemark_reported(self):
         with open(KML_FIXTURE, "r", encoding="utf-8") as f:
             _, errors = parse_log(f, "kml")
-        assert len(errors) == 1
-        assert "rssi_dbm" in errors[0][1]
+        # The broken placemark starts on line 27 of the fixture.
+        assert errors == [(27, "placemark missing fields: rssi_dbm")]
+
+    def test_each_error_names_its_own_placemark_line(self):
+        data = "".join(
+            f'<Data name="{k}"><value>{v}</value></Data>\n'
+            for k, v in [("bssid", AP_A), ("ssid", "eduroam"), ("channel", "36")]
+        )
+        good = (
+            f'<Placemark>\n{data}<Data name="rssi_dbm"><value>-61</value></Data>\n'
+            "<Point><coordinates>0.9,51.8</coordinates></Point>\n</Placemark>\n"
+        )
+        bad = good.replace("-61", "+3")
+        text = f"<kml>\n<Document>\n{good}\n\n{bad}</Document>\n</kml>\n"
+        records, errors = parse_log(io.StringIO(text), "kml")
+        assert len(records) == 1
+        # kml, Document, a 7-line placemark and two blank lines come first.
+        assert errors == [(12, "rssi '+3' violates the [-120, 0] dBm range")]
+        assert text.splitlines()[11] == "<Placemark>"
 
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):
