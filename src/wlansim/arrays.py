@@ -82,15 +82,6 @@ class Source:
             raise ValueError(f"amplitude: must be >= 0, got {self.amplitude}")
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """One array observation ``x`` with its reference sample ``d``."""
-
-    x: np.ndarray
-    d: complex
-    index: int
-
-
 _REQUIRED = object()
 
 
@@ -300,25 +291,6 @@ def synthesize_blocks(
                 d += s
         X += _noise_block(cfg.num_elements, scenario.noise_power, scenario.seed, block)
         yield X, d
-
-
-def synthesize_block(scenario: Scenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generate observation vectors x(n) and reference samples d(n) for
-    ``start <= n < stop`` as one block: row ``n - start`` of ``X`` is
-    x(n) and ``d[n - start]`` is d(n) (see ``synthesize_blocks``).
-    """
-    if not start < stop:
-        raise ValueError(f"empty block: start {start} must be below stop {stop}")
-    return next(synthesize_blocks(scenario, start, stop, stop - start))
-
-
-def synthesize(scenario: Scenario, n: int) -> Snapshot:
-    """Generate observation vector x(n) and reference sample d(n): row 0
-    of ``synthesize_block(scenario, n, n + 1)``.  Deterministic given
-    (scenario, seed, n).
-    """
-    X, d = synthesize_block(scenario, n, n + 1)
-    return Snapshot(x=X[0], d=complex(d[0]), index=n)
 
 
 def gain_db(w: np.ndarray, cfg: ArrayConfig, angles: Sequence[float]) -> list[float]:

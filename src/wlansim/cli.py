@@ -29,6 +29,7 @@ from .channels import Band, Plan, channel_by_id, channels_to_csv, list_channels,
 from .propagation import GeoPoint, PathLossModel
 from .survey import (
     DEFAULT_COVERAGE_THRESHOLD_DBM,
+    LOG_FORMATS,
     fit_path_loss,
     interference_report,
     interference_to_csv,
@@ -113,7 +114,15 @@ def cmd_channels(args: argparse.Namespace) -> int:
 def cmd_beamform(args: argparse.Namespace) -> int:
     # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
     from . import nlms
-    from .arrays import WAVEFORM_SINUSOID, Scenario, array_pattern, default_scenario, gain_db, pattern_to_csv
+    from .arrays import (
+        ROLE_DESIRED,
+        WAVEFORM_SINUSOID,
+        Scenario,
+        array_pattern,
+        default_scenario,
+        gain_db,
+        pattern_to_csv,
+    )
     from .spectrum import dft_magnitude, spectrum_to_csv, suppression_report
 
     scenario = Scenario.from_json_file(args.scenario) if args.scenario else default_scenario()
@@ -138,7 +147,7 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     fields = [("final_error_power", final_err, ".6e")]
 
     desired = scenario.desired_source()
-    interferers = [s for s in scenario.sources if s.role != "desired"]
+    interferers = [s for s in scenario.sources if s.role != ROLE_DESIRED]
     if interferers:
         angles = [desired.angle_rad] + [s.angle_rad for s in interferers]
         gains = gain_db(trace.converged_weights, cfg, angles)
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="ingest a survey log and report coverage/interference")
     p.add_argument("log", help="survey log file")
-    p.add_argument("--format", default="csv", choices=["csv", "kml"])
+    p.add_argument("--format", default="csv", choices=list(LOG_FORMATS))
     p.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
     p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD_DBM,
                    help="RSSI threshold (dBm) defining an AP's coverage region")

@@ -1,6 +1,6 @@
 """Normalized-LMS adaptive beamformer and convergence traces.
 
-Each step computes the array output ``y = w^H x``, the error
+Each iteration computes the array output ``y = w^H x``, the error
 ``e = d - y`` against the clean reference, and the normalized update
 ``w <- w + mu/(||x||^2 + eps) * x * conj(e)``.  Adaptation runs in
 training mode: the reference is the known desired-source waveform.
@@ -9,12 +9,12 @@ training mode: the reference is the known desired-source waveform.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .arrays import Scenario, Snapshot, synthesize_blocks
+from .arrays import Scenario, synthesize_blocks
 
 # Relative regularization applied to the norm denominator by run();
 # scaled by the scenario's expected snapshot energy.
@@ -31,61 +31,21 @@ PLATEAU_WINDOW = 100
 PLATEAU_REL_CHANGE = 1e-3
 
 
-@dataclass(frozen=True)
-class BeamformerState:
-    """Adaptive weight vector with its step size and iteration counter."""
+def update(
+    w: np.ndarray, x: np.ndarray, d: complex, mu: float, eps: float
+) -> tuple[complex, complex, np.ndarray]:
+    """One NLMS iteration: the output ``y``, the error ``e`` and the next weights.
 
-    w: np.ndarray
-    mu: float
-    n: int = 0
-    eps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError(f"step size must be >= 0, got {self.mu}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """Output, error and updated state of a single adaptation step.
-
-    ``skipped`` is set when the update was suppressed because the input
-    energy plus eps was exactly zero.
+    A zero denominator ``||x||^2 + eps`` skips the update, and a zero error
+    returns ``w`` itself: adding a zero array would rewrite the sign of
+    negative zeros.
     """
-
-    y: complex
-    e: complex
-    state: BeamformerState
-    skipped: bool = False
-
-
-def initial_state(num_elements: int, mu: float, eps: float = 0.0) -> BeamformerState:
-    """All-zeros starting weights, so the first output is exactly 0."""
-    return BeamformerState(w=np.zeros(num_elements, dtype=complex), mu=mu, eps=eps)
-
-
-def step(state: BeamformerState, snap: Snapshot) -> StepResult:
-    """Run one NLMS iteration on a snapshot.
-
-    Raises:
-        ValueError: if the snapshot and weight dimensions disagree.
-    """
-    x = np.asarray(snap.x)
-    if x.shape != state.w.shape:
-        raise ValueError(f"snapshot length {x.shape} does not match weights {state.w.shape}")
-    y = complex(np.vdot(state.w, x))
-    e = snap.d - y
-    denom = float(np.real(np.vdot(x, x))) + state.eps
-    if denom == 0.0:
-        return StepResult(y=y, e=e, state=replace(state, n=state.n + 1), skipped=True)
-    if e == 0:
-        # The update term is exactly zero; keep the weights bit-identical
-        # (adding a zero array would rewrite the sign of negative zeros).
-        return StepResult(y=y, e=e, state=replace(state, n=state.n + 1))
-    w_next = state.w + (state.mu / denom) * x * np.conj(e)
-    return StepResult(y=y, e=e, state=replace(state, w=w_next, n=state.n + 1))
+    y = complex(np.vdot(w, x))
+    e = d - y
+    denom = float(np.vdot(x, x).real) + eps
+    if denom != 0.0 and e != 0:
+        w = w + (mu / denom) * x * np.conj(e)
+    return y, e, w
 
 
 @dataclass
@@ -132,7 +92,7 @@ def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTr
 
     Weight snapshots are recorded every ``snapshot_stride`` iterations when
     given (the final weights are always recorded).  Deterministic for a
-    fixed scenario; bit-identical to folding ``step`` over ``synthesize``.
+    fixed scenario; bit-identical to the fold in ``tests/oracles.py``.
 
     Raises:
         ValueError: if the adaptation diverges (error power or weights
@@ -164,15 +124,8 @@ def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTr
             start, stop = stop, stop + len(d)
             errs, ys = [], []
             try:
-                # The arithmetic of step(), on raw arrays.
                 for n, x, dn in zip(range(start, stop), X, d.tolist()):
-                    y = complex(np.vdot(w, x))
-                    e = dn - y
-                    denom = float(np.vdot(x, x).real) + eps
-                    # A zero denominator skips the update; a zero error leaves
-                    # the weights bit-identical.
-                    if denom != 0.0 and e != 0:
-                        w = w + (mu / denom) * x * np.conj(e)
+                    y, e, w = update(w, x, dn, mu, eps)
                     errs.append(abs(e) ** 2)
                     ys.append(y)
                     if snapshot_stride is not None and (n + 1) % snapshot_stride == 0:

@@ -11,7 +11,8 @@ channel, signal strength and GPS position.  Two formats are accepted:
   with the timestamp in the Placemark's TimeStamp/when element.
 
 Parsing is best effort: a malformed sample is reported with the physical
-line its CSV record or KML placemark starts on and never aborts the run.
+line its CSV record starts on, or its KML placemark's start tag closes on,
+and never aborts the run.
 """
 
 from __future__ import annotations
@@ -188,25 +189,27 @@ def _kml_rows(stream: IO[str]) -> Rows:
         raise ValueError(f"not a parseable KML document: {exc}") from exc
 
 
-_FORMATS = {"csv": _csv_rows, "kml": _kml_rows}
+# Log format name -> its row reader; the one list of accepted formats.
+LOG_FORMATS = {"csv": _csv_rows, "kml": _kml_rows}
 
 
 def parse_log(
     stream: IO[str], fmt: str
 ) -> tuple[list[MeasurementRecord], list[tuple[int, str]]]:
-    """Parse a survey log in the given format ("csv" or "kml") into records
-    and the ``(line, message)`` of each skipped sample.
+    """Parse a survey log in the given format (a key of ``LOG_FORMATS``)
+    into records and the ``(line, message)`` of each skipped sample.
 
     Raises:
         ValueError: for an unknown format, an unparseable KML document, or
             when no sample parses at all.
     """
     fmt = fmt.lower()
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown log format {fmt!r} (expected 'csv' or 'kml')")
+    if fmt not in LOG_FORMATS:
+        expected = " or ".join(map(repr, LOG_FORMATS))
+        raise ValueError(f"unknown log format {fmt!r} (expected {expected})")
     records: list[MeasurementRecord] = []
     errors: list[tuple[int, str]] = []
-    for lineno, fields in _FORMATS[fmt](stream):
+    for lineno, fields in LOG_FORMATS[fmt](stream):
         if isinstance(fields, str):
             errors.append((lineno, fields))
             continue

@@ -113,19 +113,6 @@ def default_snr_staircase(cap_mbps: float) -> list[tuple[float, float]]:
     ]
 
 
-def snr_to_rate(snr_db: float, staircase: Sequence[tuple[float, float]]) -> float:
-    """Highest staircase rate whose threshold the SNR reaches, else 0.
-
-    ``staircase`` must be in ascending order, as :func:`default_snr_staircase`
-    builds it.
-    """
-    rate = 0.0
-    for threshold, step_rate in staircase:
-        if snr_db >= threshold:
-            rate = step_rate
-    return rate
-
-
 def link_snr(
     model: PathLossModel,
     tx_eirp_dbm: float,
@@ -191,9 +178,10 @@ def throughput_vs_distance(
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be sorted ascending")
     staircase = default_snr_staircase(max_client_rate(cfg.standard, cfg.spatial_streams))
-    # snr_to_rate by bisection: rates[k] is the rate once k thresholds are
-    # reached.  A NaN SNR would land on the top rung, but finite end points
-    # (checked below) rule NaN out at every point.
+    # The highest rung whose threshold the SNR reaches, by bisection:
+    # rates[k] is the rate once k thresholds are reached.  A NaN SNR would
+    # land on the top rung, but finite end points (checked below) rule NaN
+    # out at every point.
     thresholds = [threshold for threshold, _ in staircase]
     rates = [0.0] + [rate for _, rate in staircase]
     curve = RateCurve(distances)

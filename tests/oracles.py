@@ -1,7 +1,8 @@
 """Independent reference implementations shared across test modules.
 
 These deliberately recompute results from first principles (breakpoint
-integration, direct transform summation, forward-model synthesis) so the
+integration, direct transform summation, forward-model synthesis, the
+NLMS recursion one snapshot at a time, a linear staircase scan) so the
 code under test is checked against a second route, not against itself.
 """
 
@@ -10,7 +11,9 @@ import random
 
 import numpy as np
 
+from wlansim.arrays import synthesize_blocks
 from wlansim.channels import channel_by_id
+from wlansim.nlms import RELATIVE_EPS
 
 
 def mask_overlap_oracle(a, b) -> float:
@@ -88,3 +91,56 @@ def synth_fit_points(exponent, ref_loss=40.0, eirp=20.0, noise=None, seed=0, cou
             rssi += rng.gauss(0.0, noise)
         points.append((d, rssi))
     return points
+
+
+def nlms_fold(scenario, stride) -> dict:
+    """``nlms.run`` rebuilt from the NLMS equations, one snapshot at a
+    time: y = w^H x, e = d - y, w <- w + mu/(||x||^2 + eps) * x * conj(e),
+    with the update skipped when the denominator is zero and the weights
+    kept as they are when e is zero.  Counts the skipped updates."""
+    n_iter = scenario.iterations
+    expected_energy = scenario.num_elements * (
+        sum(s.amplitude**2 for s in scenario.sources) + scenario.noise_power
+    )
+    mu, eps = scenario.step_size, RELATIVE_EPS * expected_energy
+    w = np.zeros(scenario.num_elements, dtype=complex)
+    err, out, x0, snapshots, skipped = [], [], [], [], 0
+    tail_start = max(0, n_iter - max(1, n_iter // 10))
+    w_sum = np.zeros(scenario.num_elements, dtype=complex)
+    for n, (X, d) in enumerate(synthesize_blocks(scenario, 0, n_iter, 1)):
+        x = X[0]
+        y = complex(np.vdot(w, x))
+        e = complex(d[0]) - y
+        denom = float(np.vdot(x, x).real) + eps
+        if denom == 0.0:
+            skipped += 1
+        elif e != 0:
+            w = w + (mu / denom) * x * np.conj(e)
+        err.append(abs(e) ** 2)
+        out.append(y)
+        x0.append(x[0])
+        if (n + 1) % stride == 0:
+            snapshots.append((n, w.copy()))
+        if n >= tail_start:
+            w_sum += w
+    if not snapshots or snapshots[-1][0] != n_iter - 1:
+        snapshots.append((n_iter - 1, w.copy()))
+    return {
+        "error_power": np.array(err),
+        "outputs": np.array(out, dtype=complex),
+        "first_element_input": np.array(x0, dtype=complex),
+        "final_weights": w,
+        "converged_weights": w_sum / (n_iter - tail_start),
+        "weight_snapshots": snapshots,
+        "skipped": skipped,
+    }
+
+
+def staircase_rate(snr_db, staircase) -> float:
+    """Linear scan: the rate of the last rung whose threshold the SNR
+    reaches, or 0 below the first; ``staircase`` ascends."""
+    rate = 0.0
+    for threshold, step_rate in staircase:
+        if snr_db >= threshold:
+            rate = step_rate
+    return rate

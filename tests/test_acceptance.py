@@ -14,8 +14,7 @@ import numpy as np
 from wlansim.arrays import default_scenario, steering_vector
 from wlansim.channels import Plan, channel_by_id, overlap_fraction, plan_channels
 from wlansim.cli import main
-from wlansim.nlms import BeamformerState, initial_state, run, step
-from wlansim.arrays import Snapshot
+from wlansim.nlms import run, update
 from wlansim.propagation import PathLossModel, friis_path_loss
 from wlansim.spectrum import dft_magnitude, suppression_report
 from wlansim.survey import fit_path_loss
@@ -102,8 +101,8 @@ def test_criterion_5_nlms_correctness():
     w = np.array([0.4 - 0.2j, 0.1j, -0.7, 0.25 + 0.25j])
     x = np.array([1.0, -2.0 + 1j, 0.5, 0.3j])
     d = complex(np.vdot(w, x))
-    result = step(BeamformerState(w=w, mu=0.7), Snapshot(x=x, d=d, index=0))
-    fixed_point = result.state.w.tobytes() == w.tobytes()
+    _, _, w_next = update(w, x, d, 0.7, 0.0)
+    fixed_point = w_next.tobytes() == w.tobytes()
 
     # (b) update direction against central finite differences.
     rng = np.random.default_rng(2718)
@@ -118,7 +117,9 @@ def test_criterion_5_nlms_correctness():
         def cost(weights):
             return abs(dv - np.vdot(weights, xv)) ** 2
 
-        update = xv * np.conj(dv - np.vdot(wv, xv))
+        # With mu = 1 and eps = 0 the step is x*conj(e) / ||x||^2.
+        _, _, w_next = update(wv, xv, dv, 1.0, 0.0)
+        direction = (w_next - wv) * float(np.vdot(xv, xv).real)
         grad = np.empty(n, dtype=complex)
         for k in range(n):
             delta = np.zeros(n, dtype=complex)
@@ -126,20 +127,13 @@ def test_criterion_5_nlms_correctness():
             grad[k] = (cost(wv + delta) - cost(wv - delta)) / (2 * h) + 1j * (
                 cost(wv + 1j * delta) - cost(wv - 1j * delta)
             ) / (2 * h)
-        worst_rel = max(worst_rel, np.linalg.norm(update + grad / 2) / np.linalg.norm(update))
+        worst_rel = max(worst_rel, np.linalg.norm(direction + grad / 2) / np.linalg.norm(direction))
 
     # (c) single-element hand example converges in two steps.
-    s0 = initial_state(1, mu=1.0, eps=0.0)
-    r1 = step(s0, Snapshot(x=np.array([1.0 + 0j]), d=1.0 + 0j, index=0))
-    r2 = step(r1.state, Snapshot(x=np.array([1.0 + 0j]), d=1.0 + 0j, index=1))
-    hand = (
-        r1.y == 0
-        and r1.e == 1
-        and r1.state.w[0] == 1.0
-        and r2.y == 1.0
-        and r2.e == 0
-        and r2.state.w[0] == 1.0
-    )
+    one = np.array([1.0 + 0j])
+    y1, e1, w1 = update(np.zeros(1, dtype=complex), one, 1.0 + 0j, 1.0, 0.0)
+    y2, e2, w2 = update(w1, one, 1.0 + 0j, 1.0, 0.0)
+    hand = y1 == 0 and e1 == 1 and w1[0] == 1.0 and y2 == 1.0 and e2 == 0 and w2[0] == 1.0
     ok = fixed_point and worst_rel <= 1e-5 and hand
     report(5, "NLMS correctness", ok, f"fd rel {worst_rel:.1e}")
 

@@ -18,8 +18,6 @@ from wlansim.arrays import (
     array_pattern,
     default_scenario,
     steering_vector,
-    synthesize,
-    synthesize_block,
     synthesize_blocks,
     _stream_words,
 )
@@ -39,6 +37,17 @@ def scenario_with(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def snapshot(sc: Scenario, n: int) -> tuple[np.ndarray, complex]:
+    """x(n) and d(n), from a block of that one row."""
+    X, d = next(synthesize_blocks(sc, n, n + 1, 1))
+    return X[0], complex(d[0])
+
+
+def block(sc: Scenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``start <= n < stop`` as one block."""
+    return next(synthesize_blocks(sc, start, stop, stop - start))
 
 
 class TestSteeringVector:
@@ -71,29 +80,29 @@ class TestSynthesize:
         sc = scenario_with(
             sources=(Source("desired", 0.3, "sinusoid", 0.1, 0.0),), noise_power=0.0
         )
-        snap = synthesize(sc, 5)
-        assert np.all(snap.x == 0)
-        assert snap.d == 0
+        x, d = snapshot(sc, 5)
+        assert np.all(x == 0)
+        assert d == 0
 
     def test_single_element_passthrough(self):
         sc = scenario_with(num_elements=1, noise_power=0.0)
         for n in range(10):
-            snap = synthesize(sc, n)
-            assert snap.x[0] == pytest.approx(snap.d, abs=1e-15)
+            x, d = snapshot(sc, n)
+            assert x[0] == pytest.approx(d, abs=1e-15)
 
     def test_matches_direct_summation_oracle(self):
         sc = default_scenario()
-        snap = synthesize(sc, 0)
+        x0, d0 = snapshot(sc, 0)
         # Element-wise sum oracle, built from the raw definitions.
         x = np.zeros(sc.num_elements, dtype=complex)
         for src in sc.sources:
             s = src.amplitude * cmath.exp(2j * math.pi * src.normalized_freq * 0)
             phase = -2j * math.pi * sc.spacing_wavelengths * math.sin(src.angle_rad)
             x += s * np.exp(phase * np.arange(sc.num_elements))
-        noise = snap.x - x
+        noise = x0 - x
         # Residual must be the (reproducible) noise vector, bounded in power.
         assert np.mean(np.abs(noise) ** 2) < 20 * sc.noise_power
-        assert snap.d == pytest.approx(1.0, abs=1e-15)
+        assert d0 == pytest.approx(1.0, abs=1e-15)
 
     def test_noiseless_oracle_is_exact(self):
         sc = scenario_with(
@@ -104,26 +113,26 @@ class TestSynthesize:
             ),
         )
         n = 17
-        snap = synthesize(sc, n)
+        got, _ = snapshot(sc, n)
         x = np.zeros(6, dtype=complex)
         for src in sc.sources:
             s = src.amplitude * cmath.exp(2j * math.pi * src.normalized_freq * n)
             x += s * np.exp(-2j * math.pi * 0.5 * math.sin(src.angle_rad) * np.arange(6))
-        assert np.allclose(snap.x, x, atol=1e-12)
+        assert np.allclose(got, x, atol=1e-12)
 
     def test_reproducible_bit_identical(self):
         sc = scenario_with(noise_power=0.5, seed=99)
-        a = synthesize(sc, 7)
-        b = synthesize(sc, 7)
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.d == b.d
+        xa, da = snapshot(sc, 7)
+        xb, db = snapshot(sc, 7)
+        assert xa.tobytes() == xb.tobytes()
+        assert da == db
 
     def test_order_independent(self):
         sc = scenario_with(noise_power=0.5, seed=99)
-        direct = synthesize(sc, 3).x
+        direct, _ = snapshot(sc, 3)
         for n in (9, 1, 4):
-            synthesize(sc, n)
-        assert synthesize(sc, 3).x.tobytes() == direct.tobytes()
+            snapshot(sc, n)
+        assert snapshot(sc, 3)[0].tobytes() == direct.tobytes()
 
     def test_symbol_waveform_unit_modulus_and_deterministic(self):
         sc = scenario_with(
@@ -132,11 +141,11 @@ class TestSynthesize:
         )
         seen = set()
         for n in range(50):
-            d = synthesize(sc, n).d
+            _, d = snapshot(sc, n)
             assert abs(d) == pytest.approx(2.0, abs=1e-12)
             seen.add(complex(round(d.real, 9), round(d.imag, 9)))
         assert len(seen) > 1
-        assert synthesize(sc, 13).d == synthesize(sc, 13).d
+        assert snapshot(sc, 13)[1] == snapshot(sc, 13)[1]
 
     def test_noise_power_matches_configuration(self):
         # >= 1e5 noise samples: 50 elements x 2000 snapshots.
@@ -149,7 +158,7 @@ class TestSynthesize:
         total = 0.0
         count = 0
         for n in range(2000):
-            x = synthesize(sc, n).x
+            x, _ = snapshot(sc, n)
             total += float(np.sum(np.abs(x) ** 2))
             count += x.size
         assert count >= 1e5
@@ -165,16 +174,16 @@ class TestSynthesize:
             ),
         )
         start, stop = CHUNK_ROWS - 4, CHUNK_ROWS + 4
-        X, d = synthesize_block(sc, start, stop)
+        X, d = block(sc, start, stop)
         assert X.shape == (stop - start, sc.num_elements)
         blocks = list(synthesize_blocks(sc, start, stop, 3))
         assert [len(bd) for _, bd in blocks] == [3, 3, 2]
         X3 = np.concatenate([bx for bx, _ in blocks])
         d3 = np.concatenate([bd for _, bd in blocks])
         for n in range(start, stop):
-            snap = synthesize(sc, n)
-            assert snap.x.tobytes() == X[n - start].tobytes() == X3[n - start].tobytes()
-            assert snap.d == d[n - start] == d3[n - start]
+            x, dn = snapshot(sc, n)
+            assert x.tobytes() == X[n - start].tobytes() == X3[n - start].tobytes()
+            assert dn == d[n - start] == d3[n - start]
 
     @pytest.mark.parametrize("num_elements", [1, 3, 5])
     def test_rows_equal_alone_and_inside_any_block(self, num_elements):
@@ -191,14 +200,14 @@ class TestSynthesize:
             ),
         )
         start, stop = 3, 40
-        singles = [synthesize(sc, n) for n in range(start, stop)]
+        singles = [snapshot(sc, n) for n in range(start, stop)]
         for rows in (1, 2, 3, 5, 8, stop - start):
             blocks = list(synthesize_blocks(sc, start, stop, rows))
             X = np.concatenate([bx for bx, _ in blocks])
             d = np.concatenate([bd for _, bd in blocks])
-            for snap in singles:
-                assert snap.x.tobytes() == X[snap.index - start].tobytes(), (rows, snap.index)
-                assert snap.d == d[snap.index - start], (rows, snap.index)
+            for n, (x, dn) in enumerate(singles, start):
+                assert x.tobytes() == X[n - start].tobytes(), (rows, n)
+                assert dn == d[n - start], (rows, n)
 
     def test_noise_is_circular_gaussian_of_the_configured_power(self):
         # 1e5 noise samples: 50 elements x 2000 snapshots, no source power.
@@ -209,7 +218,7 @@ class TestSynthesize:
             sources=(Source("desired", 0.0, "sinusoid", 0.1, 0.0),),
             seed=5,
         )
-        X, _ = synthesize_block(sc, 0, 2000)
+        X, _ = block(sc, 0, 2000)
         count = X.size
         half = power / 2
         for part in (X.real.ravel(), X.imag.ravel()):
@@ -222,7 +231,7 @@ class TestSynthesize:
 
     def test_seeds_and_streams_give_different_randomness(self):
         noise = scenario_with(noise_power=1.0, sources=(Source("desired", 0.0, "sinusoid", 0.1, 0.0),))
-        draws = [synthesize_block(replace(noise, seed=seed), 0, 64)[0] for seed in (0, 1, 2**63, 2**64 - 1)]
+        draws = [block(replace(noise, seed=seed), 0, 64)[0] for seed in (0, 1, 2**63, 2**64 - 1)]
         for i, a in enumerate(draws):
             for b in draws[i + 1 :]:
                 assert not np.any(a == b)
@@ -232,18 +241,14 @@ class TestSynthesize:
             num_elements=1,
             sources=(Source("desired", 0.0, "symbols"), Source("interferer", 0.0, "symbols")),
         )
-        X, d = synthesize_block(symbols, 0, 64)
+        X, d = block(symbols, 0, 64)
         assert not np.allclose(X[:, 0] - d, d)
         words = [_stream_words(7, stream, 0, 64) for stream in (0, 1, 2)]
         assert not np.any(words[0] == words[1]) and not np.any(words[1] == words[2])
 
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError, match="empty block"):
-            synthesize_block(scenario_with(), 5, 5)
-
     def test_missing_desired_source_rejected(self):
         with pytest.raises(ValueError, match="desired"):
-            synthesize(scenario_with(sources=(Source("interferer", 0.1),)), 0)
+            snapshot(scenario_with(sources=(Source("interferer", 0.1),)), 0)
 
 
 class TestScenarioIO:

@@ -1,80 +1,73 @@
-"""Tests for the normalized-LMS step and full runs."""
+"""Tests for the normalized-LMS update and full runs."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wlansim.arrays import (
-    Scenario,
-    Snapshot,
-    Source,
-    default_scenario,
-    steering_vector,
-    synthesize,
-)
-from wlansim.nlms import (
-    CHUNK_ROWS,
-    RELATIVE_EPS,
-    BeamformerState,
-    initial_state,
-    run,
-    step,
-)
+from wlansim.arrays import Scenario, Source, default_scenario, steering_vector
+from wlansim.nlms import CHUNK_ROWS, run, update
+
+from oracles import nlms_fold
 
 
-def make_snapshot(x, d, index=0) -> Snapshot:
-    return Snapshot(x=np.asarray(x, dtype=complex), d=complex(d), index=index)
+# Zero or a magnitude in [1e-3, 1e3]: bounded, so no update can overflow.
+parts = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+complexes = st.builds(complex, parts, parts)
 
 
 class TestStep:
+    """One NLMS step: ``update`` on raw arrays."""
+
     def test_zero_error_is_a_fixed_point(self):
         w = np.array([0.3 + 0.1j, -0.2j, 0.7])
         x = np.array([1.0, 2.0, -1.0 + 0.5j])
         d = complex(np.vdot(w, x))  # forces e = 0 exactly
-        state = BeamformerState(w=w, mu=0.5)
-        result = step(state, make_snapshot(x, d))
-        assert result.e == 0
-        assert result.state.w.tobytes() == w.tobytes()
+        _, e, w_next = update(w, x, d, 0.5, 0.0)
+        assert e == 0
+        assert w_next.tobytes() == w.tobytes()
 
     def test_single_element_hand_example(self):
-        state = initial_state(1, mu=1.0, eps=0.0)
-        first = step(state, make_snapshot([1.0], 1.0, 0))
-        assert first.y == 0
-        assert first.e == 1
-        assert first.state.w[0] == 1.0
-        second = step(first.state, make_snapshot([1.0], 1.0, 1))
-        assert second.y == 1.0
-        assert second.e == 0
-        assert second.state.w[0] == 1.0
-        assert second.state.n == 2
+        x = np.array([1.0 + 0j])
+        y, e, w = update(np.zeros(1, dtype=complex), x, 1.0 + 0j, 1.0, 0.0)
+        assert y == 0
+        assert e == 1
+        assert w[0] == 1.0
+        y, e, w = update(w, x, 1.0 + 0j, 1.0, 0.0)
+        assert y == 1.0
+        assert e == 0
+        assert w[0] == 1.0
 
     def test_zero_snapshot_skips_update(self):
-        state = BeamformerState(w=np.array([1.0 + 0j, 2.0]), mu=0.5, eps=0.0)
-        result = step(state, make_snapshot([0.0, 0.0], 1.0))
-        assert result.skipped
-        assert result.state.w.tobytes() == state.w.tobytes()
-        assert result.state.n == 1
+        w = np.array([1.0 + 0j, 2.0])
+        _, e, w_next = update(w, np.zeros(2, dtype=complex), 1.0 + 0j, 0.5, 0.0)
+        assert e == 1
+        assert w_next.tobytes() == w.tobytes()
 
-    def test_eps_prevents_skip(self):
-        state = BeamformerState(w=np.zeros(2, dtype=complex), mu=0.5, eps=1e-9)
-        result = step(state, make_snapshot([0.0, 0.0], 1.0))
-        assert not result.skipped
-
-    def test_dimension_mismatch_rejected(self):
-        state = initial_state(3, mu=0.1)
-        with pytest.raises(ValueError, match="length"):
-            step(state, make_snapshot([1.0, 2.0], 0.0))
-
-    def test_error_equals_reference_minus_output(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            d = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            result = step(BeamformerState(w=w, mu=0.3), make_snapshot(x, d))
-            assert result.e == d - result.y
+    @settings(max_examples=150)
+    @given(
+        pairs=st.lists(st.tuples(complexes, complexes), min_size=1, max_size=8),
+        d=complexes,
+        mu=st.floats(0.0, 2.0, exclude_max=True),
+        eps=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
+    )
+    def test_error_and_norm_bound_properties(self, pairs, d, mu, eps):
+        """e = d - y exactly; feeding d = y back gives e = 0 and the very
+        same weights; with eps > 0 the weight change never exceeds
+        mu*|e|/||x|| (checked multiplied through by ||x||, which may be 0)."""
+        w = np.array([a for a, _ in pairs])
+        x = np.array([b for _, b in pairs])
+        y, e, w_next = update(w, x, d, mu, eps)
+        assert e == d - y
+        _, e_fixed, w_fixed = update(w, x, y, mu, eps)
+        assert e_fixed == 0
+        assert w_fixed.tobytes() == w.tobytes()
+        if eps > 0:
+            change = np.linalg.norm(w_next - w)
+            assert change * np.linalg.norm(x) <= mu * abs(e) * (1 + 1e-12)
 
     def test_update_direction_matches_finite_differences(self):
         """The raw update x*conj(e) is -1/2 the real-pair gradient of |e|^2."""
@@ -90,8 +83,9 @@ class TestStep:
             def cost(wv):
                 return abs(d - np.vdot(wv, x)) ** 2
 
-            e = d - np.vdot(w, x)
-            update = x * np.conj(e)
+            # With mu = 1 and eps = 0 the step is x*conj(e) / ||x||^2.
+            _, _, w_next = update(w, x, d, 1.0, 0.0)
+            direction = (w_next - w) * float(np.vdot(x, x).real)
             grad = np.empty(n, dtype=complex)
             for k in range(n):
                 delta = np.zeros(n, dtype=complex)
@@ -99,23 +93,9 @@ class TestStep:
                 g_re = (cost(w + delta) - cost(w - delta)) / (2 * h)
                 g_im = (cost(w + 1j * delta) - cost(w - 1j * delta)) / (2 * h)
                 grad[k] = g_re + 1j * g_im
-            rel = np.linalg.norm(update + grad / 2) / np.linalg.norm(update)
+            rel = np.linalg.norm(direction + grad / 2) / np.linalg.norm(direction)
             worst = max(worst, rel)
         assert worst <= 1e-5, f"worst finite-difference mismatch {worst:.2e}"
-
-    def test_norm_safety_bound(self):
-        """With eps > 0 the weight change never exceeds mu*|e|/||x||."""
-        rng = np.random.default_rng(7)
-        state = BeamformerState(w=np.zeros(5, dtype=complex), mu=0.8, eps=1e-9)
-        for i in range(200):
-            x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            x *= rng.uniform(1e-6, 2.0)
-            d = complex(rng.standard_normal())
-            result = step(state, make_snapshot(x, d, i))
-            change = np.linalg.norm(result.state.w - state.w)
-            bound = state.mu * abs(result.e) / np.linalg.norm(x)
-            assert change <= bound * (1 + 1e-12)
-            state = result.state
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -225,42 +205,6 @@ class TestRun:
             run(small_scenario(), snapshot_stride=0)
 
 
-def folded_run(scenario: Scenario, stride: int) -> dict:
-    """run() rebuilt as a fold of step() over synthesize(), one snapshot
-    at a time: the reference the array-at-a-time kernel must match."""
-    n_iter = scenario.iterations
-    expected_energy = scenario.num_elements * (
-        sum(s.amplitude**2 for s in scenario.sources) + scenario.noise_power
-    )
-    state = initial_state(scenario.num_elements, scenario.step_size, RELATIVE_EPS * expected_energy)
-    err, out, x0, snapshots, skipped = [], [], [], [], 0
-    tail_start = max(0, n_iter - max(1, n_iter // 10))
-    w_sum = np.zeros(scenario.num_elements, dtype=complex)
-    for n in range(n_iter):
-        snap = synthesize(scenario, n)
-        result = step(state, snap)
-        state = result.state
-        skipped += result.skipped
-        err.append(abs(result.e) ** 2)
-        out.append(result.y)
-        x0.append(snap.x[0])
-        if (n + 1) % stride == 0:
-            snapshots.append((n, state.w.copy()))
-        if n >= tail_start:
-            w_sum += state.w
-    if not snapshots or snapshots[-1][0] != n_iter - 1:
-        snapshots.append((n_iter - 1, state.w.copy()))
-    return {
-        "error_power": np.array(err),
-        "outputs": np.array(out, dtype=complex),
-        "first_element_input": np.array(x0, dtype=complex),
-        "final_weights": state.w,
-        "converged_weights": w_sum / (n_iter - tail_start),
-        "weight_snapshots": snapshots,
-        "skipped": skipped,
-    }
-
-
 EQUIVALENCE_CASES = {
     # Three chunks, the last one partial.
     "default_multi_chunk": lambda: replace(default_scenario(), iterations=2 * CHUNK_ROWS + 37),
@@ -283,7 +227,7 @@ def test_run_equals_fold_of_step_bit_for_bit(case):
     scenario = EQUIVALENCE_CASES[case]()
     stride = 97
     trace = run(scenario, snapshot_stride=stride)
-    ref = folded_run(scenario, stride)
+    ref = nlms_fold(scenario, stride)
     for name in ("error_power", "outputs", "first_element_input", "final_weights", "converged_weights"):
         assert getattr(trace, name).tobytes() == ref[name].tobytes(), name
     assert len(trace.weight_snapshots) == len(ref["weight_snapshots"])

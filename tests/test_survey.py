@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from oracles import interference_oracle, synth_fit_points
 
 import wlansim.survey
+from wlansim.cli import build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.propagation import GeoPoint
 from wlansim.survey import (
+    LOG_FORMATS,
     ApSummary,
     MeasurementRecord,
     fit_path_loss,
@@ -114,6 +116,14 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="format"):
             parse_log(io.StringIO(csv_line()), "xml")
 
+    def test_formats_come_from_one_table(self):
+        (subparsers,) = (a for a in build_parser()._actions if a.dest == "command")
+        (fmt,) = (a for a in subparsers.choices["coverage"]._actions if a.dest == "format")
+        assert fmt.choices == list(LOG_FORMATS)
+        with pytest.raises(ValueError) as exc:
+            parse_log(io.StringIO(csv_line()), "xml")
+        assert all(repr(name) in str(exc.value) for name in LOG_FORMATS)
+
 
 class TestKmlParsing:
     def test_fixture_matches_hand_parsed_oracle(self):
@@ -152,6 +162,22 @@ class TestKmlParsing:
         # kml, Document, a 7-line placemark and two blank lines come first.
         assert errors == [(12, "rssi '+3' violates the [-120, 0] dBm range")]
         assert text.splitlines()[11] == "<Placemark>"
+
+    def test_multi_line_start_tag_is_numbered_where_it_closes(self):
+        """The pull parser reports a start tag once its ``>`` is read, so a
+        placemark whose start tag spans lines 3-4 is numbered 4."""
+        fields = "".join(
+            f'<Data name="{k}"><value>{v}</value></Data>\n'
+            for k, v in [("bssid", AP_A), ("ssid", "eduroam"), ("channel", "36"), ("rssi_dbm", "-61")]
+        )
+        point = "<Point><coordinates>0.9,51.8</coordinates></Point>\n</Placemark>\n"
+        good = f"<Placemark>\n{fields}{point}"
+        bad = f'<Placemark\n id="a">\n{fields.replace("-61", "+3")}{point}'
+        text = f"<kml>\n<Document>\n{bad}{good}</Document>\n</kml>\n"
+        records, errors = parse_log(io.StringIO(text), "kml")
+        assert len(records) == 1
+        assert errors == [(4, "rssi '+3' violates the [-120, 0] dBm range")]
+        assert text.splitlines()[2:4] == ["<Placemark", ' id="a">']
 
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):

@@ -16,9 +16,10 @@ from wlansim.throughput import (
     link_snr,
     max_client_rate,
     noise_floor_dbm,
-    snr_to_rate,
     throughput_vs_distance,
 )
+
+from oracles import staircase_rate
 
 
 class TestRateTable:
@@ -100,18 +101,6 @@ class TestDistanceCurves:
         rates = [rate for _, rate in curve]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
-    def test_monotone_for_any_monotone_staircase(self):
-        import random
-
-        snrs = [link_snr(self.model, 10.0, d, 20) for d in self.distances]
-        rng = random.Random(8)
-        for _ in range(20):
-            steps = sorted(rng.uniform(-5, 40) for _ in range(rng.randint(1, 10)))
-            rates = sorted(rng.uniform(1, 1300) for _ in steps)
-            stairs = list(zip(steps, rates))
-            values = [snr_to_rate(snr, stairs) for snr in snrs]
-            assert all(b <= a for a, b in zip(values, values[1:]))
-
     def test_ac_dominates_n_pointwise(self):
         ac = throughput_vs_distance(
             PhyConfig(Standard.AC80211, spatial_streams=3), self.model, 10.0, self.distances
@@ -147,15 +136,18 @@ class TestDistanceCurves:
         stairs = default_snr_staircase(1300.0)
         assert len(stairs) == 8
         assert max(rate for _, rate in stairs) == 1300.0
-        assert snr_to_rate(100.0, stairs) == 1300.0
-        assert snr_to_rate(-10.0, stairs) == 0.0
+        # With no path loss at 1 m the SNR is EIRP + 90 dB: 100 dB, then -10 dB.
+        cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
+        lossless = PathLossModel(0.0, 2.0, 5e9)
+        assert throughput_vs_distance(cfg, lossless, 10.0, [1.0]).rate_mbps[0] == 1300.0
+        assert throughput_vs_distance(cfg, lossless, -100.0, [1.0]).rate_mbps[0] == 0.0
 
     def test_curve_rates_follow_snr_to_rate(self):
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         stairs = default_snr_staircase(max_client_rate(cfg.standard, cfg.spatial_streams))
         curve = throughput_vs_distance(cfg, self.model, -5.0, [1.0 + 0.25 * k for k in range(400)])
         assert len(set(curve.rate_mbps)) == len(stairs) + 1  # every rung and the outage
-        assert list(curve.rate_mbps) == [snr_to_rate(snr, stairs) for snr in curve.snr_db]
+        assert list(curve.rate_mbps) == [staircase_rate(snr, stairs) for snr in curve.snr_db]
         # With no path loss at 1 m the SNR is EIRP + 90 dB exactly: land on,
         # just below and just above every threshold.
         lossless = PathLossModel(0.0, 2.0, 5e9)
@@ -163,10 +155,7 @@ class TestDistanceCurves:
             for snr in (threshold - 0.5, threshold, threshold + 0.5):
                 point = throughput_vs_distance(cfg, lossless, snr - 90.0, [1.0])
                 assert point.snr_db[0] == snr
-                assert point.rate_mbps[0] == snr_to_rate(snr, stairs)
-
-    def test_nan_snr_has_no_rate(self):
-        assert snr_to_rate(float("nan"), default_snr_staircase(1300.0)) == 0.0
+                assert point.rate_mbps[0] == staircase_rate(snr, stairs)
 
     def test_csv_export_schema(self):
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
