@@ -54,20 +54,32 @@ class TestStep:
         mu=st.floats(0.0, 2.0, exclude_max=True),
         eps=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
     )
-    def test_error_and_norm_bound_properties(self, pairs, d, mu, eps):
+    def test_error_equals_reference_minus_output(self, pairs, d, mu, eps):
         """e = d - y exactly; feeding d = y back gives e = 0 and the very
-        same weights; with eps > 0 the weight change never exceeds
-        mu*|e|/||x|| (checked multiplied through by ||x||, which may be 0)."""
+        same weights."""
         w = np.array([a for a, _ in pairs])
         x = np.array([b for _, b in pairs])
-        y, e, w_next = update(w, x, d, mu, eps)
+        y, e, _ = update(w, x, d, mu, eps)
         assert e == d - y
         _, e_fixed, w_fixed = update(w, x, y, mu, eps)
         assert e_fixed == 0
         assert w_fixed.tobytes() == w.tobytes()
-        if eps > 0:
-            change = np.linalg.norm(w_next - w)
-            assert change * np.linalg.norm(x) <= mu * abs(e) * (1 + 1e-12)
+
+    @settings(max_examples=150)
+    @given(
+        pairs=st.lists(st.tuples(complexes, complexes), min_size=1, max_size=8),
+        d=complexes,
+        mu=st.floats(0.0, 2.0, exclude_max=True),
+        eps=st.floats(1e-12, 1e3),
+    )
+    def test_norm_safety_bound(self, pairs, d, mu, eps):
+        """With eps > 0 the weight change never exceeds mu*|e|/||x||
+        (checked multiplied through by ||x||, which may be 0)."""
+        w = np.array([a for a, _ in pairs])
+        x = np.array([b for _, b in pairs])
+        _, e, w_next = update(w, x, d, mu, eps)
+        change = np.linalg.norm(w_next - w)
+        assert change * np.linalg.norm(x) <= mu * abs(e) * (1 + 1e-12)
 
     def test_update_direction_matches_finite_differences(self):
         """The raw update x*conj(e) is -1/2 the real-pair gradient of |e|^2."""
