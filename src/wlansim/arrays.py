@@ -17,13 +17,12 @@ comes from one draw per stream.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -320,11 +319,3 @@ def array_pattern(
     """
     gains = gain_db(w, cfg, grid)
     return [(float(theta), max(gain, GAIN_FLOOR_DB)) for theta, gain in zip(grid, gains)]
-
-
-def pattern_to_csv(pattern: Sequence[tuple[float, float]], out: IO[str]) -> None:
-    """Write an angle/gain pattern as CSV: angle_rad,gain_db."""
-    writer = csv.writer(out)
-    writer.writerow(["angle_rad", "gain_db"])
-    for angle, gain in pattern:
-        writer.writerow([angle, gain])

@@ -7,10 +7,8 @@ idealized rectangular masks of the nominal bandwidth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
 
 
 class Band(Enum):
@@ -144,11 +142,3 @@ def overlap_fraction(a: Channel, b: Channel) -> float:
     hi = min(a.center_hz + a.bandwidth_hz / 2, b.center_hz + b.bandwidth_hz / 2)
     width = max(0.0, hi - lo)
     return width / a.bandwidth_hz
-
-
-def channels_to_csv(channels: Iterable[Channel], out: IO[str]) -> None:
-    """Write a channel table as CSV: id,center_hz,bandwidth_hz,band,eirp_mw."""
-    writer = csv.writer(out)
-    writer.writerow(["id", "center_hz", "bandwidth_hz", "band", "eirp_mw"])
-    for c in channels:
-        writer.writerow([c.id, c.center_hz, c.bandwidth_hz, c.band.value, c.eirp_mw])

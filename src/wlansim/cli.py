@@ -1,5 +1,8 @@
 """Command-line interface: one subcommand per simulator area.
 
+Every output is a table, a header plus an iterable of rows, and
+``_write_table`` writes every table as CSV, so the output format is
+decided here alone; each command states its tables' headers and rows.
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
 records the tool and Python versions (and numpy's, when the command loaded
@@ -13,6 +16,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -20,29 +24,22 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Iterable, Sequence
 
 from . import __version__
-from .channels import Band, Plan, channel_by_id, channels_to_csv, list_channels, overlap_fraction, plan_channels
+from .channels import Band, Plan, channel_by_id, list_channels, overlap_fraction, plan_channels
 from .propagation import GeoPoint, PathLossModel
 from .survey import (
     DEFAULT_COVERAGE_THRESHOLD_DBM,
     LOG_FORMATS,
     fit_path_loss,
     interference_report,
-    interference_to_csv,
     parse_log,
-    summaries_to_csv,
     summarize,
 )
-from .throughput import (
-    PhyConfig,
-    Standard,
-    curve_to_csv,
-    throughput_vs_distance,
-)
+from .throughput import PhyConfig, Standard, throughput_vs_distance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,6 +51,12 @@ OUTPUT_DIR_ENV = "WLANSIM_OUTPUT_DIR"
 SPECTRUM_SIZE = 512
 PATTERN_GRID_POINTS = 721
 
+# Floor for dB conversion of zero-magnitude spectrum bins.
+MAG_FLOOR = 1e-15
+
+# A header and its rows, which may be produced lazily while they are written.
+Table = tuple[list[str], Iterable[Sequence]]
+
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
@@ -63,27 +66,35 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _publish(out_arg: str | None, writers: dict[str, Callable[[IO[str]], None]], config: dict) -> None:
-    """Write each output, then ``manifest.json``, into the output directory.
+def _write_table(out: IO[str], table: Table) -> None:
+    """Write one table as CSV: its header line, then one line per row."""
+    header, rows = table
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _publish(out_arg: str | None, tables: dict[str, Table], config: dict) -> None:
+    """Write each table, then ``manifest.json``, into the output directory.
 
     Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
     any output is replaced and the new one is moved in last, so a manifest
     always describes the files beside it."""
     out_dir = Path(out_arg or os.environ.get(OUTPUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    temps = {name: out_dir / f".{name}.tmp" for name in [*writers, "manifest.json"]}
+    temps = {name: out_dir / f".{name}.tmp" for name in [*tables, "manifest.json"]}
     try:
-        for name, write in writers.items():
+        for name, table in tables.items():
             with open(temps[name], "w", encoding="utf-8", newline="") as f:
-                write(f)
+                _write_table(f, table)
         manifest = {
             "tool_version": __version__,
             "python_version": sys.version.split()[0],
             "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
             "seed": config.get("seed"),
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "outputs": list(writers),
-            "output_sha256": {name: _sha256_file(temps[name]) for name in writers},
+            "outputs": list(tables),
+            "output_sha256": {name: _sha256_file(temps[name]) for name in tables},
         }
         if "numpy" in sys.modules:  # only beamform loads it
             manifest["numpy_version"] = sys.modules["numpy"].__version__
@@ -107,7 +118,8 @@ def cmd_channels(args: argparse.Namespace) -> int:
         chans = plan_channels(Plan(args.plan))
     else:
         chans = list_channels(Band(args.plan))
-    channels_to_csv(chans, sys.stdout)
+    rows = ((c.id, c.center_hz, c.bandwidth_hz, c.band.value, c.eirp_mw) for c in chans)
+    _write_table(sys.stdout, (["id", "center_hz", "bandwidth_hz", "band", "eirp_mw"], rows))
     return EXIT_OK
 
 
@@ -121,9 +133,8 @@ def cmd_beamform(args: argparse.Namespace) -> int:
         array_pattern,
         default_scenario,
         gain_db,
-        pattern_to_csv,
     )
-    from .spectrum import dft_magnitude, spectrum_to_csv, suppression_report
+    from .spectrum import dft_magnitude, suppression_report
 
     scenario = Scenario.from_json_file(args.scenario) if args.scenario else default_scenario()
     if args.iterations is not None:
@@ -131,8 +142,7 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
 
-    stride = max(1, scenario.iterations // 10)
-    trace = nlms.run(scenario, snapshot_stride=stride)
+    trace = nlms.run(scenario)
 
     cfg = scenario.array
     grid = [(-math.pi / 2) + k * math.pi / (PATTERN_GRID_POINTS - 1) for k in range(PATTERN_GRID_POINTS)]
@@ -163,15 +173,36 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     if plateau is not None:
         fields.append(("plateau_iteration", plateau, "d"))
 
+    n_iter = trace.iterations
+    # Converted a chunk at a time: whole-column lists would hold three
+    # Python floats per iteration at once.
+    chunks = (slice(start, start + nlms.CHUNK_ROWS) for start in range(0, n_iter, nlms.CHUNK_ROWS))
+    trace_rows = chain.from_iterable(
+        zip(
+            range(n_iter)[rows],
+            trace.error_power[rows].tolist(),
+            trace.outputs[rows].real.tolist(),
+            trace.outputs[rows].imag.tolist(),
+        )
+        for rows in chunks
+    )
+    weight_rows = chain.from_iterable(
+        zip(repeat(n), range(len(w)), w.real.tolist(), w.imag.tolist()) for n, w in trace.weight_snapshots
+    )
+
+    def spectrum(mags):  # bin k is normalized frequency k / size
+        rows = ((k / size, m, 20.0 * math.log10(max(m, MAG_FLOOR))) for k, m in enumerate(mags))
+        return ["normalized_freq", "magnitude", "magnitude_db"], rows
+
     # Published only now, so a rejected, diverged or failed run leaves no directory.
-    writers = {
-        "trace.csv": partial(nlms.trace_to_csv, trace),
-        "weights.csv": partial(nlms.weights_to_csv, trace),
-        "pattern.csv": partial(pattern_to_csv, pattern),
-        "spectrum_before.csv": partial(spectrum_to_csv, before),
-        "spectrum_after.csv": partial(spectrum_to_csv, after),
+    tables = {
+        "trace.csv": (["n", "error_power", "output_re", "output_im"], trace_rows),
+        "weights.csv": (["n", "element", "re", "im"], weight_rows),
+        "pattern.csv": (["angle_rad", "gain_db"], pattern),
+        "spectrum_before.csv": spectrum(before),
+        "spectrum_after.csv": spectrum(after),
     }
-    _publish(args.out, writers, scenario.to_dict())  # the effective scenario: flag overrides count
+    _publish(args.out, tables, scenario.to_dict())  # the effective scenario: flag overrides count
 
     # A field with no finite value (all-zero weights give -inf gains) is left
     # out, as an undefined plateau is.
@@ -188,6 +219,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         ap_position = GeoPoint(args.ap_lat, args.ap_lon)
     if args.fit and ap_position is None:
         raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
+    # fit_path_loss checks it too, but only --fit calls that.
+    if not math.isfinite(args.tx_eirp):
+        raise ValueError(f"tx_eirp_dbm must be finite, got {args.tx_eirp}")
     log_path = Path(args.log)
     with open(log_path, "r", encoding="utf-8") as f:
         records, errors = parse_log(f, args.format)
@@ -208,9 +242,25 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
     # Published only now, so a rejected run leaves no directory.
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
-    writers = {"summaries.csv": partial(summaries_to_csv, summaries),
-               "interference.csv": partial(interference_to_csv, pairs)}
-    _publish(args.out, writers, {**options, "log_sha256": _sha256_file(log_path)})
+    tables = {
+        "summaries.csv": (
+            [
+                "bssid", "ssid", "channel", "cell_x", "cell_y", "lat", "lon",
+                "mean_rssi_dbm", "stddev_rssi_dbm", "count", "low_confidence", "distance_m",
+            ],
+            # csv writes None, an unknown distance, as an empty field.
+            (
+                (s.bssid, s.ssid, s.channel_id, *s.cell, s.latitude, s.longitude, s.mean_rssi_dbm,
+                 s.stddev_rssi_dbm, s.count, int(s.low_confidence), s.distance_m)
+                for s in summaries
+            ),
+        ),
+        "interference.csv": (
+            ["bssid_a", "bssid_b", "overlap", "co_located", "interferes"],
+            ((p.bssid_a, p.bssid_b, p.overlap, int(p.co_located), int(p.interferes)) for p in pairs),
+        ),
+    }
+    _publish(args.out, tables, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:
         print(
             f"fit: exponent={fit.exponent:.4f} reference_loss_db={fit.reference_loss_db:.2f} "
@@ -232,8 +282,9 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     curve = throughput_vs_distance(cfg, model, args.tx_eirp, distances)
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    _publish(args.out, {"throughput.csv": partial(curve_to_csv, curve)}, options)
-    print(f"cap_mbps={max(r for _, r in curve)}")
+    rows = zip(curve.distance_m, curve.rate_mbps, curve.snr_db)
+    _publish(args.out, {"throughput.csv": (["distance_m", "rate_mbps", "snr_db"], rows)}, options)
+    print(f"cap_mbps={max(curve.rate_mbps)}")
     return EXIT_OK
 
 

@@ -8,9 +8,7 @@ training mode: the reference is the known desired-source waveform.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -56,14 +54,13 @@ class ConvergenceTrace:
     before/after-adaptation spectra can be compared.  ``converged_weights``
     is the mean weight vector over the final 10% of iterations, a
     lower-variance estimate of the settled solution than the single final
-    vector; ``final_weights`` is that last instantaneous vector.
+    vector, which is the last of ``weight_snapshots``.
     """
 
     error_power: np.ndarray
     outputs: np.ndarray
     first_element_input: np.ndarray
     weight_snapshots: list[tuple[int, np.ndarray]]
-    final_weights: np.ndarray
     converged_weights: np.ndarray
 
     @property
@@ -87,20 +84,19 @@ class ConvergenceTrace:
         return int(hits[0]) + 2 * PLATEAU_WINDOW - 1 if hits.size else None
 
 
-def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTrace:
+def run(scenario: Scenario) -> ConvergenceTrace:
     """Synthesize and adapt for the scenario's configured iteration count.
 
-    Weight snapshots are recorded every ``snapshot_stride`` iterations when
-    given (the final weights are always recorded).  Deterministic for a
-    fixed scenario; bit-identical to the fold in ``tests/oracles.py``.
+    Weight snapshots are recorded every ``max(1, iterations // 10)``
+    iterations (the final weights are always recorded).  Deterministic for
+    a fixed scenario; bit-identical to the fold in ``tests/oracles.py``.
 
     Raises:
         ValueError: if the adaptation diverges (error power or weights
             stop being finite), naming the iteration.
     """
-    if snapshot_stride is not None and snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     n_iter = scenario.iterations
+    snapshot_stride = max(1, n_iter // 10)
     # Expected per-snapshot energy sets the regularization scale.
     expected_energy = scenario.num_elements * (
         sum(s.amplitude**2 for s in scenario.sources) + scenario.noise_power
@@ -128,7 +124,7 @@ def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTr
                     y, e, w = update(w, x, dn, mu, eps)
                     errs.append(abs(e) ** 2)
                     ys.append(y)
-                    if snapshot_stride is not None and (n + 1) % snapshot_stride == 0:
+                    if (n + 1) % snapshot_stride == 0:
                         snapshots.append((n, w.copy()))
                     if n >= tail_start:
                         w_sum += w
@@ -150,7 +146,6 @@ def run(scenario: Scenario, snapshot_stride: int | None = None) -> ConvergenceTr
         outputs=out,
         first_element_input=x0,
         weight_snapshots=snapshots,
-        final_weights=w.copy(),
         converged_weights=w_sum / (n_iter - tail_start),
     )
 
@@ -160,30 +155,3 @@ def _diverged(n: int, mu: float) -> ValueError:
         f"iteration {n}: adaptation diverged, error power or weights not finite "
         f"(step_size {mu}; NLMS is stable only for 0 < step_size < 2)"
     )
-
-
-def trace_to_csv(trace: ConvergenceTrace, out: IO[str]) -> None:
-    """Write the per-iteration trace: n,error_power,output_re,output_im."""
-    writer = csv.writer(out)
-    writer.writerow(["n", "error_power", "output_re", "output_im"])
-    # Converted a chunk at a time: whole-column lists would hold three
-    # Python floats per iteration at once.
-    for start in range(0, trace.iterations, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        outputs = trace.outputs[rows]
-        writer.writerows(
-            zip(
-                range(trace.iterations)[rows],
-                trace.error_power[rows].tolist(),
-                outputs.real.tolist(),
-                outputs.imag.tolist(),
-            )
-        )
-
-
-def weights_to_csv(trace: ConvergenceTrace, out: IO[str]) -> None:
-    """Write weight snapshots: n,element,re,im."""
-    writer = csv.writer(out)
-    writer.writerow(["n", "element", "re", "im"])
-    for n, w in trace.weight_snapshots:
-        writer.writerows(zip([n] * len(w), range(len(w)), w.real.tolist(), w.imag.tolist()))

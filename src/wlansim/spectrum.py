@@ -2,28 +2,16 @@
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Floor for dB conversion of zero-magnitude bins in CSV output.
-_MAG_FLOOR = 1e-15
 
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Magnitude spectrum over normalized frequencies in [0, 1)."""
-
-    freqs: np.ndarray
-    magnitudes: np.ndarray
-    size: int
-
-
-def dft_magnitude(signal: Sequence[complex], size: int) -> SpectrumResult:
+def dft_magnitude(signal: Sequence[complex], size: int) -> np.ndarray:
     """Magnitude of the ``size``-point DFT of ``signal``, zero-padded.
+
+    Bin ``k`` of the result is normalized frequency ``k / size``, in [0, 1).
 
     Raises:
         ValueError: for an empty signal or ``size`` below the signal length.
@@ -33,14 +21,12 @@ def dft_magnitude(signal: Sequence[complex], size: int) -> SpectrumResult:
         raise ValueError("signal must be a nonempty 1-D sequence")
     if size < x.size:
         raise ValueError(f"transform size {size} smaller than signal length {x.size}")
-    mags = np.abs(np.fft.fft(x, n=size))
-    freqs = np.arange(size) / size
-    return SpectrumResult(freqs=freqs, magnitudes=mags, size=size)
+    return np.abs(np.fft.fft(x, n=size))
 
 
 def suppression_report(
-    before: SpectrumResult,
-    after: SpectrumResult,
+    before: np.ndarray,
+    after: np.ndarray,
     desired_bin: int,
     interferer_bin: int,
 ) -> tuple[float, float]:
@@ -53,14 +39,14 @@ def suppression_report(
             or a zero before-magnitude at a probed bin (the ratio would be
             undefined).
     """
-    if before.size != after.size:
-        raise ValueError(f"spectrum sizes differ: {before.size} vs {after.size}")
+    if len(before) != len(after):
+        raise ValueError(f"spectrum sizes differ: {len(before)} vs {len(after)}")
     if desired_bin == interferer_bin:
         raise ValueError("desired and interferer bins must be distinct")
 
     def change(bin_idx: int) -> float:
-        b = before.magnitudes[bin_idx]
-        a = after.magnitudes[bin_idx]
+        b = before[bin_idx]
+        a = after[bin_idx]
         if b == 0.0:
             raise ValueError(f"zero magnitude at bin {bin_idx} in the 'before' spectrum")
         if a == 0.0:
@@ -68,11 +54,3 @@ def suppression_report(
         return 20.0 * math.log10(a / b)
 
     return change(desired_bin), change(interferer_bin)
-
-
-def spectrum_to_csv(result: SpectrumResult, out: IO[str]) -> None:
-    """Write a spectrum as CSV: normalized_freq,magnitude,magnitude_db."""
-    writer = csv.writer(out)
-    writer.writerow(["normalized_freq", "magnitude", "magnitude_db"])
-    for f, m in zip(result.freqs, result.magnitudes):
-        writer.writerow([f, m, 20.0 * math.log10(max(m, _MAG_FLOOR))])

@@ -21,7 +21,7 @@ import csv
 import math
 import re
 from itertools import chain
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from .channels import CHANNEL_IDS, channel_by_id, overlap_fraction
 from .propagation import EARTH_RADIUS_M, GeoPoint, haversine_distance
@@ -359,33 +359,3 @@ def interference_report(
         for i, a in enumerate(bssids)
         for b in bssids[i + 1 :]
     ]
-
-
-def summaries_to_csv(summaries: Iterable[ApSummary], out: IO[str]) -> None:
-    """Write summaries as CSV, one row per (AP, location cell)."""
-    writer = csv.writer(out)
-    writer.writerow(
-        [
-            "bssid", "ssid", "channel", "cell_x", "cell_y", "lat", "lon",
-            "mean_rssi_dbm", "stddev_rssi_dbm", "count", "low_confidence",
-            "distance_m",
-        ]
-    )
-    for s in summaries:
-        writer.writerow(
-            [
-                s.bssid, s.ssid, s.channel_id, s.cell[0], s.cell[1],
-                s.latitude, s.longitude, s.mean_rssi_dbm, s.stddev_rssi_dbm,
-                s.count, int(s.low_confidence),
-                "" if s.distance_m is None else s.distance_m,
-            ]
-        )
-
-
-def interference_to_csv(pairs: Iterable[InterferencePair], out: IO[str]) -> None:
-    """Write the pairwise interference report as CSV."""
-    writer = csv.writer(out)
-    writer.writerow(["bssid_a", "bssid_b", "overlap", "co_located", "interferes"])
-    writer.writerows(
-        (p.bssid_a, p.bssid_b, p.overlap, int(p.co_located), int(p.interferes)) for p in pairs
-    )

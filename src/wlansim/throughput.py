@@ -7,14 +7,13 @@ the curve uses :func:`default_snr_staircase`, 8 even rungs up to the cap.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import IO
+from typing import NamedTuple
 
 from .propagation import PathLossModel, received_power
 
@@ -124,31 +123,13 @@ def link_snr(
     return rx_dbm - noise_floor_dbm(channel_width_mhz)
 
 
-class RateCurve(Sequence):
-    """A throughput curve: a read-only sequence of ``(distance_m, rate_mbps)``
-    points, with the link SNR in dB of each point in ``snr_db``.  Each
-    column is an array of doubles, 8 bytes a point."""
+class RateCurve(NamedTuple):
+    """A throughput curve as three columns: each point's distance, rate and
+    link SNR in dB.  Each column is an ``array('d')``, 8 bytes a point."""
 
-    def __init__(self, distances: Sequence[float]) -> None:
-        # Imported here, not at module level: loading the extension module
-        # adds ~0.05 MB to the peak RSS of every command, not only throughput.
-        from array import array
-
-        # Sized once, filled by index: no reallocation while the curve grows.
-        self.distance_m = array("d", distances)
-        self.rate_mbps = array("d", bytes(8 * len(distances)))
-        self.snr_db = array("d", bytes(8 * len(distances)))
-
-    def __len__(self) -> int:
-        return len(self.distance_m)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self.distance_m[i], self.rate_mbps[i]))
-        return self.distance_m[i], self.rate_mbps[i]
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(self.distance_m, self.rate_mbps)
+    distance_m: Sequence[float]
+    rate_mbps: Sequence[float]
+    snr_db: Sequence[float]
 
 
 def throughput_vs_distance(
@@ -184,7 +165,13 @@ def throughput_vs_distance(
     # out at every point.
     thresholds = [threshold for threshold, _ in staircase]
     rates = [0.0] + [rate for _, rate in staircase]
-    curve = RateCurve(distances)
+    # Imported here, not at module level: loading the extension module
+    # adds ~0.05 MB to the peak RSS of every command, not only throughput.
+    from array import array
+
+    # Sized once, filled by index: no reallocation while the curve grows.
+    n = len(distances)
+    curve = RateCurve(array("d", distances), array("d", bytes(8 * n)), array("d", bytes(8 * n)))
     for i, d in enumerate(distances):
         snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz)
         curve.rate_mbps[i] = rates[bisect_right(thresholds, snr)]
@@ -196,10 +183,3 @@ def throughput_vs_distance(
             f"over {distances[0]}..{distances[-1]} m"
         )
     return curve
-
-
-def curve_to_csv(curve: RateCurve, out: IO[str]) -> None:
-    """Write a rate curve as CSV: distance_m,rate_mbps,snr_db."""
-    writer = csv.writer(out)
-    writer.writerow(["distance_m", "rate_mbps", "snr_db"])
-    writer.writerows(zip(curve.distance_m, curve.rate_mbps, curve.snr_db))

@@ -129,7 +129,6 @@ def nlms_fold(scenario, stride) -> dict:
         "error_power": np.array(err),
         "outputs": np.array(out, dtype=complex),
         "first_element_input": np.array(x0, dtype=complex),
-        "final_weights": w,
         "converged_weights": w_sum / (n_iter - tail_start),
         "weight_snapshots": snapshots,
         "skipped": skipped,

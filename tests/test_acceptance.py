@@ -178,10 +178,10 @@ def test_criterion_7_spectrum_correctness():
     worst_parseval = 0.0
     for size in (16, 64, 256, 1024):
         signal = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        result = dft_magnitude(signal, size)
-        worst_mag = max(worst_mag, float(np.max(np.abs(result.magnitudes - dft_oracle(signal, size)))))
+        mags = dft_magnitude(signal, size)
+        worst_mag = max(worst_mag, float(np.max(np.abs(mags - dft_oracle(signal, size)))))
         time_energy = float(np.sum(np.abs(signal) ** 2))
-        freq_energy = float(np.sum(result.magnitudes**2)) / size
+        freq_energy = float(np.sum(mags**2)) / size
         worst_parseval = max(worst_parseval, abs(freq_energy - time_energy) / time_energy)
     ok = worst_mag < 1e-9 and worst_parseval < 1e-9
     report(7, "spectrum correctness", ok, f"oracle dev {worst_mag:.1e}, parseval {worst_parseval:.1e}")
@@ -201,9 +201,9 @@ def test_criterion_9_throughput_curves():
     distances = [float(d) for d in range(1, 31)]
     ac = throughput_vs_distance(PhyConfig(Standard.AC80211, spatial_streams=3), model, 10.0, distances)
     n = throughput_vs_distance(PhyConfig(Standard.N80211, spatial_streams=3), model, 10.0, distances)
-    ordered = all(ra >= rn for (_, ra), (_, rn) in zip(ac, n))
+    ordered = all(ra >= rn for ra, rn in zip(ac.rate_mbps, n.rate_mbps))
     monotone = all(
-        all(b <= a for (_, a), (_, b) in zip(curve, curve[1:])) for curve in (ac, n)
+        all(b <= a for a, b in zip(rates, rates[1:])) for rates in (ac.rate_mbps, n.rate_mbps)
     )
     report(9, "throughput curve ordering", ordered and monotone)
 

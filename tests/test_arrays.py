@@ -246,10 +246,6 @@ class TestSynthesize:
         words = [_stream_words(7, stream, 0, 64) for stream in (0, 1, 2)]
         assert not np.any(words[0] == words[1]) and not np.any(words[1] == words[2])
 
-    def test_missing_desired_source_rejected(self):
-        with pytest.raises(ValueError, match="desired"):
-            snapshot(scenario_with(sources=(Source("interferer", 0.1),)), 0)
-
 
 class TestScenarioIO:
     def test_json_roundtrip(self, tmp_path):

@@ -1,6 +1,5 @@
 """Tests for the static channel plans and spectral overlap."""
 
-import io
 import itertools
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from wlansim.channels import (
     Band,
     Plan,
     channel_by_id,
-    channels_to_csv,
     list_channels,
     overlap_fraction,
     plan_channels,
@@ -132,11 +130,3 @@ class TestOverlap:
         with pytest.raises(ValueError, match="plan"):
             overlap_fraction(ch1, ch36)
 
-
-def test_csv_export_schema():
-    out = io.StringIO()
-    channels_to_csv(plan_channels(Plan.UNII), out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "id,center_hz,bandwidth_hz,band,eirp_mw"
-    assert len(lines) == 24
-    assert lines[1].startswith("36,5180000000.0,20000000.0,unii_a,200.0")

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -16,6 +18,8 @@ from wlansim.arrays import default_scenario
 from wlansim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from wlansim.propagation import EARTH_RADIUS_M
 from wlansim.spectrum import dft_magnitude
+
+DATA = Path(__file__).parent / "data"
 
 BEAMFORM_OUTPUTS = [
     "trace.csv",
@@ -190,16 +194,23 @@ class TestBeamformCommand:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
     def test_failed_write_leaves_no_partial_set(self, tmp_path, capsys, monkeypatch):
-        def failing(result, out):
-            out.write("frequency_bin,")
+        write_table = wlansim.cli._write_table
+        written = []
+
+        def failing(out, table):
+            written.append(table)
+            if len(written) < 4:
+                return write_table(out, table)
+            out.write("normalized_freq,")
             raise OSError("disk full")
 
         earlier, fresh = tmp_path / "earlier", tmp_path / "fresh"
         assert run_cli(["beamform", "--iterations", "300", "--seed", "1", "--out", str(earlier)], capsys)[0] == EXIT_OK
         complete_set = {p.name: p.read_bytes() for p in earlier.iterdir()}
-        # The spectra are written after trace, weights and pattern: a failure mid-set.
-        monkeypatch.setattr(wlansim.spectrum, "spectrum_to_csv", failing)  # cmd_beamform imports it per call
+        # The fourth table, spectrum_before.csv, follows trace, weights and pattern: a failure mid-set.
+        monkeypatch.setattr(wlansim.cli, "_write_table", failing)
         for out_dir in (earlier, fresh):
+            written.clear()
             code, out, err = run_cli(["beamform", "--iterations", "300", "--seed", "2", "--out", str(out_dir)], capsys)
             assert code == EXIT_IO
             assert "disk full" in err and out == ""
@@ -348,9 +359,10 @@ class TestCoverageCommand:
         [
             (["--fit", "--tx-eirp", "nan"], "tx_eirp_dbm"),
             (["--fit", "--tx-eirp", "inf"], "tx_eirp_dbm"),
+            (["--tx-eirp", "nan"], "tx_eirp_dbm"),
             (["--coverage-threshold", "nan"], "coverage_threshold_dbm"),
         ],
-        ids=["fit-tx-eirp-nan", "fit-tx-eirp-inf", "coverage-threshold-nan"],
+        ids=["fit-tx-eirp-nan", "fit-tx-eirp-inf", "tx-eirp-nan", "coverage-threshold-nan"],
     )
     def test_non_finite_option_exits_1_naming_it(self, tmp_path, capsys, flags, named):
         log = tmp_path / "survey.csv"
@@ -463,6 +475,53 @@ class TestThroughputCommand:
         assert len(rows) == 30
         rates = [float(r.split(",")[1]) for r in rows]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+
+# Columns that hold text; every other column of every output is a number.
+TEXT_COLUMNS = {"band", "bssid", "ssid", "bssid_a", "bssid_b"}
+
+
+@pytest.mark.parametrize(
+    "argv,headers",
+    [
+        pytest.param(["channels"], {"stdout": "id,center_hz,bandwidth_hz,band,eirp_mw"}, id="channels"),
+        pytest.param(
+            ["beamform", "--iterations", "300"],
+            {
+                "trace.csv": "n,error_power,output_re,output_im",
+                "weights.csv": "n,element,re,im",
+                "pattern.csv": "angle_rad,gain_db",
+                "spectrum_before.csv": "normalized_freq,magnitude,magnitude_db",
+                "spectrum_after.csv": "normalized_freq,magnitude,magnitude_db",
+            },
+            id="beamform",
+        ),
+        pytest.param(
+            # With an AP position, every distance is known.
+            ["coverage", str(DATA / "survey_mixed.csv"), "--ap-lat", "51.8776", "--ap-lon", "0.9426"],
+            {
+                "summaries.csv": "bssid,ssid,channel,cell_x,cell_y,lat,lon,mean_rssi_dbm,stddev_rssi_dbm,"
+                "count,low_confidence,distance_m",
+                "interference.csv": "bssid_a,bssid_b,overlap,co_located,interferes",
+            },
+            id="coverage",
+        ),
+        pytest.param(["throughput"], {"throughput.csv": "distance_m,rate_mbps,snr_db"}, id="throughput"),
+    ],
+)
+def test_output_headers_and_finite_fields(tmp_path, capsys, argv, headers):
+    out_args = [] if argv[0] == "channels" else ["--out", str(tmp_path)]
+    assert main([*argv, *out_args]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    for name, header in headers.items():
+        text = stdout if name == "stdout" else (tmp_path / name).read_text(encoding="utf-8")
+        assert text.splitlines()[0] == header, name
+        columns, *rows = csv.reader(io.StringIO(text))
+        assert rows, name
+        numeric = [i for i, column in enumerate(columns) if column not in TEXT_COLUMNS]
+        for row in rows:
+            assert len(row) == len(columns), (name, row)
+            assert all(math.isfinite(float(row[i])) for i in numeric), (name, row)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -1,59 +1,58 @@
 """Tests for DFT magnitude spectra and the suppression report."""
 
-import io
-
 import numpy as np
 import pytest
 from oracles import dft_oracle
 
-from wlansim.spectrum import dft_magnitude, spectrum_to_csv, suppression_report
+from wlansim.cli import EXIT_OK, main
+from wlansim.spectrum import dft_magnitude, suppression_report
 
 
 class TestDftMagnitude:
     def test_constant_signal_is_pure_dc(self):
         c = 0.7 - 0.2j
         size = 64
-        result = dft_magnitude([c] * size, size)
-        assert result.magnitudes[0] == pytest.approx(size * abs(c), rel=1e-12)
-        assert np.max(result.magnitudes[1:]) < 1e-9
+        mags = dft_magnitude([c] * size, size)
+        assert mags[0] == pytest.approx(size * abs(c), rel=1e-12)
+        assert np.max(mags[1:]) < 1e-9
 
     def test_unit_exponential_hits_single_bin(self):
         size = 128
         k = 37
         n = np.arange(size)
         signal = np.exp(2j * np.pi * k * n / size)
-        result = dft_magnitude(signal, size)
-        assert result.magnitudes[k] == pytest.approx(size, rel=1e-12)
-        others = np.delete(result.magnitudes, k)
+        mags = dft_magnitude(signal, size)
+        assert mags[k] == pytest.approx(size, rel=1e-12)
+        others = np.delete(mags, k)
         assert np.max(others) <= 1e-9
 
     def test_two_tone_matches_direct_oracle(self):
         size = 64
         n = np.arange(size)
         signal = 1.5 * np.exp(2j * np.pi * 5 * n / size) + 0.5 * np.exp(2j * np.pi * 20 * n / size)
-        result = dft_magnitude(signal, size)
-        assert np.max(np.abs(result.magnitudes - dft_oracle(signal, size))) < 1e-9
+        mags = dft_magnitude(signal, size)
+        assert np.max(np.abs(mags - dft_oracle(signal, size))) < 1e-9
 
     @pytest.mark.parametrize("size", [8, 64, 256, 1024])
     def test_random_signals_match_oracle(self, size):
         rng = np.random.default_rng(size)
         signal = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        result = dft_magnitude(signal, size)
-        assert np.max(np.abs(result.magnitudes - dft_oracle(signal, size))) < 1e-9
+        mags = dft_magnitude(signal, size)
+        assert np.max(np.abs(mags - dft_oracle(signal, size))) < 1e-9
 
     def test_zero_padding(self):
         signal = [1.0, 2.0, 3.0]
-        result = dft_magnitude(signal, 16)
-        assert result.size == 16
-        assert np.max(np.abs(result.magnitudes - dft_oracle(signal, 16))) < 1e-9
+        mags = dft_magnitude(signal, 16)
+        assert len(mags) == 16
+        assert np.max(np.abs(mags - dft_oracle(signal, 16))) < 1e-9
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(9)
         for size in (16, 128, 1024):
             signal = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            result = dft_magnitude(signal, size)
+            mags = dft_magnitude(signal, size)
             time_energy = float(np.sum(np.abs(signal) ** 2))
-            freq_energy = float(np.sum(result.magnitudes**2)) / size
+            freq_energy = float(np.sum(mags**2)) / size
             assert freq_energy == pytest.approx(time_energy, rel=1e-9)
 
     def test_linearity_via_complex_transform_oracle(self):
@@ -64,12 +63,14 @@ class TestDftMagnitude:
         # Full complex-transform oracle: X(a+b) = X(a) + X(b) bin by bin.
         xa = np.fft.fft(a)
         xb = np.fft.fft(b)
-        result = dft_magnitude(a + b, size)
-        assert np.max(np.abs(result.magnitudes - np.abs(xa + xb))) < 1e-9
+        mags = dft_magnitude(a + b, size)
+        assert np.max(np.abs(mags - np.abs(xa + xb))) < 1e-9
 
-    def test_frequencies_are_normalized(self):
-        result = dft_magnitude([1.0, 0.0], 4)
-        assert list(result.freqs) == [0.0, 0.25, 0.5, 0.75]
+    def test_frequencies_are_normalized(self, tmp_path):
+        """The spectrum outputs label bin k with frequency k / size."""
+        assert main(["beamform", "--iterations", "4", "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "spectrum_before.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.25, 0.5, 0.75]
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -115,11 +116,3 @@ class TestSuppressionReport:
     def test_spectrum_sizes_must_match(self):
         with pytest.raises(ValueError, match="sizes differ"):
             suppression_report(dft_magnitude([1.0], 8), dft_magnitude([1.0], 16), 3, 5)
-
-
-def test_csv_export_schema():
-    out = io.StringIO()
-    spectrum_to_csv(dft_magnitude([1.0, 1.0], 4), out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "normalized_freq,magnitude,magnitude_db"
-    assert len(lines) == 5

@@ -1,5 +1,6 @@
 """Every public function and class in ``src/wlansim`` is used by other
-package code, so nothing in the package lives only for its tests."""
+package code, so nothing in the package lives only for its tests; and
+the CSV output format is decided in one place."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,28 @@ def test_every_public_definition_is_used_by_the_package():
     unused = unreferenced_public_names(SRC)
     assert set(unused) >= ALLOWED, "an allow-listed name is now used or gone; drop it from ALLOWED"
     assert [f"{module}.{name}" for module, name in unused if (module, name) not in ALLOWED] == []
+
+
+def csv_writer_sites(src: Path) -> list[tuple[str, str]]:
+    """``(module, top-level name)`` of each definition in ``src`` that
+    refers to ``csv.writer`` or imports ``writer`` from ``csv``."""
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "writer"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "csv"
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "csv"
+                    and any(alias.name == "writer" for alias in node.names)
+                ):
+                    sites.append((path.stem, getattr(top, "name", "<module>")))
+    return sites
+
+
+def test_csv_writer_is_built_only_in_write_table():
+    assert csv_writer_sites(SRC) == [("cli", "_write_table")]

@@ -1,17 +1,16 @@
 """Tests for rate lookups, modulation accounting and distance curves."""
 
-import io
 from fractions import Fraction
 
 import pytest
 
+from wlansim.cli import EXIT_OK, main
 from wlansim.propagation import PathLossModel
 from wlansim.throughput import (
     Modulation,
     PhyConfig,
     Standard,
     bits_per_symbol,
-    curve_to_csv,
     default_snr_staircase,
     link_snr,
     max_client_rate,
@@ -88,17 +87,17 @@ class TestDistanceCurves:
     def test_cap_at_short_distance(self):
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         curve = throughput_vs_distance(cfg, self.model, 30.0, [0.1, 0.2])
-        assert all(rate == 1300.0 for _, rate in curve)
+        assert all(rate == 1300.0 for rate in curve.rate_mbps)
 
     def test_outage_below_lowest_threshold(self):
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         curve = throughput_vs_distance(cfg, self.model, -60.0, [1000.0])
-        assert curve[0][1] == 0.0
+        assert curve.rate_mbps[0] == 0.0
 
     def test_monotone_non_increasing(self):
         cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         curve = throughput_vs_distance(cfg, self.model, 10.0, self.distances)
-        rates = [rate for _, rate in curve]
+        rates = curve.rate_mbps
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_ac_dominates_n_pointwise(self):
@@ -108,8 +107,8 @@ class TestDistanceCurves:
         n = throughput_vs_distance(
             PhyConfig(Standard.N80211, spatial_streams=3), self.model, 10.0, self.distances
         )
-        for (d1, rate_ac), (d2, rate_n) in zip(ac, n):
-            assert d1 == d2
+        assert ac.distance_m == n.distance_m
+        for rate_ac, rate_n in zip(ac.rate_mbps, n.rate_mbps):
             assert rate_ac >= rate_n
 
     def test_empty_distances_rejected(self):
@@ -157,19 +156,9 @@ class TestDistanceCurves:
                 assert point.snr_db[0] == snr
                 assert point.rate_mbps[0] == staircase_rate(snr, stairs)
 
-    def test_csv_export_schema(self):
-        cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
-        curve = throughput_vs_distance(cfg, self.model, 10.0, [1.0, 2.0])
-        out = io.StringIO()
-        curve_to_csv(curve, out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "distance_m,rate_mbps,snr_db"
-        assert len(lines) == 3
-
-    def test_csv_computes_each_link_snr_once(self, monkeypatch):
+    def test_csv_computes_each_link_snr_once(self, tmp_path, monkeypatch):
         import wlansim.throughput as throughput
 
-        cfg = PhyConfig(Standard.AC80211, spatial_streams=3)
         calls = []
 
         def counted(*args):
@@ -177,11 +166,9 @@ class TestDistanceCurves:
             return link_snr(*args)
 
         monkeypatch.setattr(throughput, "link_snr", counted)
-        curve = throughput_vs_distance(cfg, self.model, 10.0, self.distances)
-        out = io.StringIO()
-        curve_to_csv(curve, out)
+        # The defaults: 30 points from 1 m in 1 m steps, free space at 5 GHz,
+        # 20 dBm EIRP over 20 MHz.
+        assert main(["throughput", "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == len(self.distances)
-        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-        assert [float(snr) for _, _, snr in rows] == [
-            link_snr(self.model, 10.0, d, cfg.channel_width_mhz) for d in self.distances
-        ]
+        rows = [line.split(",") for line in (tmp_path / "throughput.csv").read_text().splitlines()[1:]]
+        assert [float(snr) for _, _, snr in rows] == [link_snr(self.model, 20.0, d, 20) for d in self.distances]
