@@ -153,7 +153,7 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     before = dft_magnitude(trace.first_element_input[-size:], size)
     after = dft_magnitude(trace.outputs[-size:], size)
 
-    final_err = float(trace.error_power[-max(1, scenario.iterations // 10):].mean())
+    final_err = float(trace.error_power[-nlms.final_tenth(scenario.iterations):].mean())
     fields = [("final_error_power", final_err, ".6e")]
 
     desired = scenario.desired_source()
@@ -223,7 +223,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     if not math.isfinite(args.tx_eirp):
         raise ValueError(f"tx_eirp_dbm must be finite, got {args.tx_eirp}")
     log_path = Path(args.log)
-    with open(log_path, "r", encoding="utf-8") as f:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # spoil a CSV header's first name.
+    with open(log_path, "r", encoding="utf-8-sig") as f:
         records, errors = parse_log(f, args.format)
     print(f"parsed {len(records)} records, {len(errors)} malformed lines")
     for lineno, message in errors:

@@ -29,6 +29,15 @@ PLATEAU_WINDOW = 100
 PLATEAU_REL_CHANGE = 1e-3
 
 
+def final_tenth(iterations: int) -> int:
+    """Length of a run's final span: its last tenth, at least one iteration.
+
+    The weight-snapshot stride, the window ``converged_weights`` averages
+    and the window of the reported final error power.
+    """
+    return max(1, iterations // 10)
+
+
 def update(
     w: np.ndarray, x: np.ndarray, d: complex, mu: float, eps: float
 ) -> tuple[complex, complex, np.ndarray]:
@@ -52,7 +61,7 @@ class ConvergenceTrace:
 
     ``first_element_input`` is the raw element-0 observation, kept so
     before/after-adaptation spectra can be compared.  ``converged_weights``
-    is the mean weight vector over the final 10% of iterations, a
+    is the mean weight vector over the last ``final_tenth`` iterations, a
     lower-variance estimate of the settled solution than the single final
     vector, which is the last of ``weight_snapshots``.
     """
@@ -87,7 +96,7 @@ class ConvergenceTrace:
 def run(scenario: Scenario) -> ConvergenceTrace:
     """Synthesize and adapt for the scenario's configured iteration count.
 
-    Weight snapshots are recorded every ``max(1, iterations // 10)``
+    Weight snapshots are recorded every ``final_tenth(iterations)``
     iterations (the final weights are always recorded).  Deterministic for
     a fixed scenario; bit-identical to the fold in ``tests/oracles.py``.
 
@@ -96,7 +105,7 @@ def run(scenario: Scenario) -> ConvergenceTrace:
             stop being finite), naming the iteration.
     """
     n_iter = scenario.iterations
-    snapshot_stride = max(1, n_iter // 10)
+    tail = final_tenth(n_iter)
     # Expected per-snapshot energy sets the regularization scale.
     expected_energy = scenario.num_elements * (
         sum(s.amplitude**2 for s in scenario.sources) + scenario.noise_power
@@ -109,7 +118,7 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     out = np.empty(n_iter, dtype=complex)
     x0 = np.empty(n_iter, dtype=complex)
     snapshots: list[tuple[int, np.ndarray]] = []
-    tail_start = max(0, n_iter - max(1, n_iter // 10))
+    tail_start = max(0, n_iter - tail)
     w_sum = np.zeros(scenario.num_elements, dtype=complex)
 
     # Divergence is detected and reported per chunk below; numpy's
@@ -124,7 +133,7 @@ def run(scenario: Scenario) -> ConvergenceTrace:
                     y, e, w = update(w, x, dn, mu, eps)
                     errs.append(abs(e) ** 2)
                     ys.append(y)
-                    if (n + 1) % snapshot_stride == 0:
+                    if (n + 1) % tail == 0:
                         snapshots.append((n, w.copy()))
                     if n >= tail_start:
                         w_sum += w

@@ -7,23 +7,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A WGS-84-style latitude/longitude pair in decimal degrees."""
+def check_position(latitude: float, longitude: float) -> None:
+    """Raise ValueError unless latitude is in [-90, 90] and longitude in
+    [-180, 180] decimal degrees (NaN is in neither)."""
+    if not -90.0 <= latitude <= 90.0:
+        raise ValueError(f"latitude {latitude} outside [-90, 90]")
+    if not -180.0 <= longitude <= 180.0:
+        raise ValueError(f"longitude {longitude} outside [-180, 180]")
 
+
+# GeoPoint's fields; a NamedTuple body may not define __new__, a subclass may.
+class _LatLon(NamedTuple):
     latitude: float
     longitude: float
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
+
+class GeoPoint(_LatLon):
+    """A WGS-84-style latitude/longitude pair in decimal degrees."""
+
+    __slots__ = ()
+
+    def __new__(cls, latitude: float, longitude: float) -> "GeoPoint":
+        check_position(latitude, longitude)
+        return super().__new__(cls, latitude, longitude)
+
+    @classmethod
+    def _make(cls, iterable) -> "GeoPoint":
+        # The base's _make, which _replace calls, would build without __new__.
+        return cls(*iterable)
 
 
 def haversine_distance(p: GeoPoint, q: GeoPoint) -> float:

@@ -10,9 +10,12 @@ channel, signal strength and GPS position.  Two formats are accepted:
   ExtendedData entries (``bssid``, ``ssid``, ``channel``, ``rssi_dbm``),
   with the timestamp in the Placemark's TimeStamp/when element.
 
-Parsing is best effort: a malformed sample is reported with the physical
-line its CSV record starts on, or its KML placemark's start tag closes on,
-and never aborts the run.
+A record is one checked sample as a plain tuple in ``CSV_COLUMNS`` order,
+``(t, bssid, ssid, channel_id, rssi_dbm, lat, lon)``: text, text, text,
+int, float, float, float, with surrounding whitespace stripped from the
+texts.  Parsing is best effort: a malformed sample is reported with the
+physical line its CSV record starts on, or its KML placemark's start tag
+closes on, and never aborts the run.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import csv
 import math
 import re
 from itertools import chain
+from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .channels import CHANNEL_IDS, channel_by_id, overlap_fraction
-from .propagation import EARTH_RADIUS_M, GeoPoint, haversine_distance
+from .propagation import EARTH_RADIUS_M, GeoPoint, check_position, haversine_distance
 
 CSV_COLUMNS = ["t", "bssid", "ssid", "channel", "rssi_dbm", "lat", "lon"]
 
@@ -38,15 +42,11 @@ DEFAULT_COVERAGE_THRESHOLD_DBM = -80.0
 GRID_M = 1.0
 
 
-class MeasurementRecord(NamedTuple):
-    """One survey sample; ``_record_from_fields`` is where a sample is checked."""
+# (t, bssid, ssid, channel_id, rssi_dbm, lat, lon), as ``_record_from_fields`` builds it.
+Record = tuple[str, str, str, int, float, float, float]
 
-    t: str
-    bssid: str
-    ssid: str
-    channel_id: int
-    rssi_dbm: float
-    pos: GeoPoint
+# Canonical member order within a group: (t, rssi_dbm, lat, lon).
+_MEMBER_ORDER = itemgetter(0, 4, 5, 6)
 
 
 class ApSummary(NamedTuple):
@@ -88,31 +88,34 @@ class InterferencePair(NamedTuple):
 
 
 # A format yields (line, fields) per sample: the physical line where the
-# sample starts, and its field dict or, for a row that is bad at the
-# format level, the message to report.
-Rows = Iterator[tuple[int, dict[str, str] | str]]
+# sample starts, and its seven field texts in ``CSV_COLUMNS`` order or,
+# for a row that is bad at the format level, the message to report.
+Rows = Iterator[tuple[int, Sequence[str] | str]]
 
 
-def _record_from_fields(fields: dict[str, str]) -> MeasurementRecord:
-    """Check one sample and build its record.
+def _record_from_fields(fields: Sequence[str]) -> Record:
+    """Check one sample's seven field texts and build its record.
 
     The one place a sample is checked.  A sample with several faults is
     reported by the first check it fails, so the order below is output.
     """
-    rssi_text = fields["rssi_dbm"].strip()
+    t, bssid, ssid, channel, rssi_text, lat_text, lon_text = fields
+    rssi_text = rssi_text.strip()
     if rssi_text.startswith("+"):
         raise ValueError(f"rssi {rssi_text!r} violates the [-120, 0] dBm range")
-    bssid = fields["bssid"].strip()
-    channel_id = int(fields["channel"])
+    bssid = bssid.strip()
+    channel_id = int(channel)
     rssi_dbm = float(rssi_text)
-    pos = GeoPoint(float(fields["lat"]), float(fields["lon"]))
+    lat = float(lat_text)
+    lon = float(lon_text)
+    check_position(lat, lon)
     if not _MAC_RE.match(bssid):
         raise ValueError(f"invalid MAC address {bssid!r}")
     if not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
         raise ValueError(f"rssi {rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
     if channel_id not in CHANNEL_IDS:
         raise ValueError(f"channel {channel_id} not in any known plan")
-    return MeasurementRecord(fields["t"].strip(), bssid, fields["ssid"].strip(), channel_id, rssi_dbm, pos)
+    return (t.strip(), bssid, ssid.strip(), channel_id, rssi_dbm, lat, lon)
 
 
 def _csv_rows(stream: IO[str]) -> Rows:
@@ -134,7 +137,7 @@ def _csv_rows(stream: IO[str]) -> Rows:
         if len(row) != len(CSV_COLUMNS):
             yield lineno, f"expected {len(CSV_COLUMNS)} columns, got {len(row)}"
         else:
-            yield lineno, dict(zip(CSV_COLUMNS, row))
+            yield lineno, row
 
 
 def _local_tag(elem: "ET.Element") -> str:
@@ -181,10 +184,11 @@ def _kml_rows(stream: IO[str]) -> Rows:
                     starts.append(lineno)
                     continue
                 fields = _placemark_fields(elem)
-                missing = [k for k in ("bssid", "ssid", "channel", "rssi_dbm", "lat", "lon") if k not in fields]
+                missing = [k for k in CSV_COLUMNS if k not in fields]
                 if missing:
-                    fields = f"placemark missing fields: {', '.join(missing)}"
-                yield starts.pop(), fields
+                    yield starts.pop(), f"placemark missing fields: {', '.join(missing)}"
+                else:
+                    yield starts.pop(), [fields[k] for k in CSV_COLUMNS]
     except ET.ParseError as exc:
         raise ValueError(f"not a parseable KML document: {exc}") from exc
 
@@ -193,9 +197,7 @@ def _kml_rows(stream: IO[str]) -> Rows:
 LOG_FORMATS = {"csv": _csv_rows, "kml": _kml_rows}
 
 
-def parse_log(
-    stream: IO[str], fmt: str
-) -> tuple[list[MeasurementRecord], list[tuple[int, str]]]:
+def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, str]]]:
     """Parse a survey log in the given format (a key of ``LOG_FORMATS``)
     into records and the ``(line, message)`` of each skipped sample.
 
@@ -207,7 +209,7 @@ def parse_log(
     if fmt not in LOG_FORMATS:
         expected = " or ".join(map(repr, LOG_FORMATS))
         raise ValueError(f"unknown log format {fmt!r} (expected {expected})")
-    records: list[MeasurementRecord] = []
+    records: list[Record] = []
     errors: list[tuple[int, str]] = []
     for lineno, fields in LOG_FORMATS[fmt](stream):
         if isinstance(fields, str):
@@ -222,60 +224,69 @@ def parse_log(
     return records, errors
 
 
-def location_cell(pos: GeoPoint) -> tuple[int, int]:
-    """Quantize a position to a cell of the local ``GRID_M`` metric grid.
-
-    Equirectangular projection: adequate for survey-scale extents and
-    independent of input order.
-    """
-    y = EARTH_RADIUS_M * math.radians(pos.latitude)
-    x = EARTH_RADIUS_M * math.radians(pos.longitude) * math.cos(math.radians(pos.latitude))
-    return (math.floor(x / GRID_M), math.floor(y / GRID_M))
-
-
 def summarize(
-    records: Sequence[MeasurementRecord],
+    records: Sequence[Record],
     ap_position: GeoPoint | None = None,
 ) -> list[ApSummary]:
     """Aggregate records into per-(AP, location-cell) RSSI statistics.
 
-    Groups with fewer than 5 samples are flagged low-confidence.  When
+    A record's cell is its position quantized to the local ``GRID_M``
+    metric grid by an equirectangular projection: adequate for
+    survey-scale extents and independent of input order.  Groups with
+    fewer than 5 samples are flagged low-confidence.  When
     ``ap_position`` is given, each summary carries the great-circle
     distance from the AP to the group's mean position.
     """
     if not records:
         raise ValueError("no records to summarize")
-    groups: dict[tuple[str, tuple[int, int]], list[MeasurementRecord]] = {}
+    radians, cos, floor = math.radians, math.cos, math.floor
+    # AP -> cell -> members: the groups then sort by AP and cell apart,
+    # which is cheaper than sorting (AP, cell) keys.
+    groups: dict[str, dict[tuple[int, int], list[Record]]] = {}
     for rec in records:
-        groups.setdefault((rec.bssid, location_cell(rec.pos)), []).append(rec)
+        _, bssid, _, _, _, lat, lon = rec
+        y = EARTH_RADIUS_M * radians(lat)
+        x = EARTH_RADIUS_M * radians(lon) * cos(radians(lat))
+        cell = (floor(x / GRID_M), floor(y / GRID_M))
+        cells = groups.get(bssid)
+        if cells is None:
+            cells = groups[bssid] = {}
+        members = cells.get(cell)
+        if members is None:
+            cells[cell] = [rec]
+        else:
+            members.append(rec)
 
     summaries = []
-    for (bssid, cell), members in sorted(groups.items()):
-        # Canonical member order keeps float sums permutation-invariant.
-        members.sort(key=lambda m: (m.t, m.rssi_dbm, m.pos.latitude, m.pos.longitude))
-        n = len(members)
-        mean_rssi = sum(m.rssi_dbm for m in members) / n
-        var = sum((m.rssi_dbm - mean_rssi) ** 2 for m in members) / n
-        lat = sum(m.pos.latitude for m in members) / n
-        lon = sum(m.pos.longitude for m in members) / n
-        distance = None
-        if ap_position is not None:
-            distance = haversine_distance(ap_position, GeoPoint(lat, lon))
-        summaries.append(
-            ApSummary(
-                bssid=bssid,
-                ssid=members[0].ssid,
-                channel_id=members[0].channel_id,
-                cell=cell,
-                latitude=lat,
-                longitude=lon,
-                mean_rssi_dbm=mean_rssi,
-                stddev_rssi_dbm=math.sqrt(var),
-                count=n,
-                low_confidence=n < LOW_CONFIDENCE_COUNT,
-                distance_m=distance,
+    for bssid, cells in sorted(groups.items()):
+        for cell, members in sorted(cells.items()):
+            n = len(members)
+            if n > 1:
+                # Canonical member order keeps float sums permutation-invariant.
+                members.sort(key=_MEMBER_ORDER)
+            _, _, ssids, channel_ids, rssis, lats, lons = zip(*members)
+            mean_rssi = sum(rssis) / n
+            var = sum((r - mean_rssi) ** 2 for r in rssis) / n
+            lat = sum(lats) / n
+            lon = sum(lons) / n
+            distance = None
+            if ap_position is not None:
+                distance = haversine_distance(ap_position, GeoPoint(lat, lon))
+            summaries.append(
+                ApSummary(
+                    bssid=bssid,
+                    ssid=ssids[0],
+                    channel_id=channel_ids[0],
+                    cell=cell,
+                    latitude=lat,
+                    longitude=lon,
+                    mean_rssi_dbm=mean_rssi,
+                    stddev_rssi_dbm=math.sqrt(var),
+                    count=n,
+                    low_confidence=n < LOW_CONFIDENCE_COUNT,
+                    distance_m=distance,
+                )
             )
-        )
     return summaries
 
 

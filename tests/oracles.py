@@ -2,17 +2,19 @@
 
 These deliberately recompute results from first principles (breakpoint
 integration, direct transform summation, forward-model synthesis, the
-NLMS recursion one snapshot at a time, a linear staircase scan) so the
-code under test is checked against a second route, not against itself.
+NLMS recursion one snapshot at a time, a linear staircase scan, the
+survey sample check as a record object once made it) so the code under
+test is checked against a second route, not against itself.
 """
 
 import math
 import random
+import re
 
 import numpy as np
 
 from wlansim.arrays import synthesize_blocks
-from wlansim.channels import channel_by_id
+from wlansim.channels import CHANNEL_IDS, channel_by_id
 from wlansim.nlms import RELATIVE_EPS
 
 
@@ -133,6 +135,39 @@ def nlms_fold(scenario, stride) -> dict:
         "weight_snapshots": snapshots,
         "skipped": skipped,
     }
+
+
+def location_cell(latitude, longitude) -> tuple[int, int]:
+    """The 1 m cell of a position: x = R lon cos(lat) and y = R lat, in
+    radians on a sphere of radius R = 6371 km, floored to whole metres."""
+    y = 6_371_000.0 * math.radians(latitude)
+    x = 6_371_000.0 * math.radians(longitude) * math.cos(math.radians(latitude))
+    return (math.floor(x), math.floor(y))
+
+
+def survey_record_oracle(t, bssid, ssid, channel, rssi_dbm, lat, lon) -> tuple:
+    """One survey sample checked field by field, in the order and with the
+    messages of the check when a sample was a record object holding a
+    checked position: ``(t, bssid, ssid, channel_id, rssi_dbm, lat, lon)``,
+    or a ValueError naming the first fault."""
+    rssi_text = rssi_dbm.strip()
+    if rssi_text.startswith("+"):
+        raise ValueError(f"rssi {rssi_text!r} violates the [-120, 0] dBm range")
+    bssid = bssid.strip()
+    channel_id = int(channel)
+    rssi = float(rssi_text)
+    latitude, longitude = float(lat), float(lon)
+    if not -90.0 <= latitude <= 90.0:
+        raise ValueError(f"latitude {latitude} outside [-90, 90]")
+    if not -180.0 <= longitude <= 180.0:
+        raise ValueError(f"longitude {longitude} outside [-180, 180]")
+    if not re.match(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$", bssid):
+        raise ValueError(f"invalid MAC address {bssid!r}")
+    if not -120.0 <= rssi <= 0.0:
+        raise ValueError(f"rssi {rssi} dBm outside [-120.0, 0.0]")
+    if channel_id not in CHANNEL_IDS:
+        raise ValueError(f"channel {channel_id} not in any known plan")
+    return (t.strip(), bssid, ssid.strip(), channel_id, rssi, latitude, longitude)
 
 
 def staircase_rate(snr_db, staircase) -> float:

@@ -397,6 +397,28 @@ class TestCoverageCommand:
         assert "parsed 2 records, 1 malformed lines" in out
         assert err == "  line 27: placemark missing fields: rssi_dbm\n"
 
+    @pytest.mark.parametrize(
+        "text,fmt,out_text",
+        [
+            pytest.param(
+                "t,bssid,ssid,channel,rssi_dbm,lat,lon\n"
+                "2013-05-14T09:00:00Z,00:11:22:33:44:55,eduroam,1,-60.0,51.8776,0.9426\n",
+                "csv", "parsed 1 records, 0 malformed lines", id="csv-header",
+            ),
+            pytest.param(
+                (DATA / "survey.kml").read_text(encoding="utf-8"), "kml", "parsed 2 records, 1 malformed lines",
+                id="kml",
+            ),
+        ],
+    )
+    def test_byte_order_mark_is_not_part_of_the_log(self, tmp_path, capsys, text, fmt, out_text):
+        log = tmp_path / f"survey.{fmt}"
+        log.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        code, out, err = run_cli(["coverage", str(log), "--format", fmt, "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_OK
+        assert out_text in out
+        assert "line 1:" not in err
+
     def test_malformed_line_count_reported(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
         write_survey_csv(log)

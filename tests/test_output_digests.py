@@ -46,6 +46,11 @@ def test_channel_plan_stdout(capsys, plan, pin):
             id="coverage-mixed",
         ),
         pytest.param(
+            ["coverage", str(DATA / "survey_mixed.csv"), "--ap-lat", "51.8776", "--ap-lon", "0.9426", "--fit"],
+            {"summaries.csv": "2da89f6715b1", "interference.csv": "bd93178648b0", "stdout": "5dfe0a65b61d"},
+            id="coverage-fit",
+        ),
+        pytest.param(
             ["beamform"],
             {
                 "trace.csv": "91264a0b92fd",

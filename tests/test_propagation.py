@@ -59,6 +59,8 @@ class TestHaversine:
             GeoPoint(91.0, 0.0)
         with pytest.raises(ValueError):
             GeoPoint(0.0, 181.0)
+        with pytest.raises(ValueError):
+            LONDON._replace(latitude=91.0)
 
 
 class TestFriis:

@@ -1,26 +1,26 @@
 """Tests for survey-log parsing, aggregation and path-loss fitting."""
 
+import csv
 import io
 import random
 import statistics
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import interference_oracle, synth_fit_points
+from oracles import interference_oracle, location_cell, survey_record_oracle, synth_fit_points
 
 import wlansim.survey
 from wlansim.cli import build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.propagation import GeoPoint
 from wlansim.survey import (
+    CSV_COLUMNS,
     LOG_FORMATS,
     ApSummary,
-    MeasurementRecord,
     fit_path_loss,
     interference_report,
-    location_cell,
     parse_log,
     summarize,
 )
@@ -37,23 +37,17 @@ def csv_line(t="2013-05-14T09:00:00Z", bssid=AP_A, ssid="eduroam", channel=1,
 
 
 def make_record(bssid=AP_A, ssid="eduroam", channel=1, rssi=-60.0, lat=51.8776, lon=0.9426):
-    return MeasurementRecord(
-        t="2013-05-14T09:00:00Z",
-        bssid=bssid,
-        ssid=ssid,
-        channel_id=channel,
-        rssi_dbm=rssi,
-        pos=GeoPoint(lat, lon),
-    )
+    """A record as parse_log builds it: (t, bssid, ssid, channel_id, rssi_dbm, lat, lon)."""
+    return ("2013-05-14T09:00:00Z", bssid, ssid, channel, rssi, lat, lon)
 
 
 class TestCsvParsing:
     def test_well_formed_lines_roundtrip(self):
         text = "\n".join([csv_line(rssi=-60), csv_line(rssi=-61), csv_line(rssi=-62)])
         records, errors = parse_log(io.StringIO(text), "csv")
-        assert len(records) == 3
         assert errors == []
-        assert [r.rssi_dbm for r in records] == [-60.0, -61.0, -62.0]  # order preserved
+        # Order preserved; lat and lon are the record's last two fields.
+        assert records == [make_record(rssi=rssi) for rssi in (-60.0, -61.0, -62.0)]
 
     def test_header_row_skipped(self):
         text = "t,bssid,ssid,channel,rssi_dbm,lat,lon\n" + csv_line()
@@ -125,20 +119,72 @@ class TestCsvParsing:
         assert all(repr(name) in str(exc.value) for name in LOG_FORMATS)
 
 
+def near_misses(*texts):
+    """Any of the given texts, or short free text with no line break."""
+    free = st.text(st.characters(blacklist_characters="\r\n\x00", blacklist_categories=("Cs",)), max_size=6)
+    return st.one_of(st.sampled_from(texts), free)
+
+
+# Two good samples, one with padded fields, and near misses for each field.
+GOOD_ROWS = [
+    ("2013-05-14T09:00:00Z", AP_A, "eduroam", "1", "-60", "51.8776", "0.9426"),
+    (" 09:00 ", f" {AP_B} ", " essex ", " 36 ", " -61.5 ", "-90", "180"),
+]
+FIELD_TEXTS = [
+    near_misses("", "t,with,commas"),
+    near_misses("not-a-mac", "00:11:22:33:44", "00:11:22:33:44:GG", "00-11-22-33-44-55", "00:11:22:33:44:55:66"),
+    near_misses("", "a,b", 'say "hi"'),
+    near_misses("6", "14", "0", "15", "x", "6.0", "", " 11 "),
+    near_misses("+10", "+ -3", "nan", "-inf", "-120", "-120.5", "0", "-0", "0.5", "x", ""),
+    near_misses("90", "90.0001", "-91", "nan", "inf", "1e3", "x"),
+    near_misses("-180", "180.5", "-181", "nan", "-inf", "x"),
+]
+
+
+@st.composite
+def sample_rows(draw):
+    """A good row with up to three of its fields replaced by near misses."""
+    row = list(draw(st.sampled_from(GOOD_ROWS)))
+    for i in sorted(draw(st.sets(st.integers(0, 6), max_size=3))):
+        row[i] = draw(FIELD_TEXTS[i])
+    return tuple(row)
+
+
+@settings(max_examples=40)
+@given(rows=st.lists(sample_rows(), min_size=1, max_size=8))
+@example(rows=[(" t ", "00:11:22:33:44:gg", "s", "15", "+5", "91", "nan")])
+@example(rows=[("t", AP_A, "s", "x", "nan", "91", "181"), ("t", "bad", "s", "0", "-200", "91", "0")])
+def test_checks_match_the_record_object_oracle(rows):
+    """Any seven-field rows: the same records, and the same (line, message)
+    for each rejected row, as the check of record objects gave."""
+    rows = [*rows, ("t", AP_A, "s", "1", "-60", "0", "0")]  # one good row, so the log parses
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    expected_records, expected_errors = [], []
+    for lineno, row in enumerate(rows, start=2):  # the header is line 1
+        try:
+            expected_records.append(survey_record_oracle(*row))
+        except ValueError as exc:
+            expected_errors.append((lineno, str(exc)))
+    assert parse_log(io.StringIO(out.getvalue()), "csv") == (expected_records, expected_errors)
+
+
 class TestKmlParsing:
     def test_fixture_matches_hand_parsed_oracle(self):
         with open(KML_FIXTURE, "r", encoding="utf-8") as f:
             records, errors = parse_log(f, "kml")
         assert len(records) == 2
-        first = records[0]
+        t, bssid, ssid, channel_id, rssi_dbm, lat, lon = records[0]
         # Hand-extracted from tests/data/survey.kml.
-        assert first.t == "2013-05-14T09:00:00Z"
-        assert first.bssid == "00:1A:2B:3C:4D:5E"
-        assert first.ssid == "eduroam"
-        assert first.channel_id == 36
-        assert first.rssi_dbm == -61.5
-        assert first.pos.latitude == 51.8776
-        assert first.pos.longitude == 0.9426
+        assert t == "2013-05-14T09:00:00Z"
+        assert bssid == "00:1A:2B:3C:4D:5E"
+        assert ssid == "eduroam"
+        assert channel_id == 36
+        assert rssi_dbm == -61.5
+        assert lat == 51.8776
+        assert lon == 0.9426
 
     def test_broken_placemark_reported(self):
         with open(KML_FIXTURE, "r", encoding="utf-8") as f:
@@ -219,6 +265,7 @@ class TestSummarize:
         assert len(summaries) == 12
         for s in summaries:
             key = min(oracle, key=lambda k: abs(k - s.latitude))
+            assert s.cell == location_cell(key, 0.9426)
             assert s.count == 25
             assert s.mean_rssi_dbm == pytest.approx(statistics.mean(oracle[key]), abs=1e-9)
             assert s.stddev_rssi_dbm == pytest.approx(statistics.pstdev(oracle[key]), abs=1e-9)
@@ -282,7 +329,7 @@ def summary_at(bssid, channel, lat, lon, rssi=-60.0, ssid="net"):
         bssid=bssid,
         ssid=ssid,
         channel_id=channel,
-        cell=location_cell(GeoPoint(lat, lon)),
+        cell=location_cell(lat, lon),
         latitude=lat,
         longitude=lon,
         mean_rssi_dbm=rssi,
