@@ -38,20 +38,6 @@ _NOISE_STREAM = 0  # stream ids: 0 = noise, 1 + source index = that source
 
 
 @dataclass(frozen=True)
-class ArrayConfig:
-    """Uniform linear array: element count and spacing in wavelengths."""
-
-    num_elements: int
-    spacing_wavelengths: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.num_elements < 1:
-            raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
-        if self.spacing_wavelengths <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing_wavelengths}")
-
-
-@dataclass(frozen=True)
 class Source:
     """One angular source: role, direction, waveform and amplitude.
 
@@ -147,10 +133,6 @@ class Scenario:
     sources: tuple[Source, ...]
     sampling_hz: float | None = None
 
-    @property
-    def array(self) -> ArrayConfig:
-        return ArrayConfig(self.num_elements, self.spacing_wavelengths)
-
     def __post_init__(self) -> None:
         """Raise ValueError with a field-level message on the first problem."""
         for name in ("carrier_hz", "spacing_wavelengths", "step_size", "noise_power", "sampling_hz"):
@@ -221,14 +203,15 @@ def default_scenario() -> Scenario:
     return Scenario.from_dict(json.loads(text))
 
 
-def steering_vector(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
-    """Phase signature of a plane wave from ``theta_rad`` across the array.
+def steering_vector(theta_rad: float, num_elements: int, spacing_wavelengths: float) -> np.ndarray:
+    """Phase signature of a plane wave from ``theta_rad`` across a uniform
+    linear array of ``num_elements`` elements ``spacing_wavelengths`` apart.
 
     Element ``k`` is ``exp(-j*2*pi*k*spacing*sin(theta))``; every entry
     has unit magnitude.
     """
-    k = np.arange(cfg.num_elements)
-    return np.exp(-2j * np.pi * k * cfg.spacing_wavelengths * math.sin(theta_rad))
+    k = np.arange(num_elements)
+    return np.exp(-2j * np.pi * k * spacing_wavelengths * math.sin(theta_rad))
 
 
 def _stream_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -277,45 +260,38 @@ def synthesize_blocks(
     so it does not depend on the block it was generated in.  Each steering
     vector is computed once per call.
     """
-    cfg = scenario.array
-    steering = [steering_vector(src.angle_rad, cfg) for src in scenario.sources]
+    m = scenario.num_elements
+    steering = [steering_vector(src.angle_rad, m, scenario.spacing_wavelengths) for src in scenario.sources]
     for first in range(start, stop, rows):
         block = range(first, min(first + rows, stop))
-        X = np.zeros((len(block), cfg.num_elements), dtype=complex)
+        X = np.zeros((len(block), m), dtype=complex)
         d = np.zeros(len(block), dtype=complex)
         for i, (src, a) in enumerate(zip(scenario.sources, steering)):
             s = _source_samples(src, scenario.seed, 1 + i, block)
             X += s[:, None] * a
             if src.role == ROLE_DESIRED:
                 d += s
-        X += _noise_block(cfg.num_elements, scenario.noise_power, scenario.seed, block)
+        X += _noise_block(m, scenario.noise_power, scenario.seed, block)
         yield X, d
 
 
-def gain_db(w: np.ndarray, cfg: ArrayConfig, angles: Sequence[float]) -> list[float]:
+def gain_db(w: np.ndarray, spacing_wavelengths: float, angles: Sequence[float]) -> list[float]:
     """Gain ``20*log10(|w^H a(theta)|)`` of weight vector ``w`` toward
-    each angle, in dB; ``-inf`` toward an exact null.
-
-    Raises:
-        ValueError: if the weight vector length does not match the array.
+    each angle, in dB; ``-inf`` toward an exact null.  The array has one
+    element per weight, ``spacing_wavelengths`` apart.
     """
-    w = np.asarray(w)
-    if w.shape != (cfg.num_elements,):
-        raise ValueError(
-            f"weight vector length {w.shape} does not match {cfg.num_elements} elements"
-        )
     gains = []
     for theta in angles:
-        mag = abs(np.vdot(w, steering_vector(theta, cfg)))
+        mag = abs(np.vdot(w, steering_vector(theta, len(w), spacing_wavelengths)))
         gains.append(20.0 * math.log10(mag) if mag > 0 else -math.inf)
     return gains
 
 
 def array_pattern(
-    w: np.ndarray, cfg: ArrayConfig, grid: Sequence[float]
+    w: np.ndarray, spacing_wavelengths: float, grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Gain of weight vector ``w`` over a grid of angles, in dB, clamped
     at ``GAIN_FLOOR_DB`` (see ``gain_db``).
     """
-    gains = gain_db(w, cfg, grid)
+    gains = gain_db(w, spacing_wavelengths, grid)
     return [(float(theta), max(gain, GAIN_FLOOR_DB)) for theta, gain in zip(grid, gains)]

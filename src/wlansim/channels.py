@@ -7,8 +7,8 @@ idealized rectangular masks of the nominal bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Band(Enum):
@@ -41,8 +41,7 @@ _BAND_EIRP_MW = {Band.UNII_A: 200.0, Band.UNII_B: 1000.0, Band.UNII_C: 4000.0}
 _ISM24_EIRP_MW = 100.0
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     """One Wi-Fi channel with its static plan attributes."""
 
     id: int
@@ -50,12 +49,6 @@ class Channel:
     bandwidth_hz: float
     band: Band
     eirp_mw: float
-
-    def __post_init__(self) -> None:
-        if self.eirp_mw <= 0:
-            raise ValueError(f"channel {self.id}: EIRP limit must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"channel {self.id}: bandwidth must be positive")
 
     @property
     def plan(self) -> Plan:

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from pathlib import Path
@@ -30,7 +29,7 @@ from typing import IO, Iterable, Sequence
 
 from . import __version__
 from .channels import Band, Plan, channel_by_id, list_channels, overlap_fraction, plan_channels
-from .propagation import GeoPoint, PathLossModel
+from .propagation import check_position, friis_path_loss
 from .survey import (
     DEFAULT_COVERAGE_THRESHOLD_DBM,
     LOG_FORMATS,
@@ -39,7 +38,7 @@ from .survey import (
     parse_log,
     summarize,
 )
-from .throughput import PhyConfig, Standard, throughput_vs_distance
+from .throughput import Standard, throughput_vs_distance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -124,7 +123,10 @@ def cmd_channels(args: argparse.Namespace) -> int:
 
 
 def cmd_beamform(args: argparse.Namespace) -> int:
-    # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
+    # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB,
+    # and dataclasses ~0.01 s.
+    from dataclasses import replace
+
     from . import nlms
     from .arrays import (
         ROLE_DESIRED,
@@ -144,9 +146,9 @@ def cmd_beamform(args: argparse.Namespace) -> int:
 
     trace = nlms.run(scenario)
 
-    cfg = scenario.array
+    spacing = scenario.spacing_wavelengths
     grid = [(-math.pi / 2) + k * math.pi / (PATTERN_GRID_POINTS - 1) for k in range(PATTERN_GRID_POINTS)]
-    pattern = array_pattern(trace.converged_weights, cfg, grid)
+    pattern = array_pattern(trace.converged_weights, spacing, grid)
 
     size = min(SPECTRUM_SIZE, scenario.iterations)
     # "Before" is the raw element-0 input; "after" the adapted array output.
@@ -160,7 +162,7 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     interferers = [s for s in scenario.sources if s.role != ROLE_DESIRED]
     if interferers:
         angles = [desired.angle_rad] + [s.angle_rad for s in interferers]
-        gains = gain_db(trace.converged_weights, cfg, angles)
+        gains = gain_db(trace.converged_weights, spacing, angles)
         fields.append(("null_depth_db", gains[0] - max(gains[1:]), ".2f"))
         first = interferers[0]
         if desired.waveform == WAVEFORM_SINUSOID and first.waveform == WAVEFORM_SINUSOID:
@@ -216,7 +218,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         given, missing = ("--ap-lat", "--ap-lon") if args.ap_lon is None else ("--ap-lon", "--ap-lat")
         raise ValueError(f"{given} requires {missing}")
     if args.ap_lat is not None:
-        ap_position = GeoPoint(args.ap_lat, args.ap_lon)
+        check_position(args.ap_lat, args.ap_lon)
+        ap_position = (args.ap_lat, args.ap_lon)
     if args.fit and ap_position is None:
         raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
     # fit_path_loss checks it too, but only --fit calls that.
@@ -272,16 +275,13 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def cmd_throughput(args: argparse.Namespace) -> int:
-    cfg = PhyConfig(
-        standard=Standard(args.standard),
-        channel_width_mhz=args.width,
-        spatial_streams=args.streams,
-    )
-    model = PathLossModel.free_space(args.frequency)
-    if args.exponent is not None:
-        model = PathLossModel(model.reference_loss_db, args.exponent, args.frequency)
+    # Free space unless an exponent is given, over the Friis loss at 1 m either way.
+    reference_loss_db = friis_path_loss(1.0, args.frequency)
+    exponent = 2.0 if args.exponent is None else args.exponent
     distances = [args.min_distance + k * args.step for k in range(args.points)]
-    curve = throughput_vs_distance(cfg, model, args.tx_eirp, distances)
+    curve = throughput_vs_distance(
+        Standard(args.standard), args.streams, args.width, args.tx_eirp, reference_loss_db, exponent, distances
+    )
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     rows = zip(curve.distance_m, curve.rate_mbps, curve.snr_db)

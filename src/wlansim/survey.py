@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .channels import CHANNEL_IDS, channel_by_id, overlap_fraction
-from .propagation import EARTH_RADIUS_M, GeoPoint, check_position, haversine_distance
+from .propagation import EARTH_RADIUS_M, check_position, haversine_distance
 
 CSV_COLUMNS = ["t", "bssid", "ssid", "channel", "rssi_dbm", "lat", "lon"]
 
@@ -226,7 +226,7 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, 
 
 def summarize(
     records: Sequence[Record],
-    ap_position: GeoPoint | None = None,
+    ap_position: tuple[float, float] | None = None,
 ) -> list[ApSummary]:
     """Aggregate records into per-(AP, location-cell) RSSI statistics.
 
@@ -234,8 +234,9 @@ def summarize(
     metric grid by an equirectangular projection: adequate for
     survey-scale extents and independent of input order.  Groups with
     fewer than 5 samples are flagged low-confidence.  When
-    ``ap_position`` is given, each summary carries the great-circle
-    distance from the AP to the group's mean position.
+    ``ap_position``, a checked ``(lat, lon)``, is given, each summary
+    carries the great-circle distance from the AP to the group's mean
+    position, which is in range as its members' positions are.
     """
     if not records:
         raise ValueError("no records to summarize")
@@ -271,7 +272,7 @@ def summarize(
             lon = sum(lons) / n
             distance = None
             if ap_position is not None:
-                distance = haversine_distance(ap_position, GeoPoint(lat, lon))
+                distance = haversine_distance(*ap_position, lat, lon)
             summaries.append(
                 ApSummary(
                     bssid=bssid,

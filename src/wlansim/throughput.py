@@ -10,12 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
-
-from .propagation import PathLossModel, received_power
 
 
 class Standard(Enum):
@@ -36,9 +32,12 @@ MAX_CLIENT_RATE_MBPS: dict[tuple[Standard, int], float] = {
     (Standard.AC80211, 3): 1300.0,
 }
 
-_N_WIDTHS = (20, 40)
-# The published "106 MHz optional" entry is encoded as the 160 MHz option.
-_AC_WIDTHS = (20, 40, 80, 160)
+# Channel widths in MHz by standard.  The published "106 MHz optional"
+# entry is encoded as the 160 MHz option.
+WIDTHS_MHZ: dict[Standard, tuple[int, ...]] = {
+    Standard.N80211: (20, 40),
+    Standard.AC80211: (20, 40, 80, 160),
+}
 
 NOISE_FLOOR_20MHZ_DBM = -90.0
 
@@ -46,31 +45,6 @@ NOISE_FLOOR_20MHZ_DBM = -90.0
 DEFAULT_STAIRCASE_STEPS = 8
 DEFAULT_STAIRCASE_BASE_SNR_DB = 5.0
 DEFAULT_STAIRCASE_STEP_DB = 3.0
-
-
-@dataclass(frozen=True)
-class PhyConfig:
-    """A PHY operating point; construction enforces per-standard limits."""
-
-    standard: Standard
-    channel_width_mhz: int = 20
-    spatial_streams: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.spatial_streams <= 8:
-            raise ValueError(f"spatial_streams must be in 1..8, got {self.spatial_streams}")
-        if self.standard is Standard.N80211:
-            if self.channel_width_mhz not in _N_WIDTHS:
-                raise ValueError(
-                    f"802.11n supports 20/40 MHz widths, got {self.channel_width_mhz}"
-                )
-            if self.spatial_streams > 4:
-                raise ValueError("802.11n supports at most 4 spatial streams")
-        else:
-            if self.channel_width_mhz not in _AC_WIDTHS:
-                raise ValueError(
-                    f"802.11ac supports 20/40/80/160 MHz widths, got {self.channel_width_mhz}"
-                )
 
 
 def max_client_rate(standard: Standard, streams: int) -> float:
@@ -92,11 +66,8 @@ def bits_per_symbol(modulation: Modulation) -> int:
     return int(math.log2(modulation.value))
 
 
-@lru_cache(maxsize=8)  # link_snr asks once per curve point; PhyConfig allows four widths
 def noise_floor_dbm(channel_width_mhz: int) -> float:
     """Thermal floor: -90 dBm in 20 MHz, +3 dB per width doubling."""
-    if channel_width_mhz <= 0:
-        raise ValueError("channel width must be positive")
     return NOISE_FLOOR_20MHZ_DBM + 3.0 * math.log2(channel_width_mhz / 20.0)
 
 
@@ -112,17 +83,6 @@ def default_snr_staircase(cap_mbps: float) -> list[tuple[float, float]]:
     ]
 
 
-def link_snr(
-    model: PathLossModel,
-    tx_eirp_dbm: float,
-    distance_m: float,
-    channel_width_mhz: int,
-) -> float:
-    """SNR at the receiver for one link distance, in dB."""
-    rx_dbm = received_power(tx_eirp_dbm, model.path_loss(distance_m))
-    return rx_dbm - noise_floor_dbm(channel_width_mhz)
-
-
 class RateCurve(NamedTuple):
     """A throughput curve as three columns: each point's distance, rate and
     link SNR in dB.  Each column is an ``array('d')``, 8 bytes a point."""
@@ -133,23 +93,35 @@ class RateCurve(NamedTuple):
 
 
 def throughput_vs_distance(
-    cfg: PhyConfig,
-    model: PathLossModel,
+    standard: Standard,
+    streams: int,
+    width_mhz: int,
     tx_eirp_dbm: float,
+    reference_loss_db: float,
+    exponent: float,
     distances: Sequence[float],
 ) -> RateCurve:
     """Rate curve over distances, capped at the standard's peak client rate.
 
-    Distances must be positive, finite and sorted ascending.  Rates follow
-    :func:`default_snr_staircase` built on that cap, so the curve is
-    monotone non-increasing in distance.
+    Each point's link SNR is the EIRP minus the log-distance path loss
+    ``reference_loss_db + 10*exponent*log10(d)`` minus the noise floor of
+    the channel width, with 0 dBi receive gain; exponent 2 over the Friis
+    loss at 1 m is free space.  Distances must be positive, finite and
+    sorted ascending.  Rates follow :func:`default_snr_staircase` built on
+    the cap, so the curve is monotone non-increasing in distance.
 
     Raises:
-        ValueError: for a non-finite EIRP, an empty, unsorted,
-            non-positive or non-finite distance list, or a path-loss
-            exponent so large that the link SNR overflows.
-        KeyError: when the config has no tabulated peak rate.
+        ValueError: for a width the standard does not support, an exponent
+            below 1 or non-finite, a non-finite EIRP, an empty, unsorted,
+            non-positive or non-finite distance list, or an exponent so
+            large that the link SNR overflows.
+        KeyError: when the (standard, streams) cell has no tabulated peak rate.
     """
+    if width_mhz not in WIDTHS_MHZ[standard]:
+        widths = "/".join(map(str, WIDTHS_MHZ[standard]))
+        raise ValueError(f"802.11{standard.value} supports {widths} MHz widths, got {width_mhz}")
+    if not 1.0 <= exponent < math.inf:
+        raise ValueError(f"path-loss exponent must be finite and >= 1, got {exponent}")
     if not math.isfinite(tx_eirp_dbm):
         raise ValueError(f"tx_eirp_dbm must be finite, got {tx_eirp_dbm}")
     if len(distances) == 0:
@@ -158,13 +130,15 @@ def throughput_vs_distance(
         raise ValueError("distances must be positive and finite")
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be sorted ascending")
-    staircase = default_snr_staircase(max_client_rate(cfg.standard, cfg.spatial_streams))
+    staircase = default_snr_staircase(max_client_rate(standard, streams))
     # The highest rung whose threshold the SNR reaches, by bisection:
     # rates[k] is the rate once k thresholds are reached.  A NaN SNR would
     # land on the top rung, but finite end points (checked below) rule NaN
     # out at every point.
     thresholds = [threshold for threshold, _ in staircase]
     rates = [0.0] + [rate for _, rate in staircase]
+    floor_dbm = noise_floor_dbm(width_mhz)
+    log10 = math.log10
     # Imported here, not at module level: loading the extension module
     # adds ~0.05 MB to the peak RSS of every command, not only throughput.
     from array import array
@@ -173,13 +147,13 @@ def throughput_vs_distance(
     n = len(distances)
     curve = RateCurve(array("d", distances), array("d", bytes(8 * n)), array("d", bytes(8 * n)))
     for i, d in enumerate(distances):
-        snr = link_snr(model, tx_eirp_dbm, d, cfg.channel_width_mhz)
+        snr = tx_eirp_dbm - (reference_loss_db + 10.0 * exponent * log10(d)) - floor_dbm
         curve.rate_mbps[i] = rates[bisect_right(thresholds, snr)]
         curve.snr_db[i] = snr
     # Path loss is monotone in distance, so finite end points bound every point.
     if not (math.isfinite(curve.snr_db[0]) and math.isfinite(curve.snr_db[-1])):
         raise ValueError(
-            f"path-loss exponent {model.exponent} overflows the link budget "
+            f"path-loss exponent {exponent} overflows the link budget "
             f"over {distances[0]}..{distances[-1]} m"
         )
     return curve

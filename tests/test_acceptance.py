@@ -15,12 +15,11 @@ from wlansim.arrays import default_scenario, steering_vector
 from wlansim.channels import Plan, channel_by_id, overlap_fraction, plan_channels
 from wlansim.cli import main
 from wlansim.nlms import run, update
-from wlansim.propagation import PathLossModel, friis_path_loss
+from wlansim.propagation import friis_path_loss
 from wlansim.spectrum import dft_magnitude, suppression_report
 from wlansim.survey import fit_path_loss
 from wlansim.throughput import (
     Modulation,
-    PhyConfig,
     Standard,
     bits_per_symbol,
     max_client_rate,
@@ -145,12 +144,12 @@ def test_criterion_6_interference_suppression():
     trace = run(scenario)
     elapsed = time.perf_counter() - start
 
-    cfg = scenario.array
+    array = (scenario.num_elements, scenario.spacing_wavelengths)
     desired = scenario.desired_source()
     interferer = next(s for s in scenario.sources if s.role == "interferer")
 
     def gain(theta):
-        return 20 * math.log10(abs(np.vdot(trace.converged_weights, steering_vector(theta, cfg))))
+        return 20 * math.log10(abs(np.vdot(trace.converged_weights, steering_vector(theta, *array))))
 
     depth = gain(desired.angle_rad) - gain(interferer.angle_rad)
 
@@ -197,10 +196,10 @@ def test_criterion_8_fit_recovery():
 
 
 def test_criterion_9_throughput_curves():
-    model = PathLossModel.free_space(5e9)
+    free_space = dict(width_mhz=20, tx_eirp_dbm=10.0, reference_loss_db=friis_path_loss(1.0, 5e9), exponent=2.0)
     distances = [float(d) for d in range(1, 31)]
-    ac = throughput_vs_distance(PhyConfig(Standard.AC80211, spatial_streams=3), model, 10.0, distances)
-    n = throughput_vs_distance(PhyConfig(Standard.N80211, spatial_streams=3), model, 10.0, distances)
+    ac = throughput_vs_distance(Standard.AC80211, 3, distances=distances, **free_space)
+    n = throughput_vs_distance(Standard.N80211, 3, distances=distances, **free_space)
     ordered = all(ra >= rn for ra, rn in zip(ac.rate_mbps, n.rate_mbps))
     monotone = all(
         all(b <= a for a, b in zip(rates, rates[1:])) for rates in (ac.rate_mbps, n.rate_mbps)

@@ -12,7 +12,6 @@ import pytest
 
 from wlansim.arrays import (
     GAIN_FLOOR_DB,
-    ArrayConfig,
     Scenario,
     Source,
     array_pattern,
@@ -53,26 +52,24 @@ def block(sc: Scenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
 class TestSteeringVector:
     def test_broadside_is_all_ones(self):
         for n in (1, 2, 8, 16):
-            v = steering_vector(0.0, ArrayConfig(n))
+            v = steering_vector(0.0, n, 0.5)
             assert np.allclose(v, np.ones(n))
 
     def test_two_element_endfire(self):
-        v = steering_vector(math.pi / 2, ArrayConfig(2, 0.5))
+        v = steering_vector(math.pi / 2, 2, 0.5)
         assert v[0] == pytest.approx(1.0)
         assert v[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_eight_element_phase_progression(self):
-        cfg = ArrayConfig(8, 0.5)
-        v = steering_vector(math.pi / 4, cfg)
+        v = steering_vector(math.pi / 4, 8, 0.5)
         expected_step = -math.pi * math.sin(math.pi / 4)
         for k in range(8):
             # Per-element phase oracle: element k carries phase k*step.
             assert v[k] == pytest.approx(cmath.exp(1j * expected_step * k), abs=1e-12)
 
     def test_unit_magnitude_entries(self):
-        cfg = ArrayConfig(16, 0.37)
         for theta in np.linspace(-1.5, 1.5, 31):
-            assert np.max(np.abs(np.abs(steering_vector(theta, cfg)) - 1.0)) < 1e-12
+            assert np.max(np.abs(np.abs(steering_vector(theta, 16, 0.37)) - 1.0)) < 1e-12
 
 
 class TestSynthesize:
@@ -401,38 +398,30 @@ class TestScenarioIO:
 class TestArrayPattern:
     def test_uniform_weights_peak_at_broadside(self):
         n = 8
-        cfg = ArrayConfig(n)
-        pattern = array_pattern(np.ones(n) / n, cfg, [0.0])
+        pattern = array_pattern(np.ones(n) / n, 0.5, [0.0])
         assert pattern[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_weights_hit_gain_floor(self):
-        cfg = ArrayConfig(2, 0.5)
         # w orthogonal to a(0) = [1, 1].
         w = np.array([1.0, -1.0]) / 2
-        pattern = array_pattern(w, cfg, [0.0])
+        pattern = array_pattern(w, 0.5, [0.0])
         assert pattern[0][1] == GAIN_FLOOR_DB
 
     def test_two_element_first_null_by_scan_oracle(self):
-        cfg = ArrayConfig(2, 0.5)
         w = np.ones(2) / 2
         grid = np.linspace(0, math.pi / 2 - 1e-6, 20001)
-        gains = [g for _, g in array_pattern(w, cfg, grid)]
+        gains = [g for _, g in array_pattern(w, 0.5, grid)]
         null_theta = grid[int(np.argmin(gains))]
         # First null of a 2-element half-wave array: sin(theta) = 1/(2*spacing).
         assert math.sin(null_theta) == pytest.approx(1.0 / (2 * 0.5), abs=1e-3)
 
     def test_peak_at_steered_angle(self):
-        cfg = ArrayConfig(8, 0.5)
         theta0 = 0.6
-        w = steering_vector(theta0, cfg) / 8
+        w = steering_vector(theta0, 8, 0.5) / 8
         grid = np.linspace(-math.pi / 2, math.pi / 2, 2001)
-        pattern = array_pattern(w, cfg, grid)
+        pattern = array_pattern(w, 0.5, grid)
         angles = [a for a, _ in pattern]
         gains = [g for _, g in pattern]
         peak = angles[int(np.argmax(gains))]
         step = grid[1] - grid[0]
         assert abs(peak - theta0) <= step
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            array_pattern(np.ones(3), ArrayConfig(4), [0.0])

@@ -490,6 +490,23 @@ class TestThroughputCommand:
         assert named in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags,streams",
+        [
+            (["--streams", "0"], 0),
+            (["--streams", "2"], 2),
+            (["--streams", "9"], 9),
+            (["--standard", "n", "--streams", "4"], 4),
+        ],
+        ids=["ac-0", "ac-2", "ac-9", "n-4"],
+    )
+    def test_streams_outside_the_rate_table_exit_1(self, tmp_path, capsys, flags, streams):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["throughput", *flags, "--out", str(out_dir)], capsys)
+        assert code == EXIT_VALIDATION
+        assert f"with {streams} streams" in err
+        assert not out_dir.exists()
+
     def test_default_sweep_is_monotone(self, tmp_path, capsys):
         code, _, _ = run_cli(["throughput", "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
@@ -561,6 +578,35 @@ class TestImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # Only beamform needs dataclasses (and inspect, which it imports).
+        done = run_python(
+            "import sys, wlansim.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["channels"],
+            ["throughput", "--points", "5"],
+            ["coverage", str(DATA / "survey_mixed.csv")],
+        ],
+        ids=["channels", "throughput", "coverage"],
+    )
+    def test_non_beamform_run_loads_no_dataclasses(self, tmp_path, argv):
+        out_args = [] if argv[0] == "channels" else ["--out", str(tmp_path / "out")]
+        done = run_python(
+            "import sys\n"
+            "from wlansim.cli import main\n"
+            f"code = main({[*argv, *out_args]!r})\n"
+            "print(code, 'dataclasses' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_throughput_runs_without_numpy(self, tmp_path):
         out_dir = tmp_path / "out"

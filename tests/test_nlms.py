@@ -141,12 +141,12 @@ class TestRun:
     def test_default_scenario_nulls_the_interferer(self):
         scenario = default_scenario()
         trace = run(scenario)
-        cfg = scenario.array
+        spacing = scenario.spacing_wavelengths
         desired = scenario.desired_source()
         interferer = next(s for s in scenario.sources if s.role == "interferer")
 
         def gain_db(w, theta):
-            return 20 * math.log10(abs(np.vdot(w, steering_vector(theta, cfg))))
+            return 20 * math.log10(abs(np.vdot(w, steering_vector(theta, scenario.num_elements, spacing))))
 
         depth = gain_db(trace.converged_weights, desired.angle_rad) - gain_db(
             trace.converged_weights, interferer.angle_rad
@@ -156,7 +156,7 @@ class TestRun:
         grid = np.linspace(-math.pi / 2, math.pi / 2, 4001)
         from wlansim.arrays import array_pattern
 
-        pattern = dict(array_pattern(trace.converged_weights, cfg, grid))
+        pattern = dict(array_pattern(trace.converged_weights, spacing, grid))
         near_interferer = min(
             g for a, g in pattern.items() if abs(a - interferer.angle_rad) < 0.01
         )

@@ -1,4 +1,4 @@
-"""Tests for geographic distance, path loss and the link budget."""
+"""Tests for geographic distance, position checks, path loss and the link budget."""
 
 import math
 
@@ -7,21 +7,21 @@ import pytest
 from wlansim.propagation import (
     EARTH_RADIUS_M,
     SPEED_OF_LIGHT,
-    GeoPoint,
-    PathLossModel,
+    check_position,
     friis_path_loss,
     haversine_distance,
-    received_power,
 )
+from wlansim.throughput import Standard, noise_floor_dbm, throughput_vs_distance
 
-LONDON = GeoPoint(51.5074, -0.1278)
-PARIS = GeoPoint(48.8566, 2.3522)
+# (latitude, longitude) in decimal degrees.
+LONDON = (51.5074, -0.1278)
+PARIS = (48.8566, 2.3522)
 
 
-def great_circle_oracle(p: GeoPoint, q: GeoPoint) -> float:
+def great_circle_oracle(p: tuple[float, float], q: tuple[float, float]) -> float:
     """Spherical law of cosines; independent of the haversine identity."""
-    lat1, lat2 = math.radians(p.latitude), math.radians(q.latitude)
-    dlon = math.radians(q.longitude - p.longitude)
+    lat1, lat2 = math.radians(p[0]), math.radians(q[0])
+    dlon = math.radians(q[1] - p[1])
     cos_angle = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(dlon)
     return EARTH_RADIUS_M * math.acos(max(-1.0, min(1.0, cos_angle)))
 
@@ -31,36 +31,43 @@ def friis_oracle(d: float, f: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
 
 
+def log_distance_snr(reference_loss_db, exponent, distances, tx_eirp_dbm=20.0):
+    """Link SNR over the 20 MHz floor, from the one curve that computes the log-distance loss."""
+    return throughput_vs_distance(
+        Standard.AC80211, 3, 20, tx_eirp_dbm, reference_loss_db, exponent, distances
+    ).snr_db
+
+
 class TestHaversine:
     def test_identical_points_give_exact_zero(self):
-        assert haversine_distance(LONDON, LONDON) == 0.0
+        assert haversine_distance(*LONDON, *LONDON) == 0.0
 
     def test_antipodal_points(self):
-        north = GeoPoint(90.0, 0.0)
-        south = GeoPoint(-90.0, 0.0)
-        assert haversine_distance(north, south) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-12)
+        assert haversine_distance(90.0, 0.0, -90.0, 0.0) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-12)
 
     def test_london_paris_against_great_circle_oracle(self):
-        d = haversine_distance(LONDON, PARIS)
+        d = haversine_distance(*LONDON, *PARIS)
         assert d == pytest.approx(great_circle_oracle(LONDON, PARIS), rel=1e-3)
         assert d == pytest.approx(343.5e3, rel=1e-3)
 
     def test_symmetric(self):
-        pts = [LONDON, PARIS, GeoPoint(-33.87, 151.21), GeoPoint(0.0, 0.0), GeoPoint(51.88, 0.94)]
+        pts = [LONDON, PARIS, (-33.87, 151.21), (0.0, 0.0), (51.88, 0.94)]
         for p in pts:
             for q in pts:
-                assert haversine_distance(p, q) == pytest.approx(haversine_distance(q, p), abs=1e-9)
+                assert haversine_distance(*p, *q) == pytest.approx(haversine_distance(*q, *p), abs=1e-9)
 
     def test_zero_only_on_identical_points(self):
-        assert haversine_distance(LONDON, GeoPoint(51.5074, -0.1279)) > 0
+        assert haversine_distance(*LONDON, 51.5074, -0.1279) > 0
+
+    def test_geopoint_bounds_accepted(self):
+        for lat, lon in [(90.0, 180.0), (-90.0, -180.0), LONDON, (0.0, 0.0)]:
+            check_position(lat, lon)
 
     def test_geopoint_range_validation(self):
-        with pytest.raises(ValueError):
-            GeoPoint(91.0, 0.0)
-        with pytest.raises(ValueError):
-            GeoPoint(0.0, 181.0)
-        with pytest.raises(ValueError):
-            LONDON._replace(latitude=91.0)
+        cases = [(91.0, 0.0, "latitude"), (math.nan, 0.0, "latitude"), (0.0, 181.0, "longitude"), (0.0, math.nan, "longitude")]
+        for lat, lon, named in cases:
+            with pytest.raises(ValueError, match=named):
+                check_position(lat, lon)
 
 
 class TestFriis:
@@ -97,38 +104,43 @@ class TestFriis:
         ],
     )
     def test_domain_errors(self, d, f):
-        with pytest.raises(ValueError):
+        # Each case spoils one argument; 1.0 m is the sound distance.
+        with pytest.raises(ValueError, match="frequency" if d == 1.0 else "distance"):
             friis_path_loss(d, f)
 
 
 class TestPathLossModel:
     def test_exponent_two_reproduces_friis(self):
+        distances = [0.1, 0.5, 1.0, 3.0, 30.0, 1000.0]
         for f in (2.4e9, 5e9):
-            model = PathLossModel.free_space(f)
-            for d in [0.1, 0.5, 1.0, 3.0, 30.0, 1000.0]:
-                assert model.path_loss(d) == pytest.approx(friis_path_loss(d, f), abs=1e-9)
+            snrs = log_distance_snr(friis_path_loss(1.0, f), 2.0, distances)
+            for d, snr in zip(distances, snrs):
+                assert snr == pytest.approx(20.0 - friis_path_loss(d, f) + 90.0, abs=1e-9)
 
     def test_exponent_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            PathLossModel(40.0, 0.5, 2.4e9)
+        with pytest.raises(ValueError, match="exponent"):
+            log_distance_snr(40.0, 0.5, [1.0])
 
     @pytest.mark.parametrize(
         "fields,named",
         [
-            ((math.nan, 2.0, 2.4e9), "reference loss"),
-            ((40.0, math.nan, 2.4e9), "exponent"),
-            ((40.0, math.inf, 2.4e9), "exponent"),
-            ((40.0, 2.0, math.nan), "frequency"),
-            ((40.0, 2.0, math.inf), "frequency"),
+            ((-math.inf, 2.4e9), "exponent"),
+            ((math.nan, 2.4e9), "exponent"),
+            ((math.inf, 2.4e9), "exponent"),
+            ((2.0, math.nan), "frequency"),
+            ((2.0, math.inf), "frequency"),
         ],
     )
     def test_non_finite_field_rejected(self, fields, named):
+        # (exponent, frequency), the reference loss built as `throughput` builds it.
+        exponent, frequency_hz = fields
         with pytest.raises(ValueError, match=named):
-            PathLossModel(*fields)
+            log_distance_snr(friis_path_loss(1.0, frequency_hz), exponent, [1.0])
 
 
 class TestLinkBudget:
     def test_received_power_examples(self):
-        assert received_power(20.0, 40.0) == -20.0
-        assert received_power(23.0, 0.0) == 23.0
-        assert received_power(30.0, 46.42) == pytest.approx(-16.42, abs=1e-12)
+        # At 1 m the loss is the reference loss: received power is EIRP minus loss.
+        for eirp, loss, received in [(20.0, 40.0, -20.0), (23.0, 0.0, 23.0), (30.0, 46.42, -16.42)]:
+            snr = log_distance_snr(loss, 2.0, [1.0], tx_eirp_dbm=eirp)[0]
+            assert snr == pytest.approx(received - noise_floor_dbm(20), abs=1e-12)

@@ -14,7 +14,6 @@ from oracles import interference_oracle, location_cell, survey_record_oracle, sy
 import wlansim.survey
 from wlansim.cli import build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
-from wlansim.propagation import GeoPoint
 from wlansim.survey import (
     CSV_COLUMNS,
     LOG_FORMATS,
@@ -286,8 +285,7 @@ class TestSummarize:
 
     def test_distance_from_ap_position(self):
         records = [make_record() for _ in range(5)]
-        ap = GeoPoint(51.8776, 0.9426)
-        (summary,) = summarize(records, ap_position=ap)
+        (summary,) = summarize(records, ap_position=(51.8776, 0.9426))
         assert summary.distance_m == pytest.approx(0.0, abs=1e-6)
 
     def test_empty_records_rejected(self):
