@@ -89,30 +89,22 @@ _CHANNELS: dict[int, Channel] = {c.id: c for c in (*_ism24_channels(), *_unii_ch
 CHANNEL_IDS = _CHANNELS.keys()
 
 
-def list_channels(band: Band) -> list[Channel]:
-    """Return the full static plan for one band, sorted by channel id."""
-    if not isinstance(band, Band):
-        raise ValueError(f"unknown band: {band!r}")
-    return [c for c in _CHANNELS.values() if c.band is band]
-
-
-def plan_channels(plan: Plan) -> list[Channel]:
-    """Return every channel of a plan (14 for ISM24, 23 for UNII)."""
-    if not isinstance(plan, Plan):
-        raise ValueError(f"unknown plan: {plan!r}")
-    return [c for c in _CHANNELS.values() if c.plan is plan]
+def channels_in(name: str) -> list[Channel]:
+    """Every channel of the band or plan with value ``name``, by channel id
+    (``"ism24"`` names both a band and the plan that is only that band)."""
+    return [c for c in _CHANNELS.values() if name in (c.band.value, c.plan.value)]
 
 
 def channel_by_id(channel_id: int) -> Channel:
     """Look up one channel by id in either plan.
 
     Raises:
-        KeyError: if the id is in no known plan.
+        ValueError: if the id is in no known plan.
     """
-    try:
-        return _CHANNELS[channel_id]
-    except KeyError:
-        raise KeyError(f"channel {channel_id} not in any known plan") from None
+    channel = _CHANNELS.get(channel_id)
+    if channel is None:
+        raise ValueError(f"channel {channel_id} not in any known plan")
+    return channel
 
 
 def overlap_fraction(a: Channel, b: Channel) -> float:

@@ -10,7 +10,8 @@ it), a SHA-256 digest of the effective input configuration, the seed in
 effect, a timestamp, the output list and each output's SHA-256.  A failed
 run leaves no partial set.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
+Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error (a
+bug in wlansim).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from . import __version__
-from .channels import Band, Plan, channel_by_id, list_channels, overlap_fraction, plan_channels
+from .channels import Band, Plan, channel_by_id, channels_in, overlap_fraction
 from .propagation import check_position, friis_path_loss
 from .survey import (
     DEFAULT_COVERAGE_THRESHOLD_DBM,
@@ -113,11 +114,7 @@ def cmd_channels(args: argparse.Namespace) -> int:
         a, b = (channel_by_id(cid) for cid in args.overlap)
         print(overlap_fraction(a, b))
         return EXIT_OK
-    if args.plan in {p.value for p in Plan}:
-        chans = plan_channels(Plan(args.plan))
-    else:
-        chans = list_channels(Band(args.plan))
-    rows = ((c.id, c.center_hz, c.bandwidth_hz, c.band.value, c.eirp_mw) for c in chans)
+    rows = ((c.id, c.center_hz, c.bandwidth_hz, c.band.value, c.eirp_mw) for c in channels_in(args.plan))
     _write_table(sys.stdout, (["id", "center_hz", "bandwidth_hz", "band", "eirp_mw"], rows))
     return EXIT_OK
 
@@ -218,11 +215,11 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         given, missing = ("--ap-lat", "--ap-lon") if args.ap_lon is None else ("--ap-lon", "--ap-lat")
         raise ValueError(f"{given} requires {missing}")
     if args.ap_lat is not None:
-        check_position(args.ap_lat, args.ap_lon)
+        check_position(args.ap_lat, args.ap_lon, ("--ap-lat", "--ap-lon"))
         ap_position = (args.ap_lat, args.ap_lon)
     if args.fit and ap_position is None:
         raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
-    # fit_path_loss checks it too, but only --fit calls that.
+    # The one check of the EIRP: fit_path_loss takes it as finite.
     if not math.isfinite(args.tx_eirp):
         raise ValueError(f"tx_eirp_dbm must be finite, got {args.tx_eirp}")
     log_path = Path(args.log)
@@ -363,15 +360,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
-        # A KeyError's str() adds quotes; a UnicodeDecodeError's args[0] is only the codec.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

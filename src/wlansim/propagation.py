@@ -11,13 +11,16 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS_M = 6_371_000.0
 
 
-def check_position(latitude: float, longitude: float) -> None:
+def check_position(
+    latitude: float, longitude: float, names: tuple[str, str] = ("latitude", "longitude")
+) -> None:
     """Raise ValueError unless latitude is in [-90, 90] and longitude in
-    [-180, 180] decimal degrees (NaN is in neither)."""
+    [-180, 180] decimal degrees (NaN is in neither); the message calls the
+    two values by ``names``."""
     if not -90.0 <= latitude <= 90.0:
-        raise ValueError(f"latitude {latitude} outside [-90, 90]")
+        raise ValueError(f"{names[0]} {latitude} outside [-90, 90]")
     if not -180.0 <= longitude <= 180.0:
-        raise ValueError(f"longitude {longitude} outside [-180, 180]")
+        raise ValueError(f"{names[1]} {longitude} outside [-180, 180]")
 
 
 def haversine_distance(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
@@ -39,12 +42,11 @@ def friis_path_loss(distance_m: float, frequency_hz: float) -> float:
 
     ``20*log10(d) + 20*log10(f) + 20*log10(4*pi/c)`` with c the vacuum
     speed of light; exactly 20 dB per decade of distance or frequency.
+    ``distance_m`` is positive and finite.
 
     Raises:
-        ValueError: if distance or frequency is not positive and finite.
+        ValueError: if the frequency is not positive and finite.
     """
-    if not 0 < distance_m < math.inf:
-        raise ValueError(f"distance must be positive and finite, got {distance_m}")
     if not 0 < frequency_hz < math.inf:
         raise ValueError(f"frequency must be positive and finite, got {frequency_hz}")
     return (

@@ -3,25 +3,17 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 
-def dft_magnitude(signal: Sequence[complex], size: int) -> np.ndarray:
+def dft_magnitude(signal: np.ndarray, size: int) -> np.ndarray:
     """Magnitude of the ``size``-point DFT of ``signal``, zero-padded.
 
+    ``signal`` is a nonempty 1-D complex array no longer than ``size``.
     Bin ``k`` of the result is normalized frequency ``k / size``, in [0, 1).
-
-    Raises:
-        ValueError: for an empty signal or ``size`` below the signal length.
     """
-    x = np.asarray(signal, dtype=complex)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("signal must be a nonempty 1-D sequence")
-    if size < x.size:
-        raise ValueError(f"transform size {size} smaller than signal length {x.size}")
-    return np.abs(np.fft.fft(x, n=size))
+    return np.abs(np.fft.fft(signal, n=size))
 
 
 def suppression_report(
@@ -32,18 +24,13 @@ def suppression_report(
 ) -> tuple[float, float]:
     """Per-bin magnitude change of ``after`` relative to ``before``, in dB.
 
+    The spectra have one size and the two bins are distinct bins of it.
     Returns ``(desired_change_db, interferer_change_db)``.
 
     Raises:
-        ValueError: for spectra of different sizes, identical probe bins
-            or a zero before-magnitude at a probed bin (the ratio would be
-            undefined).
+        ValueError: for a zero before-magnitude at a probed bin (the ratio
+            would be undefined).
     """
-    if len(before) != len(after):
-        raise ValueError(f"spectrum sizes differ: {len(before)} vs {len(after)}")
-    if desired_bin == interferer_bin:
-        raise ValueError("desired and interferer bins must be distinct")
-
     def change(bin_idx: int) -> float:
         b = before[bin_idx]
         a = after[bin_idx]

@@ -198,17 +198,13 @@ LOG_FORMATS = {"csv": _csv_rows, "kml": _kml_rows}
 
 
 def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, str]]]:
-    """Parse a survey log in the given format (a key of ``LOG_FORMATS``)
+    """Parse a survey log in the given format, a key of ``LOG_FORMATS``,
     into records and the ``(line, message)`` of each skipped sample.
 
     Raises:
-        ValueError: for an unknown format, an unparseable KML document, or
-            when no sample parses at all.
+        ValueError: for an unparseable KML document, or when no sample
+            parses at all.
     """
-    fmt = fmt.lower()
-    if fmt not in LOG_FORMATS:
-        expected = " or ".join(map(repr, LOG_FORMATS))
-        raise ValueError(f"unknown log format {fmt!r} (expected {expected})")
     records: list[Record] = []
     errors: list[tuple[int, str]] = []
     for lineno, fields in LOG_FORMATS[fmt](stream):
@@ -237,9 +233,8 @@ def summarize(
     ``ap_position``, a checked ``(lat, lon)``, is given, each summary
     carries the great-circle distance from the AP to the group's mean
     position, which is in range as its members' positions are.
+    ``records`` is nonempty, as ``parse_log`` returns them.
     """
-    if not records:
-        raise ValueError("no records to summarize")
     radians, cos, floor = math.radians, math.cos, math.floor
     # AP -> cell -> members: the groups then sort by AP and cell apart,
     # which is cheaper than sorting (AP, cell) keys.
@@ -297,18 +292,15 @@ def fit_path_loss(
     """Fit a log-distance model to (distance_m, mean_rssi_dbm) points.
 
     Ordinary least squares of observed loss (EIRP minus RSSI) against
-    ``10*log10(distance)`` via the closed-form normal equations.
+    ``10*log10(distance)`` via the closed-form normal equations.  Every
+    distance is positive and ``tx_eirp_dbm`` is finite.
 
     Raises:
-        ValueError: with fewer than two distinct positive distances, or a
-            non-finite EIRP.
+        ValueError: with fewer than two points, or when every distance is
+            the same.
     """
-    if not math.isfinite(tx_eirp_dbm):
-        raise ValueError(f"tx_eirp_dbm must be finite, got {tx_eirp_dbm}")
     if len(points) < 2:
         raise ValueError("need at least two points to fit")
-    if any(d <= 0 for d, _ in points):
-        raise ValueError("distances must be positive")
     xs = [10.0 * math.log10(d) for d, _ in points]
     ys = [tx_eirp_dbm - rssi for _, rssi in points]
     n = len(points)

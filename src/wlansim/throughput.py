@@ -51,14 +51,12 @@ def max_client_rate(standard: Standard, streams: int) -> float:
     """Published peak client rate in Mbps.
 
     Raises:
-        KeyError: when the (standard, streams) cell is not tabulated.
+        ValueError: when the (standard, streams) cell is not tabulated.
     """
-    try:
-        return MAX_CLIENT_RATE_MBPS[(standard, streams)]
-    except KeyError:
-        raise KeyError(
-            f"no published rate for {standard.value} with {streams} streams"
-        ) from None
+    rate = MAX_CLIENT_RATE_MBPS.get((standard, streams))
+    if rate is None:
+        raise ValueError(f"no published rate for {standard.value} with {streams} streams")
+    return rate
 
 
 def bits_per_symbol(modulation: Modulation) -> int:
@@ -106,16 +104,18 @@ def throughput_vs_distance(
     Each point's link SNR is the EIRP minus the log-distance path loss
     ``reference_loss_db + 10*exponent*log10(d)`` minus the noise floor of
     the channel width, with 0 dBi receive gain; exponent 2 over the Friis
-    loss at 1 m is free space.  Distances must be positive, finite and
-    sorted ascending.  Rates follow :func:`default_snr_staircase` built on
-    the cap, so the curve is monotone non-increasing in distance.
+    loss at 1 m is free space.  ``reference_loss_db`` must be finite: the
+    overflow check below names the exponent for any non-finite SNR.
+    Distances must be positive, finite and sorted ascending.  Rates follow
+    :func:`default_snr_staircase` built on the cap, so the curve is
+    monotone non-increasing in distance.
 
     Raises:
         ValueError: for a width the standard does not support, an exponent
             below 1 or non-finite, a non-finite EIRP, an empty, unsorted,
-            non-positive or non-finite distance list, or an exponent so
-            large that the link SNR overflows.
-        KeyError: when the (standard, streams) cell has no tabulated peak rate.
+            non-positive or non-finite distance list, a (standard, streams)
+            cell with no tabulated peak rate, or an exponent so large that
+            the link SNR overflows.
     """
     if width_mhz not in WIDTHS_MHZ[standard]:
         widths = "/".join(map(str, WIDTHS_MHZ[standard]))

@@ -4,7 +4,9 @@ These deliberately recompute results from first principles (breakpoint
 integration, direct transform summation, forward-model synthesis, the
 NLMS recursion one snapshot at a time, a linear staircase scan, the
 survey sample check as a record object once made it) so the code under
-test is checked against a second route, not against itself.
+test is checked against a second route, not against itself.  The
+near-miss survey field texts that the survey property tests draw from
+are here too, so the parser and CLI properties probe the same inputs.
 """
 
 import math
@@ -12,6 +14,7 @@ import random
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from wlansim.arrays import synthesize_blocks
 from wlansim.channels import CHANNEL_IDS, channel_by_id
@@ -178,3 +181,25 @@ def staircase_rate(snr_db, staircase) -> float:
         if snr_db >= threshold:
             rate = step_rate
     return rate
+
+
+def near_misses(*texts):
+    """Any of the given texts, or short free text with no line break."""
+    free = st.text(st.characters(blacklist_characters="\r\n\x00", blacklist_categories=("Cs",)), max_size=6)
+    return st.one_of(st.sampled_from(texts), free)
+
+
+# Near misses for each survey field, in CSV column order; a few are valid
+# values, so that logs hold more than one AP, cell and distance.
+FIELD_NEAR_MISSES = [
+    near_misses("", "t,with,commas"),
+    near_misses(
+        "not-a-mac", "00:11:22:33:44", "00:11:22:33:44:GG", "00-11-22-33-44-55", "00:11:22:33:44:55:66",
+        "00:11:22:33:44:66",
+    ),
+    near_misses("", "a,b", 'say "hi"'),
+    near_misses("6", "14", "0", "15", "x", "6.0", "", " 11 ", "36", "165"),
+    near_misses("+10", "+ -3", "nan", "-inf", "-120", "-120.5", "0", "-0", "0.5", "x", "", "1e308", "-1e308"),
+    near_misses("90", "90.0001", "-91", "nan", "inf", "1e3", "x", "-90", "51.87761"),
+    near_misses("-180", "180.5", "-181", "nan", "-inf", "x", "180", "0.94261"),
+]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from wlansim.arrays import default_scenario, steering_vector
-from wlansim.channels import Plan, channel_by_id, overlap_fraction, plan_channels
+from wlansim.channels import Plan, channel_by_id, channels_in, overlap_fraction
 from wlansim.cli import main
 from wlansim.nlms import run, update
 from wlansim.propagation import friis_path_loss
@@ -62,11 +62,11 @@ def test_criterion_3_channel_geometry():
     trio_ok = all(overlap_fraction(a, b) == 0.0 for a, b in itertools.combinations(trio, 2))
     unii_ok = all(
         overlap_fraction(a, b) == 0.0
-        for a, b in itertools.combinations(plan_channels(Plan.UNII), 2)
+        for a, b in itertools.combinations(channels_in(Plan.UNII.value), 2)
     )
     worst = max(
         abs(overlap_fraction(a, b) - mask_overlap_oracle(a, b))
-        for a, b in itertools.product(plan_channels(Plan.ISM24), repeat=2)
+        for a, b in itertools.product(channels_in(Plan.ISM24.value), repeat=2)
     )
     elapsed = time.perf_counter() - start
     report(

@@ -6,66 +6,55 @@ from fractions import Fraction
 import pytest
 from oracles import mask_overlap_oracle
 
-from wlansim.channels import (
-    Band,
-    Plan,
-    channel_by_id,
-    list_channels,
-    overlap_fraction,
-    plan_channels,
-)
+from wlansim.channels import Band, Plan, channel_by_id, channels_in, overlap_fraction
 
 
 class TestPlanTables:
     def test_ism24_has_14_channels(self):
-        chans = list_channels(Band.ISM24)
+        chans = channels_in(Band.ISM24.value)
         assert [c.id for c in chans] == list(range(1, 15))
 
     def test_ism24_centers_follow_5mhz_raster(self):
-        chans = {c.id: c for c in list_channels(Band.ISM24)}
+        chans = {c.id: c for c in channels_in(Band.ISM24.value)}
         for cid in range(1, 14):
             assert chans[cid].center_hz == 2412e6 + (cid - 1) * 5e6
         assert chans[6].center_hz == 2437e6
 
     def test_channel_14_sits_12mhz_above_13(self):
-        chans = {c.id: c for c in list_channels(Band.ISM24)}
+        chans = {c.id: c for c in channels_in(Band.ISM24.value)}
         assert chans[14].center_hz - chans[13].center_hz == 12e6
         assert chans[14].center_hz == 2484e6
 
     def test_ism24_bandwidth_is_22mhz(self):
-        assert all(c.bandwidth_hz == 22e6 for c in list_channels(Band.ISM24))
+        assert all(c.bandwidth_hz == 22e6 for c in channels_in(Band.ISM24.value))
 
     def test_unii_a_first_is_36_at_5p18(self):
-        chans = list_channels(Band.UNII_A)
+        chans = channels_in(Band.UNII_A.value)
         assert len(chans) == 8
         assert chans[0].id == 36
         assert chans[0].center_hz == 5.18e9
         assert chans[0].eirp_mw == 200.0
 
     def test_unii_b_is_the_11_mid_channels(self):
-        chans = list_channels(Band.UNII_B)
+        chans = channels_in(Band.UNII_B.value)
         assert [c.id for c in chans] == [100, 104, 108, 112, 116, 120, 124, 128, 132, 136, 140]
         assert all(c.eirp_mw == 1000.0 for c in chans)
 
     def test_unii_c_ids_and_eirp(self):
-        chans = list_channels(Band.UNII_C)
+        chans = channels_in(Band.UNII_C.value)
         assert {c.id for c in chans} == {149, 153, 157, 161}
         assert all(c.eirp_mw == 4000.0 for c in chans)
 
     def test_unii_plan_has_23_rows(self):
-        assert len(plan_channels(Plan.UNII)) == 23
+        assert len(channels_in(Plan.UNII.value)) == 23
 
     def test_unii_bandwidth_is_20mhz(self):
-        assert all(c.bandwidth_hz == 20e6 for c in plan_channels(Plan.UNII))
+        assert all(c.bandwidth_hz == 20e6 for c in channels_in(Plan.UNII.value))
 
     def test_channels_sorted_by_id(self):
         for plan in Plan:
-            ids = [c.id for c in plan_channels(plan)]
+            ids = [c.id for c in channels_in(plan.value)]
             assert ids == sorted(ids)
-
-    def test_list_channels_rejects_non_band(self):
-        with pytest.raises(ValueError):
-            list_channels("ism24")
 
 
 class TestEirpLimits:
@@ -74,12 +63,12 @@ class TestEirpLimits:
         assert channel_by_id(cid).eirp_mw == mw
 
     def test_unknown_channel(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="channel 37 not in any known plan"):
             channel_by_id(37)
 
     def test_all_limits_positive(self):
         for plan in Plan:
-            assert all(c.eirp_mw > 0 for c in plan_channels(plan))
+            assert all(c.eirp_mw > 0 for c in channels_in(plan.value))
 
 
 class TestOverlap:
@@ -104,23 +93,23 @@ class TestOverlap:
             assert overlap_fraction(a, b) == 0.0
 
     def test_all_unii_pairwise_disjoint(self):
-        for a, b in itertools.combinations(plan_channels(Plan.UNII), 2):
+        for a, b in itertools.combinations(channels_in(Plan.UNII.value), 2):
             assert overlap_fraction(a, b) == 0.0
 
     def test_symmetric_over_all_ism_pairs(self):
-        chans = plan_channels(Plan.ISM24)
+        chans = channels_in(Plan.ISM24.value)
         for a, b in itertools.combinations(chans, 2):
             assert overlap_fraction(a, b) == overlap_fraction(b, a)
 
     def test_zero_iff_centers_separated_by_bandwidth(self):
-        chans = plan_channels(Plan.ISM24)
+        chans = channels_in(Plan.ISM24.value)
         for a, b in itertools.product(chans, repeat=2):
             separated = abs(a.center_hz - b.center_hz) >= a.bandwidth_hz
             assert (overlap_fraction(a, b) == 0.0) == separated
 
     def test_matches_mask_integration_oracle(self):
         for plan in Plan:
-            chans = plan_channels(plan)
+            chans = channels_in(plan.value)
             for a, b in itertools.product(chans, repeat=2):
                 assert overlap_fraction(a, b) == pytest.approx(mask_overlap_oracle(a, b), abs=1e-9)
 

@@ -8,16 +8,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import FIELD_NEAR_MISSES
 
 import wlansim
 from wlansim.arrays import default_scenario
-from wlansim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from wlansim.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from wlansim.propagation import EARTH_RADIUS_M
 from wlansim.spectrum import dft_magnitude
+from wlansim.survey import CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +63,19 @@ class TestChannelsCommand:
         code, _, err = run_cli(["channels", "--overlap", "1", "99"], capsys)
         assert code == EXIT_VALIDATION
         assert "error" in err
+
+    def test_overlap_across_plans_exits_1(self, capsys):
+        code, out, err = run_cli(["channels", "--overlap", "1", "36"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "different plans" in err
+
+    def test_sub_band_table_has_its_rows(self, capsys):
+        code, out, _ = run_cli(["channels", "--plan", "unii_a"], capsys)
+        assert code == EXIT_OK
+        _, *rows = csv.reader(io.StringIO(out))
+        assert [int(row[0]) for row in rows] == [36, 40, 44, 48, 52, 56, 60, 64]
+        assert {row[3] for row in rows} == {"unii_a"}
 
 
 class TestUsageErrors:
@@ -331,6 +350,24 @@ class TestCoverageCommand:
         assert "two points" in err
         assert not (tmp_path / "out").exists()
 
+    def test_fit_over_one_distance_is_degenerate(self, tmp_path, capsys):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+        header, *samples = log.read_text().splitlines()
+        # The 5 m samples again under a second AP: two points, one distance.
+        second = [line.replace("00:11:22:33:44:55", "00:11:22:33:44:66") for line in samples[:5]]
+        log.write_text("\n".join([header, *samples[:5], *second]) + "\n")
+        code, _, err = run_cli(
+            [
+                "coverage", str(log), "--out", str(tmp_path / "out"), "--fit",
+                "--ap-lat", "51.8776", "--ap-lon", "0.9426",
+            ],
+            capsys,
+        )
+        assert code == EXIT_VALIDATION
+        assert "degenerate" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "channel_a,channel_b,verdict",
         [
@@ -361,8 +398,13 @@ class TestCoverageCommand:
             (["--fit", "--tx-eirp", "inf"], "tx_eirp_dbm"),
             (["--tx-eirp", "nan"], "tx_eirp_dbm"),
             (["--coverage-threshold", "nan"], "coverage_threshold_dbm"),
+            (["--ap-lat", "91"], "--ap-lat"),
+            (["--ap-lon", "181"], "--ap-lon"),
         ],
-        ids=["fit-tx-eirp-nan", "fit-tx-eirp-inf", "tx-eirp-nan", "coverage-threshold-nan"],
+        ids=[
+            "fit-tx-eirp-nan", "fit-tx-eirp-inf", "tx-eirp-nan", "coverage-threshold-nan",
+            "ap-lat-91", "ap-lon-181",
+        ],
     )
     def test_non_finite_option_exits_1_naming_it(self, tmp_path, capsys, flags, named):
         log = tmp_path / "survey.csv"
@@ -389,6 +431,29 @@ class TestCoverageCommand:
         first = config_sha256("a", "-80")
         assert config_sha256("b", "-80") == first
         assert config_sha256("c", "-52") != first
+
+    def test_truncated_kml_exits_1_and_creates_no_outputs(self, tmp_path, capsys):
+        log = tmp_path / "survey.kml"
+        log.write_text((DATA / "survey.kml").read_text(encoding="utf-8")[:300], encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["coverage", str(log), "--format", "kml", "--out", str(out_dir)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "not a parseable KML document" in err
+        assert not out_dir.exists()
+
+    def test_stray_key_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Only ValueError means invalid input; any other exception is a bug.
+        def broken(*args, **kwargs):
+            raise KeyError("x")
+
+        monkeypatch.setattr("wlansim.cli.summarize", broken)
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["coverage", str(log), "--out", str(out_dir)], capsys)
+        assert code == EXIT_INTERNAL
+        assert err.startswith("internal error:")
+        assert not out_dir.exists()
 
     def test_kml_error_names_the_placemark_line(self, tmp_path, capsys):
         kml = Path(__file__).parent / "data" / "survey.kml"
@@ -439,6 +504,23 @@ class TestCoverageCommand:
                 id="over-long-field",
             ),
             pytest.param(b"caf\xe9\n", EXIT_VALIDATION, "", "can't decode byte 0xe9", id="not-utf-8"),
+            *(
+                pytest.param(
+                    f"2013-05-14T09:09:00Z,{row}\n".encode(), EXIT_OK, "parsed 30 records, 1 malformed lines",
+                    f"line 32: {message}", id=name,
+                )
+                for name, row, message in [
+                    ("bad-mac", "not-a-mac,eduroam,1,-60.0,51.8776,0.9426", "invalid MAC address 'not-a-mac'"),
+                    ("rssi-below-range", "00:11:22:33:44:55,eduroam,1,-200,51.8776,0.9426",
+                     "rssi -200.0 dBm outside [-120.0, 0.0]"),
+                    ("rssi-plus-sign", "00:11:22:33:44:55,eduroam,1,+5,51.8776,0.9426",
+                     "rssi '+5' violates the [-120, 0] dBm range"),
+                    ("unknown-channel", "00:11:22:33:44:55,eduroam,165,-60.0,51.8776,0.9426",
+                     "channel 165 not in any known plan"),
+                    ("latitude-91", "00:11:22:33:44:55,eduroam,1,-60.0,91,0.9426",
+                     "latitude 91.0 outside [-90, 90]"),
+                ]
+            ),
         ],
     )
     def test_malformed_input_keeps_the_exit_contract(self, tmp_path, capsys, extra, code, out_text, err_text):
@@ -481,11 +563,13 @@ class TestThroughputCommand:
             ("--min-distance", "inf", "distances"),
             ("--step", "nan", "distances"),
             ("--exponent", "1e308", "exponent"),
+            ("--points", "0", "nonempty"),
+            ("--step", "-0.25", "sorted"),
         ],
     )
     def test_non_finite_input_exits_1_and_creates_no_outputs(self, tmp_path, capsys, flag, value, named):
         out_dir = tmp_path / "out"
-        code, _, err = run_cli(["throughput", flag, value, "--points", "3", "--out", str(out_dir)], capsys)
+        code, _, err = run_cli(["throughput", "--points", "3", flag, value, "--out", str(out_dir)], capsys)
         assert code == EXIT_VALIDATION
         assert named in err
         assert not out_dir.exists()
@@ -555,12 +639,76 @@ def test_output_headers_and_finite_fields(tmp_path, capsys, argv, headers):
     for name, header in headers.items():
         text = stdout if name == "stdout" else (tmp_path / name).read_text(encoding="utf-8")
         assert text.splitlines()[0] == header, name
-        columns, *rows = csv.reader(io.StringIO(text))
-        assert rows, name
-        numeric = [i for i, column in enumerate(columns) if column not in TEXT_COLUMNS]
-        for row in rows:
-            assert len(row) == len(columns), (name, row)
-            assert all(math.isfinite(float(row[i])) for i in numeric), (name, row)
+        assert len(text.splitlines()) > 1, name
+        assert_numeric_fields_finite(text, name)
+
+
+def assert_numeric_fields_finite(text: str, name: str, blank_distance: bool = False) -> None:
+    """Every row of the CSV ``text`` is full and every field outside
+    ``TEXT_COLUMNS`` is a finite number; with ``blank_distance`` (no AP
+    position given) an empty ``distance_m`` passes too."""
+    columns, *rows = csv.reader(io.StringIO(text))
+    for row in rows:
+        assert len(row) == len(columns), (name, row)
+        assert all(
+            math.isfinite(float(field))
+            for column, field in zip(columns, row)
+            if column not in TEXT_COLUMNS and not (blank_distance and column == "distance_m" and field == "")
+        ), (name, row)
+
+
+GOOD_SAMPLE = ["2013-05-14T09:00:00Z", "00:11:22:33:44:55", "eduroam", "1", "-60", "51.8776", "0.9426"]
+
+
+@st.composite
+def near_miss_rows(draw):
+    """A sample with one or two fields replaced by near misses; one row in
+    five also has a column too few or too many."""
+    row = list(GOOD_SAMPLE)
+    for i in draw(st.sets(st.integers(0, 6), min_size=1, max_size=2)):
+        row[i] = draw(FIELD_NEAR_MISSES[i])
+    return draw(st.sampled_from([row, row, row, row[:-1], [*row, ""]]))
+
+
+# Each value a float that argparse accepts: a value it refuses exits before main's handlers.
+AP_POSITIONS = st.tuples(
+    st.sampled_from(["51.8776", "51.8777", "-90", "90", "91", "nan", "1e308"]),
+    st.sampled_from(["0.9426", "0.9427", "-180", "180", "-181", "inf"]),
+)
+OPTION_VALUES = {
+    "--tx-eirp": st.sampled_from(["20", "-1e308", "1e308", "nan"]),
+    "--coverage-threshold": st.sampled_from(["-80", "0", "-1e308", "-inf"]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(near_miss_rows(), max_size=6),
+    ap=st.none() | AP_POSITIONS,
+    fit=st.booleans(),
+    options=st.fixed_dictionaries({}, optional=OPTION_VALUES),
+)
+def test_coverage_exit_contract_holds_for_near_miss_logs(rows, ap, fit, options):
+    """Survey CSV of one good sample and near misses, with or without an AP
+    position and a fit: exit 0 with finite numbers, or exit 1 and no outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "survey.csv"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([CSV_COLUMNS, GOOD_SAMPLE, *rows])
+        log.write_text(out.getvalue(), encoding="utf-8")
+        out_dir = Path(tmp) / "out"
+        argv = ["coverage", str(log), "--out", str(out_dir), *(["--fit"] if fit else [])]
+        if ap is not None:
+            options = {**options, "--ap-lat": ap[0], "--ap-lon": ap[1]}
+        argv += [f"{flag}={value}" for flag, value in options.items()]  # "=": "-inf" is not a flag
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        if code == EXIT_OK:
+            for name in ("summaries.csv", "interference.csv"):
+                assert_numeric_fields_finite((out_dir / name).read_text(encoding="utf-8"), name, ap is None)
+        else:
+            assert not out_dir.exists()
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -633,15 +781,3 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
         assert (tmp_path / "out" / "summaries.csv").exists()
-
-    def test_submodules_resolve_on_first_use(self):
-        done = run_python(
-            "import sys, wlansim\n"
-            "print('wlansim.arrays' in sys.modules, wlansim.arrays.__name__)\n"
-            "from wlansim import survey\n"
-            "import wlansim.nlms\n"
-            "print(survey.__name__, wlansim.nlms.__name__)\n"
-            "wlansim.nope"
-        )
-        assert done.stdout.splitlines() == ["False wlansim.arrays", "wlansim.survey wlansim.nlms"]
-        assert "AttributeError: module 'wlansim' has no attribute 'nope'" in done.stderr

@@ -72,14 +72,6 @@ class TestDftMagnitude:
         rows = (tmp_path / "spectrum_before.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.25, 0.5, 0.75]
 
-    def test_empty_signal_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            dft_magnitude([], 8)
-
-    def test_size_below_signal_length_rejected(self):
-        with pytest.raises(ValueError, match="size"):
-            dft_magnitude([1.0, 2.0, 3.0], 2)
-
 
 class TestSuppressionReport:
     def test_identity_gives_zero_change(self):
@@ -108,11 +100,3 @@ class TestSuppressionReport:
         after = np.ones(32)
         with pytest.raises(ValueError, match="zero magnitude"):
             suppression_report(dft_magnitude(before, 32), dft_magnitude(after, 32), 4, 7)
-
-    def test_identical_bins_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            suppression_report(dft_magnitude([1.0], 8), dft_magnitude([1.0], 8), 3, 3)
-
-    def test_spectrum_sizes_must_match(self):
-        with pytest.raises(ValueError, match="sizes differ"):
-            suppression_report(dft_magnitude([1.0], 8), dft_magnitude([1.0], 16), 3, 5)

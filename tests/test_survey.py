@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import interference_oracle, location_cell, survey_record_oracle, synth_fit_points
+from oracles import (
+    FIELD_NEAR_MISSES,
+    interference_oracle,
+    location_cell,
+    survey_record_oracle,
+    synth_fit_points,
+)
 
 import wlansim.survey
 from wlansim.cli import build_parser
@@ -105,38 +111,16 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="no valid"):
             parse_log(io.StringIO("garbage,line\n"), "csv")
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            parse_log(io.StringIO(csv_line()), "xml")
-
     def test_formats_come_from_one_table(self):
         (subparsers,) = (a for a in build_parser()._actions if a.dest == "command")
         (fmt,) = (a for a in subparsers.choices["coverage"]._actions if a.dest == "format")
         assert fmt.choices == list(LOG_FORMATS)
-        with pytest.raises(ValueError) as exc:
-            parse_log(io.StringIO(csv_line()), "xml")
-        assert all(repr(name) in str(exc.value) for name in LOG_FORMATS)
 
 
-def near_misses(*texts):
-    """Any of the given texts, or short free text with no line break."""
-    free = st.text(st.characters(blacklist_characters="\r\n\x00", blacklist_categories=("Cs",)), max_size=6)
-    return st.one_of(st.sampled_from(texts), free)
-
-
-# Two good samples, one with padded fields, and near misses for each field.
+# Two good samples, one with padded fields.
 GOOD_ROWS = [
     ("2013-05-14T09:00:00Z", AP_A, "eduroam", "1", "-60", "51.8776", "0.9426"),
     (" 09:00 ", f" {AP_B} ", " essex ", " 36 ", " -61.5 ", "-90", "180"),
-]
-FIELD_TEXTS = [
-    near_misses("", "t,with,commas"),
-    near_misses("not-a-mac", "00:11:22:33:44", "00:11:22:33:44:GG", "00-11-22-33-44-55", "00:11:22:33:44:55:66"),
-    near_misses("", "a,b", 'say "hi"'),
-    near_misses("6", "14", "0", "15", "x", "6.0", "", " 11 "),
-    near_misses("+10", "+ -3", "nan", "-inf", "-120", "-120.5", "0", "-0", "0.5", "x", ""),
-    near_misses("90", "90.0001", "-91", "nan", "inf", "1e3", "x"),
-    near_misses("-180", "180.5", "-181", "nan", "-inf", "x"),
 ]
 
 
@@ -145,7 +129,7 @@ def sample_rows(draw):
     """A good row with up to three of its fields replaced by near misses."""
     row = list(draw(st.sampled_from(GOOD_ROWS)))
     for i in sorted(draw(st.sets(st.integers(0, 6), max_size=3))):
-        row[i] = draw(FIELD_TEXTS[i])
+        row[i] = draw(FIELD_NEAR_MISSES[i])
     return tuple(row)
 
 
@@ -288,10 +272,6 @@ class TestSummarize:
         (summary,) = summarize(records, ap_position=(51.8776, 0.9426))
         assert summary.distance_m == pytest.approx(0.0, abs=1e-6)
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
 
 class TestFitPathLoss:
     def test_exact_recovery_exponent_two(self):
@@ -316,10 +296,6 @@ class TestFitPathLoss:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="two"):
             fit_path_loss([(5.0, -50.0)], 20.0)
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            fit_path_loss([(0.0, -50.0), (5.0, -55.0)], 20.0)
 
 
 def summary_at(bssid, channel, lat, lon, rssi=-60.0, ssid="net"):

@@ -45,7 +45,7 @@ class TestRateTable:
         assert max_client_rate(standard, streams) == rate
 
     def test_unsupported_combination(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="ac with 2 streams"):
             max_client_rate(Standard.AC80211, 2)
 
 
@@ -85,12 +85,12 @@ class TestPhyConfig:
     # The rate table is the one stream check: a count it lacks has no rate.
     def test_n_rejects_more_than_four_streams(self):
         for streams in (5, 8):
-            with pytest.raises(KeyError, match=f"n with {streams} streams"):
+            with pytest.raises(ValueError, match=f"n with {streams} streams"):
                 curve(20.0, [1.0], standard=Standard.N80211, streams=streams)
 
     def test_stream_range(self):
         for streams in (0, 9):
-            with pytest.raises(KeyError, match=f"ac with {streams} streams"):
+            with pytest.raises(ValueError, match=f"ac with {streams} streams"):
                 curve(20.0, [1.0], streams=streams)
 
 
@@ -134,7 +134,7 @@ class TestDistanceCurves:
             curve(10.0, [0.0, 1.0])
 
     def test_untabulated_streams_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="ac with 2 streams"):
             curve(10.0, [1.0], streams=2)
 
     def test_staircase_rates_never_exceed_cap(self):
