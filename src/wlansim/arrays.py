@@ -19,10 +19,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,9 +35,13 @@ GAIN_FLOOR_DB = -80.0
 
 _NOISE_STREAM = 0  # stream ids: 0 = noise, 1 + source index = that source
 
+# Size bounds, checked where a scenario enters: larger values would only
+# exhaust memory (a 10**12-iteration run asks for terabytes).
+MAX_ELEMENTS = 1024
+MAX_ITERATIONS = 10**6
 
-@dataclass(frozen=True)
-class Source:
+
+class Source(NamedTuple):
     """One angular source: role, direction, waveform and amplitude.
 
     Angles are in radians from broadside, positive toward increasing
@@ -51,20 +54,6 @@ class Source:
     waveform: str = WAVEFORM_SINUSOID
     normalized_freq: float = 0.0
     amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("angle_rad", "normalized_freq", "amplitude"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name}: must be finite, got {value}")
-        if self.role not in (ROLE_DESIRED, ROLE_INTERFERER):
-            raise ValueError(f"role: must be 'desired' or 'interferer', got {self.role!r}")
-        if not abs(self.angle_rad) < math.pi / 2:
-            raise ValueError(f"angle_rad: {self.angle_rad} not strictly inside (-pi/2, pi/2)")
-        if self.waveform not in (WAVEFORM_SINUSOID, WAVEFORM_SYMBOLS):
-            raise ValueError(f"waveform: unknown waveform {self.waveform!r}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude: must be >= 0, got {self.amplitude}")
 
 
 _REQUIRED = object()
@@ -99,31 +88,52 @@ def _field(data: dict, key: str, convert, default=_REQUIRED):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+def _known_keys(data: dict, fields: tuple[str, ...]) -> None:
+    """Refuse a key that is not one of ``fields``: a misspelt optional
+    field would otherwise be ignored and its default used."""
+    for key in data:
+        if key not in fields:
+            raise ValueError(f"{key}: unknown field")
+
+
+def _finite(record: Source | Scenario, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value}")
+
+
 def _source(data, i: int) -> Source:
-    """Build ``sources[i]`` of a scenario file; every error names ``sources[i]``."""
+    """Read and check ``sources[i]`` of a scenario; every error names ``sources[i]``."""
     if not isinstance(data, dict):
         raise ValueError(f"sources[{i}]: must be a JSON object")
     try:
-        return Source(
+        _known_keys(data, Source._fields)
+        source = Source(
             role=_field(data, "role", str),
             angle_rad=_field(data, "angle_rad", _number),
             waveform=_field(data, "waveform", str, WAVEFORM_SINUSOID),
             normalized_freq=_field(data, "normalized_freq", _number, 0.0),
             amplitude=_field(data, "amplitude", _number, 1.0),
         )
+        _finite(source, ("angle_rad", "normalized_freq", "amplitude"))
+        if source.role not in (ROLE_DESIRED, ROLE_INTERFERER):
+            raise ValueError(f"role: must be 'desired' or 'interferer', got {source.role!r}")
+        if not abs(source.angle_rad) < math.pi / 2:
+            raise ValueError(f"angle_rad: {source.angle_rad} not strictly inside (-pi/2, pi/2)")
+        if source.waveform not in (WAVEFORM_SINUSOID, WAVEFORM_SYMBOLS):
+            raise ValueError(f"waveform: unknown waveform {source.waveform!r}")
+        if source.amplitude < 0:
+            raise ValueError(f"amplitude: must be >= 0, got {source.amplitude}")
     except ValueError as exc:
         raise ValueError(f"sources[{i}].{exc}") from exc
+    return source
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Full description of one beamforming experiment.
+class Scenario(NamedTuple):
+    """Full description of one beamforming experiment: plain data, checked
+    where it enters, by ``from_dict``."""
 
-    ``sampling_hz`` is recorded metadata only; signals are generated at
-    complex baseband with normalized frequencies.
-    """
-
-    carrier_hz: float
     num_elements: int
     spacing_wavelengths: float
     step_size: float
@@ -131,55 +141,24 @@ class Scenario:
     seed: int
     noise_power: float
     sources: tuple[Source, ...]
-    sampling_hz: float | None = None
-
-    def __post_init__(self) -> None:
-        """Raise ValueError with a field-level message on the first problem."""
-        for name in ("carrier_hz", "spacing_wavelengths", "step_size", "noise_power", "sampling_hz"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name}: must be finite, got {value}")
-        if self.carrier_hz <= 0:
-            raise ValueError(f"carrier_hz: must be positive, got {self.carrier_hz}")
-        if self.num_elements < 1:
-            raise ValueError(f"num_elements: must be >= 1, got {self.num_elements}")
-        if self.spacing_wavelengths <= 0:
-            raise ValueError(f"spacing_wavelengths: must be positive, got {self.spacing_wavelengths}")
-        if self.step_size < 0:
-            raise ValueError(f"step_size: must be >= 0, got {self.step_size}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations: must be >= 1, got {self.iterations}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed: must be in [0, 2**64), got {self.seed}")
-        if self.noise_power < 0:
-            raise ValueError(f"noise_power: must be >= 0, got {self.noise_power}")
-        if not self.sources:
-            raise ValueError("sources: at least one source required")
-        desired = [i for i, s in enumerate(self.sources) if s.role == ROLE_DESIRED]
-        if not desired:
-            raise ValueError("sources: no source with role 'desired'")
-        if len(desired) > 1:
-            raise ValueError(f"sources[{desired[1]}].role: only one source may be 'desired'")
 
     def desired_source(self) -> Source:
         return next(s for s in self.sources if s.role == ROLE_DESIRED)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["sources"] = list(d["sources"])
-        if self.sampling_hz is None:
-            del d["sampling_hz"]
-        return d
+        return {**self._asdict(), "sources": [s._asdict() for s in self.sources]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Read and check a scenario; raise ValueError with a field-level
+        message on the first problem."""
         if not isinstance(data, dict):
             raise ValueError("scenario: must be a JSON object")
+        _known_keys(data, cls._fields)
         raw_sources = _field(data, "sources", lambda v: v)
         if not isinstance(raw_sources, list):
             raise ValueError(f"sources: must be a list, got {type(raw_sources).__name__}")
-        return cls(
-            carrier_hz=_field(data, "carrier_hz", _number),
+        sc = cls(
             num_elements=_field(data, "num_elements", _integer),
             spacing_wavelengths=_field(data, "spacing_wavelengths", _number),
             step_size=_field(data, "step_size", _number),
@@ -187,20 +166,45 @@ class Scenario:
             seed=_field(data, "seed", _integer),
             noise_power=_field(data, "noise_power", _number),
             sources=tuple(_source(s, i) for i, s in enumerate(raw_sources)),
-            sampling_hz=_field(data, "sampling_hz", _number, default=None),
         )
+        _finite(sc, ("spacing_wavelengths", "step_size", "noise_power"))
+        if sc.num_elements < 1:
+            raise ValueError(f"num_elements: must be >= 1, got {sc.num_elements}")
+        if sc.num_elements > MAX_ELEMENTS:
+            raise ValueError(f"num_elements: must be <= {MAX_ELEMENTS}, got {sc.num_elements}")
+        if sc.spacing_wavelengths <= 0:
+            raise ValueError(f"spacing_wavelengths: must be positive, got {sc.spacing_wavelengths}")
+        if sc.step_size < 0:
+            raise ValueError(f"step_size: must be >= 0, got {sc.step_size}")
+        if sc.iterations < 1:
+            raise ValueError(f"iterations: must be >= 1, got {sc.iterations}")
+        if sc.iterations > MAX_ITERATIONS:
+            raise ValueError(f"iterations: must be <= {MAX_ITERATIONS}, got {sc.iterations}")
+        if not 0 <= sc.seed < 2**64:
+            raise ValueError(f"seed: must be in [0, 2**64), got {sc.seed}")
+        if sc.noise_power < 0:
+            raise ValueError(f"noise_power: must be >= 0, got {sc.noise_power}")
+        if not sc.sources:
+            raise ValueError("sources: at least one source required")
+        desired = [i for i, s in enumerate(sc.sources) if s.role == ROLE_DESIRED]
+        if not desired:
+            raise ValueError("sources: no source with role 'desired'")
+        if len(desired) > 1:
+            raise ValueError(f"sources[{desired[1]}].role: only one source may be 'desired'")
+        return sc
 
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
-
-def default_scenario() -> Scenario:
-    """The shipped experiment, read from ``data/default_scenario.json``,
-    its one definition."""
-    text = resources.files("wlansim").joinpath("data/default_scenario.json").read_text(encoding="utf-8")
-    return Scenario.from_dict(json.loads(text))
+def load_scenario(path: str | Path | None = None, **overrides) -> Scenario:
+    """The scenario in the JSON file at ``path``, or with no path the shipped
+    ``data/default_scenario.json``, its one definition.  Each override
+    replaces that key of the file before ``Scenario.from_dict`` reads it,
+    so an override passes exactly the checks a file value does."""
+    file = Path(path) if path else resources.files("wlansim").joinpath("data/default_scenario.json")
+    with file.open(encoding="utf-8") as f:
+        data = json.load(f)
+    if isinstance(data, dict):  # from_dict refuses anything else
+        data.update(overrides)
+    return Scenario.from_dict(data)
 
 
 def steering_vector(theta_rad: float, num_elements: int, spacing_wavelengths: float) -> np.ndarray:

@@ -51,6 +51,9 @@ OUTPUT_DIR_ENV = "WLANSIM_OUTPUT_DIR"
 SPECTRUM_SIZE = 512
 PATTERN_GRID_POINTS = 721
 
+# Upper bound of throughput --points: a larger curve would only exhaust memory.
+MAX_CURVE_POINTS = 10**6
+
 # Floor for dB conversion of zero-magnitude spectrum bins.
 MAG_FLOOR = 1e-15
 
@@ -120,26 +123,14 @@ def cmd_channels(args: argparse.Namespace) -> int:
 
 
 def cmd_beamform(args: argparse.Namespace) -> int:
-    # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB,
-    # and dataclasses ~0.01 s.
-    from dataclasses import replace
-
+    # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
     from . import nlms
-    from .arrays import (
-        ROLE_DESIRED,
-        WAVEFORM_SINUSOID,
-        Scenario,
-        array_pattern,
-        default_scenario,
-        gain_db,
-    )
+    from .arrays import ROLE_DESIRED, WAVEFORM_SINUSOID, array_pattern, gain_db, load_scenario
     from .spectrum import dft_magnitude, suppression_report
 
-    scenario = Scenario.from_json_file(args.scenario) if args.scenario else default_scenario()
-    if args.iterations is not None:
-        scenario = replace(scenario, iterations=args.iterations)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+    # Flags go into the scenario before it is checked, so they pass the file's checks.
+    overrides = {"iterations": args.iterations, "seed": args.seed}
+    scenario = load_scenario(args.scenario, **{k: v for k, v in overrides.items() if v is not None})
 
     trace = nlms.run(scenario)
 
@@ -275,6 +266,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     # Free space unless an exponent is given, over the Friis loss at 1 m either way.
     reference_loss_db = friis_path_loss(1.0, args.frequency)
     exponent = 2.0 if args.exponent is None else args.exponent
+    if args.points > MAX_CURVE_POINTS:  # before the distance list is built
+        raise ValueError(f"--points: must be <= {MAX_CURVE_POINTS}, got {args.points}")
     distances = [args.min_distance + k * args.step for k in range(args.points)]
     curve = throughput_vs_distance(
         Standard(args.standard), args.streams, args.width, args.tx_eirp, reference_loss_db, exponent, distances

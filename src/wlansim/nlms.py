@@ -8,7 +8,7 @@ training mode: the reference is the known desired-source waveform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ def update(
     return y, e, w
 
 
-@dataclass
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     """Per-iteration record of one adaptive run.
 
     ``first_element_input`` is the raw element-0 observation, kept so

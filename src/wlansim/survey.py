@@ -293,7 +293,10 @@ def fit_path_loss(
 
     Ordinary least squares of observed loss (EIRP minus RSSI) against
     ``10*log10(distance)`` via the closed-form normal equations.  Every
-    distance is positive and ``tx_eirp_dbm`` is finite.
+    distance is positive and ``tx_eirp_dbm`` is finite.  The losses are
+    fitted as ``-rssi`` and the EIRP is added to the intercept at the end:
+    the slope and residuals do not depend on that shift, and a huge EIRP
+    cannot overflow the sums.
 
     Raises:
         ValueError: with fewer than two points, or when every distance is
@@ -302,7 +305,7 @@ def fit_path_loss(
     if len(points) < 2:
         raise ValueError("need at least two points to fit")
     xs = [10.0 * math.log10(d) for d, _ in points]
-    ys = [tx_eirp_dbm - rssi for _, rssi in points]
+    ys = [-rssi for _, rssi in points]
     n = len(points)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
@@ -316,7 +319,7 @@ def fit_path_loss(
     rms = math.sqrt(sum(r * r for r in residuals) / n)
     return FitResult(
         exponent=exponent,
-        reference_loss_db=reference,
+        reference_loss_db=reference + tx_eirp_dbm,
         residual_rms_db=rms,
         sample_count=n,
     )

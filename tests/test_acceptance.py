@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wlansim.arrays import default_scenario, steering_vector
+from wlansim.arrays import load_scenario, steering_vector
 from wlansim.channels import Plan, channel_by_id, channels_in, overlap_fraction
 from wlansim.cli import main
 from wlansim.nlms import run, update
@@ -138,7 +138,7 @@ def test_criterion_5_nlms_correctness():
 
 
 def test_criterion_6_interference_suppression():
-    scenario = default_scenario()
+    scenario = load_scenario()
     assert scenario.iterations >= 5000
     start = time.perf_counter()
     trace = run(scenario)

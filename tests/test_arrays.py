@@ -5,17 +5,18 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wlansim.arrays import (
     GAIN_FLOOR_DB,
+    MAX_ELEMENTS,
+    MAX_ITERATIONS,
     Scenario,
     Source,
     array_pattern,
-    default_scenario,
+    load_scenario,
     steering_vector,
     synthesize_blocks,
     _stream_words,
@@ -25,7 +26,6 @@ from wlansim.nlms import CHUNK_ROWS
 
 def scenario_with(**overrides) -> Scenario:
     base = dict(
-        carrier_hz=5e9,
         num_elements=4,
         spacing_wavelengths=0.5,
         step_size=0.32,
@@ -88,7 +88,7 @@ class TestSynthesize:
             assert x[0] == pytest.approx(d, abs=1e-15)
 
     def test_matches_direct_summation_oracle(self):
-        sc = default_scenario()
+        sc = load_scenario()
         x0, d0 = snapshot(sc, 0)
         # Element-wise sum oracle, built from the raw definitions.
         x = np.zeros(sc.num_elements, dtype=complex)
@@ -228,7 +228,7 @@ class TestSynthesize:
 
     def test_seeds_and_streams_give_different_randomness(self):
         noise = scenario_with(noise_power=1.0, sources=(Source("desired", 0.0, "sinusoid", 0.1, 0.0),))
-        draws = [block(replace(noise, seed=seed), 0, 64)[0] for seed in (0, 1, 2**63, 2**64 - 1)]
+        draws = [block(noise._replace(seed=seed), 0, 64)[0] for seed in (0, 1, 2**63, 2**64 - 1)]
         for i, a in enumerate(draws):
             for b in draws[i + 1 :]:
                 assert not np.any(a == b)
@@ -246,20 +246,19 @@ class TestSynthesize:
 
 class TestScenarioIO:
     def test_json_roundtrip(self, tmp_path):
-        sc = default_scenario()
+        sc = load_scenario()
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(sc.to_dict()))
-        assert Scenario.from_json_file(path) == sc
+        assert load_scenario(path) == sc
 
     @pytest.mark.parametrize(
-        "sampling_hz,pin",
-        [(1e10, "04ca08a05224"), (None, "c4f3c67d840c")],
-        ids=["shipped", "no-sampling-hz"],
+        "overrides,pin",
+        [({}, "21c64220576b"), ({"iterations": 12000, "seed": 1}, "3e6a9cb140e8")],
+        ids=["shipped", "flag-overrides"],
     )
-    def test_to_dict_lists_every_field(self, sampling_hz, pin):
-        sc = replace(default_scenario(), sampling_hz=sampling_hz)
+    def test_to_dict_lists_every_field(self, overrides, pin):
+        sc = load_scenario(**overrides)
         expected = {
-            "carrier_hz": sc.carrier_hz,
             "num_elements": sc.num_elements,
             "spacing_wavelengths": sc.spacing_wavelengths,
             "step_size": sc.step_size,
@@ -272,16 +271,13 @@ class TestScenarioIO:
                 for s in sc.sources
             ],
         }
-        if sampling_hz is not None:
-            expected["sampling_hz"] = sampling_hz
         assert sc.to_dict() == expected
         # The beamform manifest's config_sha256 is this digest.
         blob = json.dumps(sc.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest()[:12] == pin
 
     def test_shipped_scenario_values(self):
-        assert default_scenario() == Scenario(
-            carrier_hz=5e9,
+        assert load_scenario() == Scenario(
             num_elements=8,
             spacing_wavelengths=0.5,
             step_size=0.32,
@@ -292,21 +288,14 @@ class TestScenarioIO:
                 Source("desired", math.pi / 4, "sinusoid", 0.125, 1.0),
                 Source("interferer", -math.pi / 4, "sinusoid", 0.25, 1.0),
             ),
-            sampling_hz=1e10,
         )
 
-    @pytest.mark.parametrize(
-        "build,field",
-        [
-            (lambda: replace(default_scenario(), step_size=math.nan), "step_size"),
-            (lambda: replace(default_scenario(), iterations=0), "iterations"),
-            (lambda: scenario_with(sources=(Source("interferer", 0.1),)), "sources"),
-        ],
-        ids=["replace_nan_step_size", "replace_zero_iterations", "no_desired_source"],
-    )
-    def test_invalid_scenario_rejected_at_construction(self, build, field):
-        with pytest.raises(ValueError, match=f"^{field}: "):
-            build()
+    def test_overrides_replace_file_values_and_pass_its_checks(self):
+        sc = load_scenario(iterations=300, seed=7)
+        assert (sc.iterations, sc.seed) == (300, 7)
+        assert sc._replace(iterations=5000, seed=20240511) == load_scenario()
+        with pytest.raises(ValueError, match=r"^iterations: must be >= 1, got 0$"):
+            load_scenario(iterations=0)
 
     @pytest.mark.parametrize(
         "index,key,value",
@@ -320,33 +309,47 @@ class TestScenarioIO:
         ],
     )
     def test_source_errors_name_the_source(self, tmp_path, index, key, value):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data["sources"][index][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="^" + re.escape(f"sources[{index}].{key}: ")):
-            Scenario.from_json_file(path)
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "sources,message",
+        [
+            ([], "sources: at least one source required"),
+            ([{"role": "interferer", "angle_rad": 0.1}], "sources: no source with role 'desired'"),
+        ],
+        ids=["no-source", "no-desired-source"],
+    )
+    def test_source_list_errors(self, sources, message):
+        data = load_scenario().to_dict()
+        data["sources"] = sources
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Scenario.from_dict(data)
 
     def test_validation_messages_name_the_field(self, tmp_path):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data["iterations"] = 0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="iterations"):
-            Scenario.from_json_file(path)
+            load_scenario(path)
 
     @pytest.mark.parametrize(
         "path,value,field",
         [
             (("step_size",), math.nan, "step_size"),
             (("noise_power",), math.inf, "noise_power"),
-            (("sampling_hz",), -math.inf, "sampling_hz"),
+            (("spacing_wavelengths",), -math.inf, "spacing_wavelengths"),
             (("sources", 0, "amplitude"), math.nan, "sources[0].amplitude"),
             (("sources", 1, "normalized_freq"), math.inf, "sources[1].normalized_freq"),
         ],
     )
     def test_non_finite_fields_rejected_by_name(self, path, value, field):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         target = data
         for key in path[:-1]:
             target = target[key]
@@ -369,13 +372,23 @@ class TestScenarioIO:
         ],
     )
     def test_integer_fields_rejected_by_name(self, field, value):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data[field] = value
         with pytest.raises(ValueError, match=f"^{field}: "):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("field,bound", [("iterations", MAX_ITERATIONS), ("num_elements", MAX_ELEMENTS)])
+    def test_size_fields_are_bounded(self, field, bound):
+        data = load_scenario().to_dict()
+        data[field] = bound
+        assert getattr(Scenario.from_dict(data), field) == bound
+        data[field] = bound + 1  # rejected before anything of that size is allocated
+        message = f"{field}: must be <= {bound}, got {bound + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario.from_dict(data)
+
     def test_whole_float_accepted_for_integer_field(self):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data["iterations"] = 300.0
         data["seed"] = float(2**53)
         sc = Scenario.from_dict(data)
@@ -383,16 +396,18 @@ class TestScenarioIO:
         assert type(sc.iterations) is int and type(sc.seed) is int
 
     def test_missing_field_reported(self, tmp_path):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         del data["seed"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="seed"):
-            Scenario.from_json_file(path)
+            load_scenario(path)
 
     def test_source_angle_range_enforced(self):
-        with pytest.raises(ValueError, match="angle"):
-            Source("desired", math.pi / 2)
+        data = load_scenario().to_dict()
+        data["sources"][0]["angle_rad"] = math.pi / 2
+        with pytest.raises(ValueError, match=re.escape("sources[0].angle_rad: ")):
+            Scenario.from_dict(data)
 
 
 class TestArrayPattern:

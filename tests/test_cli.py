@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from oracles import FIELD_NEAR_MISSES
 
 import wlansim
-from wlansim.arrays import default_scenario
+from wlansim.arrays import load_scenario
 from wlansim.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from wlansim.propagation import EARTH_RADIUS_M
 from wlansim.spectrum import dft_magnitude
@@ -144,14 +144,22 @@ class TestBeamformCommand:
             pytest.param("step_size", 10**400, "step_size", id="step_size-int-beyond-float"),
             pytest.param(
                 "sources",
-                [dict(src, role="desired") for src in default_scenario().to_dict()["sources"]],
+                [dict(src, role="desired") for src in load_scenario().to_dict()["sources"]],
                 "sources[1].role",
                 id="second-desired-source",
+            ),
+            pytest.param("num_elements", 1025, "num_elements: must be <= 1024", id="num_elements-above-bound"),
+            pytest.param("carrier_hz", 5e9, "carrier_hz: unknown field", id="unknown-key"),
+            pytest.param(
+                "sources",
+                [dict(src, amplitdue=0.1) for src in load_scenario().to_dict()["sources"]],
+                "sources[0].amplitdue: unknown field",
+                id="unknown-source-key",
             ),
         ],
     )
     def test_bad_numerics_exit_1_and_create_no_outputs(self, tmp_path, capsys, field, value, named):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data[field] = value
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(data))  # writes NaN / Infinity literals
@@ -159,6 +167,23 @@ class TestBeamformCommand:
         code, _, err = run_cli(["beamform", "--scenario", str(scenario), "--out", str(out_dir)], capsys)
         assert code == EXIT_VALIDATION
         assert named in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("given_by", ["flag", "file"])
+    def test_iterations_bound_is_one_check_for_flag_and_file(self, tmp_path, capsys, given_by):
+        out_dir = tmp_path / "out"
+        argv = ["beamform", "--out", str(out_dir)]
+        if given_by == "flag":
+            argv += ["--iterations", "1000001"]
+        else:
+            data = load_scenario().to_dict()
+            data["iterations"] = 1000001
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(data))
+            argv += ["--scenario", str(scenario)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_VALIDATION
+        assert err == "error: iterations: must be <= 1000000, got 1000001\n"
         assert not out_dir.exists()
 
     def test_each_spectrum_is_transformed_once(self, tmp_path, capsys, monkeypatch):
@@ -181,7 +206,7 @@ class TestBeamformCommand:
         assert not out_dir.exists()
 
     def test_failed_summary_leaves_no_outputs(self, tmp_path, capsys):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data["noise_power"] = 0.0
         for source in data["sources"]:
             source["amplitude"] = 0.0  # a silent array: the suppression report has no reference
@@ -194,7 +219,7 @@ class TestBeamformCommand:
         assert not out_dir.exists()
 
     def test_zero_step_size_summary_is_finite(self, tmp_path, capsys):
-        data = default_scenario().to_dict()
+        data = load_scenario().to_dict()
         data["step_size"] = 0.0  # weights stay zero: every array gain is -inf
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(data))
@@ -367,6 +392,30 @@ class TestCoverageCommand:
         assert code == EXIT_VALIDATION
         assert "degenerate" in err
         assert not (tmp_path / "out").exists()
+
+    def test_antipodal_ap_position(self, tmp_path, capsys):
+        log = tmp_path / "survey.csv"
+        log.write_text(
+            "t,bssid,ssid,channel,rssi_dbm,lat,lon\n"
+            "2013-05-14T09:00:00Z,00:11:22:33:44:55,eduroam,1,-60.0,87.5,180\n"
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["coverage", str(log), "--ap-lat=-87.5", "--ap-lon=0", "--out", str(out_dir)], capsys)
+        assert code == EXIT_OK, err
+        (row,) = csv.DictReader(io.StringIO((out_dir / "summaries.csv").read_text()))
+        assert float(row["distance_m"]) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-7)
+
+    @pytest.mark.parametrize("eirp", ["1e308", "-1e308"])
+    def test_fit_at_extreme_eirp_prints_finite_fields(self, tmp_path, capsys, eirp):
+        argv = [
+            "coverage", str(DATA / "survey_mixed.csv"), "--out", str(tmp_path / "out"), "--fit",
+            "--ap-lat", "51.8776", "--ap-lon", "0.9426", f"--tx-eirp={eirp}",
+        ]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        fields = dict(pair.split("=") for pair in out.splitlines()[-1].removeprefix("fit: ").split())
+        assert set(fields) == {"exponent", "reference_loss_db", "residual_rms_db", "samples"}
+        assert all(math.isfinite(float(value)) for value in fields.values()), fields
 
     @pytest.mark.parametrize(
         "channel_a,channel_b,verdict",
@@ -565,6 +614,7 @@ class TestThroughputCommand:
             ("--exponent", "1e308", "exponent"),
             ("--points", "0", "nonempty"),
             ("--step", "-0.25", "sorted"),
+            ("--points", "1000001", "--points: must be <= 1000000"),
         ],
     )
     def test_non_finite_input_exits_1_and_creates_no_outputs(self, tmp_path, capsys, flag, value, named):
@@ -728,7 +778,7 @@ class TestImports:
         assert done.stdout.strip() == "[]"
 
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # Only beamform needs dataclasses (and inspect, which it imports).
+        # No command needs dataclasses; inspect comes only with numpy, which beamform loads.
         done = run_python(
             "import sys, wlansim.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
@@ -742,10 +792,11 @@ class TestImports:
             ["channels"],
             ["throughput", "--points", "5"],
             ["coverage", str(DATA / "survey_mixed.csv")],
+            ["beamform", "--iterations", "50"],
         ],
-        ids=["channels", "throughput", "coverage"],
+        ids=["channels", "throughput", "coverage", "beamform"],
     )
-    def test_non_beamform_run_loads_no_dataclasses(self, tmp_path, argv):
+    def test_run_loads_no_dataclasses(self, tmp_path, argv):
         out_args = [] if argv[0] == "channels" else ["--out", str(tmp_path / "out")]
         done = run_python(
             "import sys\n"

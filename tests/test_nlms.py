@@ -1,14 +1,13 @@
 """Tests for the normalized-LMS update and full runs."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlansim.arrays import Scenario, Source, default_scenario, steering_vector
+from wlansim.arrays import Scenario, Source, load_scenario, steering_vector
 from wlansim.nlms import CHUNK_ROWS, run, update
 
 from oracles import nlms_fold
@@ -112,7 +111,6 @@ class TestStep:
 
 def small_scenario(**overrides) -> Scenario:
     base = dict(
-        carrier_hz=5e9,
         num_elements=4,
         spacing_wavelengths=0.5,
         step_size=0.5,
@@ -139,7 +137,7 @@ class TestRun:
         assert tail.mean() <= 1e-6 * initial, f"tail error {tail.mean():.3e}"
 
     def test_default_scenario_nulls_the_interferer(self):
-        scenario = default_scenario()
+        scenario = load_scenario()
         trace = run(scenario)
         spacing = scenario.spacing_wavelengths
         desired = scenario.desired_source()
@@ -166,8 +164,8 @@ class TestRun:
         assert near_desired - near_interferer >= 30.0
 
     def test_deterministic_trace(self):
-        a = run(default_scenario())
-        b = run(default_scenario())
+        a = run(load_scenario())
+        b = run(load_scenario())
         assert a.error_power.tobytes() == b.error_power.tobytes()
         assert a.outputs.tobytes() == b.outputs.tobytes()
         for (na, wa), (nb, wb) in zip(a.weight_snapshots, b.weight_snapshots):
@@ -190,7 +188,7 @@ class TestRun:
             ma = np.convolve(e, np.ones(100) / 100, mode="valid")
             return ma[200:].max() / ma[0]
 
-        curves = np.array([run(replace(default_scenario(), seed=seed)).error_power for seed in range(1, 17)])
+        curves = np.array([run(load_scenario(seed=seed)).error_power for seed in range(1, 17)])
         per_seed = [resurgence(e) for e in curves]
         assert max(per_seed) <= 0.065, f"seed {1 + int(np.argmax(per_seed))}: {max(per_seed):.4f}"
         e = curves.mean(axis=0)
@@ -200,7 +198,7 @@ class TestRun:
         assert jumps.max() <= 0.5, f"ensemble block mean jumped {jumps.max():.2f}"
 
     def test_plateau_is_reported_not_enforced(self):
-        trace = run(default_scenario())
+        trace = run(load_scenario())
         plateau = trace.plateau_iteration()
         assert plateau is not None
         assert plateau < trace.iterations  # never truncates the run
@@ -213,7 +211,7 @@ class TestRun:
 
 EQUIVALENCE_CASES = {
     # Three chunks, the last one partial.
-    "default_multi_chunk": lambda: replace(default_scenario(), iterations=2 * CHUNK_ROWS + 37),
+    "default_multi_chunk": lambda: load_scenario(iterations=2 * CHUNK_ROWS + 37),
     "symbols_with_noise": lambda: small_scenario(
         noise_power=0.2,
         iterations=CHUNK_ROWS + 5,
@@ -247,9 +245,9 @@ def test_divergence_is_a_validation_error_naming_the_iteration(amplitude):
     """mu = 3 is outside NLMS's stable range.  At unit amplitude the error
     power overflows; at 1e-156 the input energy is subnormal, so the
     update overflows the weights first and the per-chunk check fires."""
-    scenario = replace(default_scenario(), step_size=3.0)
-    scenario = replace(
-        scenario, sources=tuple(replace(s, amplitude=amplitude) for s in scenario.sources), noise_power=0.0
+    scenario = load_scenario(step_size=3.0)
+    scenario = scenario._replace(
+        sources=tuple(s._replace(amplitude=amplitude) for s in scenario.sources), noise_power=0.0
     )
     with pytest.raises(ValueError, match=r"^iteration \d+: adaptation diverged"):
         run(scenario)

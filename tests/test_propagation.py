@@ -45,6 +45,13 @@ class TestHaversine:
     def test_antipodal_points(self):
         assert haversine_distance(90.0, 0.0, -90.0, 0.0) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-12)
 
+    def test_exact_antipodes_on_a_quarter_degree_grid(self):
+        # Rounding can push the haversine term past 1 here (at latitude 87.5,
+        # say); near the antipode the formula is good to ~sqrt(eps), ~0.1 m.
+        for k in range(721):
+            lat = -90.0 + k / 4
+            assert haversine_distance(lat, 0.0, -lat, 180.0) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-7)
+
     def test_london_paris_against_great_circle_oracle(self):
         d = haversine_distance(*LONDON, *PARIS)
         assert d == pytest.approx(great_circle_oracle(LONDON, PARIS), rel=1e-3)
