@@ -51,7 +51,7 @@ OUTPUT_DIR_ENV = "WLANSIM_OUTPUT_DIR"
 SPECTRUM_SIZE = 512
 PATTERN_GRID_POINTS = 721
 
-# Upper bound of throughput --points: a larger curve would only exhaust memory.
+# Upper bound of throughput --points: a larger curve would only fill the disk.
 MAX_CURVE_POINTS = 10**6
 
 # Floor for dB conversion of zero-magnitude spectrum bins.
@@ -263,20 +263,30 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def cmd_throughput(args: argparse.Namespace) -> int:
+    # The one check of the distance grid: with these, every min + k*step is
+    # positive, finite and non-decreasing, because float rounding is monotone.
+    first, step, points = args.min_distance, args.step, args.points
+    if not 0 < first < math.inf:
+        raise ValueError(f"--min-distance: must be positive and finite, got {first}")
+    if not 0 <= step < math.inf:
+        raise ValueError(f"--step: must be >= 0 and finite, got {step}")
+    if not 1 <= points <= MAX_CURVE_POINTS:
+        raise ValueError(f"--points: must be in [1, {MAX_CURVE_POINTS}], got {points}")
+    if not math.isfinite(first + (points - 1) * step):
+        raise ValueError(f"--step: the last distance {first} + {points - 1} * {step} m is not finite")
     # Free space unless an exponent is given, over the Friis loss at 1 m either way.
     reference_loss_db = friis_path_loss(1.0, args.frequency)
     exponent = 2.0 if args.exponent is None else args.exponent
-    if args.points > MAX_CURVE_POINTS:  # before the distance list is built
-        raise ValueError(f"--points: must be <= {MAX_CURVE_POINTS}, got {args.points}")
-    distances = [args.min_distance + k * args.step for k in range(args.points)]
-    curve = throughput_vs_distance(
-        Standard(args.standard), args.streams, args.width, args.tx_eirp, reference_loss_db, exponent, distances
+    rows = throughput_vs_distance(
+        Standard(args.standard), args.streams, args.width, args.tx_eirp, reference_loss_db, exponent,
+        first, step, points,
     )
+    first_row = next(rows)  # the cap: the curve is monotone non-increasing
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    rows = zip(curve.distance_m, curve.rate_mbps, curve.snr_db)
-    _publish(args.out, {"throughput.csv": (["distance_m", "rate_mbps", "snr_db"], rows)}, options)
-    print(f"cap_mbps={max(curve.rate_mbps)}")
+    table = (["distance_m", "rate_mbps", "snr_db"], chain([first_row], rows))
+    _publish(args.out, {"throughput.csv": table}, options)
+    print(f"cap_mbps={first_row[1]}")
     return EXIT_OK
 
 

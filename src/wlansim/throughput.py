@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator
 from enum import Enum
-from typing import NamedTuple
 
 
 class Standard(Enum):
@@ -81,15 +80,6 @@ def default_snr_staircase(cap_mbps: float) -> list[tuple[float, float]]:
     ]
 
 
-class RateCurve(NamedTuple):
-    """A throughput curve as three columns: each point's distance, rate and
-    link SNR in dB.  Each column is an ``array('d')``, 8 bytes a point."""
-
-    distance_m: Sequence[float]
-    rate_mbps: Sequence[float]
-    snr_db: Sequence[float]
-
-
 def throughput_vs_distance(
     standard: Standard,
     streams: int,
@@ -97,23 +87,29 @@ def throughput_vs_distance(
     tx_eirp_dbm: float,
     reference_loss_db: float,
     exponent: float,
-    distances: Sequence[float],
-) -> RateCurve:
-    """Rate curve over distances, capped at the standard's peak client rate.
+    first_m: float,
+    step_m: float,
+    points: int,
+) -> Iterator[tuple[float, float, float]]:
+    """Rate curve at ``first_m + k*step_m`` m for k in ``range(points)``,
+    capped at the standard's peak client rate, as a lazy stream of
+    ``(distance_m, rate_mbps, snr_db)`` rows; every check below runs before
+    the stream is returned.
 
     Each point's link SNR is the EIRP minus the log-distance path loss
     ``reference_loss_db + 10*exponent*log10(d)`` minus the noise floor of
     the channel width, with 0 dBi receive gain; exponent 2 over the Friis
     loss at 1 m is free space.  ``reference_loss_db`` must be finite: the
     overflow check below names the exponent for any non-finite SNR.
-    Distances must be positive, finite and sorted ascending.  Rates follow
-    :func:`default_snr_staircase` built on the cap, so the curve is
-    monotone non-increasing in distance.
+    The grid is the caller's to check: ``first_m`` positive and finite,
+    ``step_m`` non-negative, ``points`` at least 1 and the last distance
+    finite, so every distance is positive, finite and non-decreasing.
+    Rates follow :func:`default_snr_staircase` built on the cap, so the
+    curve is monotone non-increasing in distance.
 
     Raises:
         ValueError: for a width the standard does not support, an exponent
-            below 1 or non-finite, a non-finite EIRP, an empty, unsorted,
-            non-positive or non-finite distance list, a (standard, streams)
+            below 1 or non-finite, a non-finite EIRP, a (standard, streams)
             cell with no tabulated peak rate, or an exponent so large that
             the link SNR overflows.
     """
@@ -124,12 +120,6 @@ def throughput_vs_distance(
         raise ValueError(f"path-loss exponent must be finite and >= 1, got {exponent}")
     if not math.isfinite(tx_eirp_dbm):
         raise ValueError(f"tx_eirp_dbm must be finite, got {tx_eirp_dbm}")
-    if len(distances) == 0:
-        raise ValueError("distance list must be nonempty")
-    if any(not 0 < d < math.inf for d in distances):
-        raise ValueError("distances must be positive and finite")
-    if any(b < a for a, b in zip(distances, distances[1:])):
-        raise ValueError("distances must be sorted ascending")
     staircase = default_snr_staircase(max_client_rate(standard, streams))
     # The highest rung whose threshold the SNR reaches, by bisection:
     # rates[k] is the rate once k thresholds are reached.  A NaN SNR would
@@ -139,21 +129,15 @@ def throughput_vs_distance(
     rates = [0.0] + [rate for _, rate in staircase]
     floor_dbm = noise_floor_dbm(width_mhz)
     log10 = math.log10
-    # Imported here, not at module level: loading the extension module
-    # adds ~0.05 MB to the peak RSS of every command, not only throughput.
-    from array import array
 
-    # Sized once, filled by index: no reallocation while the curve grows.
-    n = len(distances)
-    curve = RateCurve(array("d", distances), array("d", bytes(8 * n)), array("d", bytes(8 * n)))
-    for i, d in enumerate(distances):
+    def row(d: float) -> tuple[float, float, float]:
         snr = tx_eirp_dbm - (reference_loss_db + 10.0 * exponent * log10(d)) - floor_dbm
-        curve.rate_mbps[i] = rates[bisect_right(thresholds, snr)]
-        curve.snr_db[i] = snr
+        return d, rates[bisect_right(thresholds, snr)], snr
+
     # Path loss is monotone in distance, so finite end points bound every point.
-    if not (math.isfinite(curve.snr_db[0]) and math.isfinite(curve.snr_db[-1])):
+    last_m = first_m + (points - 1) * step_m
+    if not (math.isfinite(row(first_m)[2]) and math.isfinite(row(last_m)[2])):
         raise ValueError(
-            f"path-loss exponent {exponent} overflows the link budget "
-            f"over {distances[0]}..{distances[-1]} m"
+            f"path-loss exponent {exponent} overflows the link budget over {first_m}..{last_m} m"
         )
-    return curve
+    return (row(first_m + k * step_m) for k in range(points))

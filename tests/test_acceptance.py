@@ -197,13 +197,11 @@ def test_criterion_8_fit_recovery():
 
 def test_criterion_9_throughput_curves():
     free_space = dict(width_mhz=20, tx_eirp_dbm=10.0, reference_loss_db=friis_path_loss(1.0, 5e9), exponent=2.0)
-    distances = [float(d) for d in range(1, 31)]
-    ac = throughput_vs_distance(Standard.AC80211, 3, distances=distances, **free_space)
-    n = throughput_vs_distance(Standard.N80211, 3, distances=distances, **free_space)
-    ordered = all(ra >= rn for ra, rn in zip(ac.rate_mbps, n.rate_mbps))
-    monotone = all(
-        all(b <= a for a, b in zip(rates, rates[1:])) for rates in (ac.rate_mbps, n.rate_mbps)
-    )
+    grid = dict(first_m=1.0, step_m=1.0, points=30)  # 1..30 m
+    ac = [rate for _, rate, _ in throughput_vs_distance(Standard.AC80211, 3, **grid, **free_space)]
+    n = [rate for _, rate, _ in throughput_vs_distance(Standard.N80211, 3, **grid, **free_space)]
+    ordered = len(ac) == len(n) == 30 and all(ra >= rn for ra, rn in zip(ac, n))
+    monotone = all(all(b <= a for a, b in zip(rates, rates[1:])) for rates in (ac, n))
     report(9, "throughput curve ordering", ordered and monotone)
 
 

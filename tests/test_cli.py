@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -585,6 +586,24 @@ class TestCoverageCommand:
         assert out_dir.exists() == (code == EXIT_OK)
 
 
+# Each rejected throughput input and what its message must hold.
+THROUGHPUT_REJECTIONS = [
+    (["--tx-eirp", "nan"], "tx_eirp_dbm"),
+    (["--exponent", "nan"], "exponent"),
+    (["--frequency", "nan"], "frequency"),
+    (["--frequency", "inf"], "frequency"),
+    (["--min-distance", "inf"], "--min-distance: must be positive and finite, got inf"),
+    (["--min-distance", "0"], "--min-distance: must be positive and finite, got 0.0"),
+    (["--step", "nan"], "--step: must be >= 0 and finite, got nan"),
+    (["--step", "-0.25"], "--step: must be >= 0 and finite, got -0.25"),
+    (["--exponent", "1e308"], "exponent"),
+    (["--points", "0"], "--points: must be in [1, 1000000], got 0"),
+    (["--points", "-5"], "--points: must be in [1, 1000000], got -5"),
+    (["--points", "1000001"], "--points: must be in [1, 1000000], got 1000001"),
+    (["--min-distance", "1e308", "--step", "1e308"], "--step: the last distance 1e+308 + 2 * 1e+308 m is not finite"),
+]
+
+
 class TestThroughputCommand:
     def test_ac_three_stream_cap(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -603,23 +622,11 @@ class TestThroughputCommand:
         assert "20/40" in err
 
     @pytest.mark.parametrize(
-        "flag,value,named",
-        [
-            ("--tx-eirp", "nan", "tx_eirp_dbm"),
-            ("--exponent", "nan", "exponent"),
-            ("--frequency", "nan", "frequency"),
-            ("--frequency", "inf", "frequency"),
-            ("--min-distance", "inf", "distances"),
-            ("--step", "nan", "distances"),
-            ("--exponent", "1e308", "exponent"),
-            ("--points", "0", "nonempty"),
-            ("--step", "-0.25", "sorted"),
-            ("--points", "1000001", "--points: must be <= 1000000"),
-        ],
+        "flags,named", THROUGHPUT_REJECTIONS, ids=["-".join(flags) for flags, _ in THROUGHPUT_REJECTIONS]
     )
-    def test_non_finite_input_exits_1_and_creates_no_outputs(self, tmp_path, capsys, flag, value, named):
+    def test_non_finite_input_exits_1_and_creates_no_outputs(self, tmp_path, capsys, flags, named):
         out_dir = tmp_path / "out"
-        code, _, err = run_cli(["throughput", "--points", "3", flag, value, "--out", str(out_dir)], capsys)
+        code, _, err = run_cli(["throughput", "--points", "3", *flags, "--out", str(out_dir)], capsys)
         assert code == EXIT_VALIDATION
         assert named in err
         assert not out_dir.exists()
@@ -648,6 +655,19 @@ class TestThroughputCommand:
         assert len(rows) == 30
         rates = [float(r.split(",")[1]) for r in rows]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+    def test_curve_streams_to_its_csv(self, tmp_path):
+        # Each row goes to the CSV as it is computed; three float columns
+        # of 200 000 points alone would take 4.6 MiB.
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = main(["throughput", "--points", "200000", "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2 * 2**20, peak
 
 
 # Columns that hold text; every other column of every output is a number.
@@ -757,6 +777,44 @@ def test_coverage_exit_contract_holds_for_near_miss_logs(rows, ap, fit, options)
         if code == EXIT_OK:
             for name in ("summaries.csv", "interference.csv"):
                 assert_numeric_fields_finite((out_dir / name).read_text(encoding="utf-8"), name, ap is None)
+        else:
+            assert not out_dir.exists()
+
+
+# Values of each throughput flag, valid ones at their extremes among them.
+THROUGHPUT_FLAGS = {
+    "--standard": st.sampled_from(["n", "ac"]),
+    "--streams": st.sampled_from(["1", "2", "3"]),
+    "--width": st.sampled_from(["20", "40", "80", "160"]),
+    "--tx-eirp": st.sampled_from(["20", "-1e308", "1e308", "nan", "-inf"]),
+    "--frequency": st.sampled_from(["5e9", "1e-300", "1e308", "0", "inf"]),
+    # 10 * exponent overflows just above 1.7976931348623157e307.
+    "--exponent": st.sampled_from(["1", "2.7", "0.5", "1e306", "1.7e307", "1.7976931348623157e307",
+                                   "1.8e307", "nan"]),
+    "--min-distance": st.sampled_from(["1", "5e-324", "2.2e-308", "1e300", "1e308", "0", "-1", "inf"]),
+    "--step": st.sampled_from(["1", "0", "-0.0", "5e-324", "1e300", "1e308", "-0.25", "nan"]),
+    "--points": st.integers(1, 50).map(str) | st.sampled_from(["0", "-1", "1000001", "1000002"]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional=THROUGHPUT_FLAGS))
+def test_throughput_exit_contract_holds_for_any_flags(flags):
+    """Exit 0 with finite fields and the cap equal to the top rate, or exit
+    1 and no outputs; never exit 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        # "=": argparse reads a bare "-1e308" as an option.
+        argv = ["throughput", "--out", str(out_dir), *(f"{flag}={value}" for flag, value in flags.items())]
+        stdout = io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        if code == EXIT_OK:
+            text = (out_dir / "throughput.csv").read_text(encoding="utf-8")
+            assert_numeric_fields_finite(text, "throughput.csv")
+            rates = [float(row[1]) for row in list(csv.reader(io.StringIO(text)))[1:]]
+            assert stdout.getvalue() == f"cap_mbps={max(rates)}\n"
         else:
             assert not out_dir.exists()
 

@@ -32,10 +32,15 @@ def friis_oracle(d: float, f: float) -> float:
 
 
 def log_distance_snr(reference_loss_db, exponent, distances, tx_eirp_dbm=20.0):
-    """Link SNR over the 20 MHz floor, from the one curve that computes the log-distance loss."""
-    return throughput_vs_distance(
-        Standard.AC80211, 3, 20, tx_eirp_dbm, reference_loss_db, exponent, distances
-    ).snr_db
+    """Link SNR over the 20 MHz floor at each distance, from the one curve
+    that computes the log-distance loss (a one-point curve per distance)."""
+    return [
+        snr
+        for d in distances
+        for _, _, snr in throughput_vs_distance(
+            Standard.AC80211, 3, 20, tx_eirp_dbm, reference_loss_db, exponent, d, 0.0, 1
+        )
+    ]
 
 
 class TestHaversine:
