@@ -40,13 +40,20 @@ _NOISE_STREAM = 0  # stream ids: 0 = noise, 1 + source index = that source
 MAX_ELEMENTS = 1024
 MAX_ITERATIONS = 10**6
 
+# Magnitude bound, checked there too: an element spacing or amplitude is at
+# most MAX_MAGNITUDE, a nonzero amplitude at least its reciprocal and the
+# noise power at most its square, so no steering phase, snapshot energy or
+# NLMS step overflows or underflows.
+MAX_MAGNITUDE = 1e100
+
 
 class Source(NamedTuple):
     """One angular source: role, direction, waveform and amplitude.
 
     Angles are in radians from broadside, positive toward increasing
     element index.  ``normalized_freq`` is the sinusoid frequency in
-    cycles per sample and is ignored for the random-symbols waveform.
+    cycles per sample, in [-0.5, 0.5], and is ignored for the
+    random-symbols waveform.
     """
 
     role: str
@@ -123,8 +130,12 @@ def _source(data, i: int) -> Source:
             raise ValueError(f"angle_rad: {source.angle_rad} not strictly inside (-pi/2, pi/2)")
         if source.waveform not in (WAVEFORM_SINUSOID, WAVEFORM_SYMBOLS):
             raise ValueError(f"waveform: unknown waveform {source.waveform!r}")
-        if source.amplitude < 0:
-            raise ValueError(f"amplitude: must be >= 0, got {source.amplitude}")
+        if not abs(source.normalized_freq) <= 0.5:
+            raise ValueError(f"normalized_freq: must be in [-0.5, 0.5], got {source.normalized_freq}")
+        if source.amplitude != 0 and not 1 / MAX_MAGNITUDE <= source.amplitude <= MAX_MAGNITUDE:
+            raise ValueError(
+                f"amplitude: must be 0 or in [{1 / MAX_MAGNITUDE}, {MAX_MAGNITUDE}], got {source.amplitude}"
+            )
     except ValueError as exc:
         raise ValueError(f"sources[{i}].{exc}") from exc
     return source
@@ -172,8 +183,10 @@ class Scenario(NamedTuple):
             raise ValueError(f"num_elements: must be >= 1, got {sc.num_elements}")
         if sc.num_elements > MAX_ELEMENTS:
             raise ValueError(f"num_elements: must be <= {MAX_ELEMENTS}, got {sc.num_elements}")
-        if sc.spacing_wavelengths <= 0:
-            raise ValueError(f"spacing_wavelengths: must be positive, got {sc.spacing_wavelengths}")
+        if not 0 < sc.spacing_wavelengths <= MAX_MAGNITUDE:
+            raise ValueError(
+                f"spacing_wavelengths: must be in (0, {MAX_MAGNITUDE}], got {sc.spacing_wavelengths}"
+            )
         if sc.step_size < 0:
             raise ValueError(f"step_size: must be >= 0, got {sc.step_size}")
         if sc.iterations < 1:
@@ -182,8 +195,8 @@ class Scenario(NamedTuple):
             raise ValueError(f"iterations: must be <= {MAX_ITERATIONS}, got {sc.iterations}")
         if not 0 <= sc.seed < 2**64:
             raise ValueError(f"seed: must be in [0, 2**64), got {sc.seed}")
-        if sc.noise_power < 0:
-            raise ValueError(f"noise_power: must be >= 0, got {sc.noise_power}")
+        if not 0 <= sc.noise_power <= MAX_MAGNITUDE**2:
+            raise ValueError(f"noise_power: must be in [0, {MAX_MAGNITUDE**2}], got {sc.noise_power}")
         if not sc.sources:
             raise ValueError("sources: at least one source required")
         desired = [i for i, s in enumerate(sc.sources) if s.role == ROLE_DESIRED]

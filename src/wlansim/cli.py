@@ -2,7 +2,11 @@
 
 Every output is a table, a header plus an iterable of rows, and
 ``_write_table`` writes every table as CSV, so the output format is
-decided here alone; each command states its tables' headers and rows.
+decided here alone.  The ``channels``, ``summaries.csv`` and
+``interference.csv`` tables are the records ``channels_in``, ``summarize``
+and ``interference_report`` return, as they are, under the field names of
+``Channel``, ``ApSummary`` and ``InterferencePair``; each other table's
+header is stated by the command that writes it.
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
 records the tool and Python versions (and numpy's, when the command loaded
@@ -29,24 +33,24 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from . import __version__
-from .channels import Band, Plan, channel_by_id, channels_in, overlap_fraction
+from .channels import BAND_PLAN, Channel, channel_by_id, channels_in, overlap_fraction
 from .propagation import check_position, friis_path_loss
 from .survey import (
     DEFAULT_COVERAGE_THRESHOLD_DBM,
     LOG_FORMATS,
+    ApSummary,
+    InterferencePair,
     fit_path_loss,
     interference_report,
     parse_log,
     summarize,
 )
-from .throughput import Standard, throughput_vs_distance
+from .throughput import WIDTHS_MHZ, throughput_vs_distance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
-
-OUTPUT_DIR_ENV = "WLANSIM_OUTPUT_DIR"
 
 SPECTRUM_SIZE = 512
 PATTERN_GRID_POINTS = 721
@@ -57,8 +61,9 @@ MAX_CURVE_POINTS = 10**6
 # Floor for dB conversion of zero-magnitude spectrum bins.
 MAG_FLOOR = 1e-15
 
-# A header and its rows, which may be produced lazily while they are written.
-Table = tuple[list[str], Iterable[Sequence]]
+# A header, such as a NamedTuple's ``_fields``, and its rows, which may be
+# produced lazily while they are written.
+Table = tuple[Sequence[str], Iterable[Sequence]]
 
 
 def _sha256_file(path: Path) -> str:
@@ -83,7 +88,7 @@ def _publish(out_arg: str | None, tables: dict[str, Table], config: dict) -> Non
     Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
     any output is replaced and the new one is moved in last, so a manifest
     always describes the files beside it."""
-    out_dir = Path(out_arg or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    out_dir = Path(out_arg or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     temps = {name: out_dir / f".{name}.tmp" for name in [*tables, "manifest.json"]}
     try:
@@ -117,8 +122,7 @@ def cmd_channels(args: argparse.Namespace) -> int:
         a, b = (channel_by_id(cid) for cid in args.overlap)
         print(overlap_fraction(a, b))
         return EXIT_OK
-    rows = ((c.id, c.center_hz, c.bandwidth_hz, c.band.value, c.eirp_mw) for c in channels_in(args.plan))
-    _write_table(sys.stdout, (["id", "center_hz", "bandwidth_hz", "band", "eirp_mw"], rows))
+    _write_table(sys.stdout, (Channel._fields, channels_in(args.plan)))
     return EXIT_OK
 
 
@@ -194,8 +198,9 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     }
     _publish(args.out, tables, scenario.to_dict())  # the effective scenario: flag overrides count
 
-    # A field with no finite value (all-zero weights give -inf gains) is left
-    # out, as an undefined plateau is.
+    # A field with no finite value is left out, as an undefined plateau is:
+    # all-zero weights give -inf gains, and a silent input leaves the
+    # suppression changes without a reference.
     print(" ".join(f"{name}={value:{fmt}}" for name, value, fmt in fields if math.isfinite(value)))
     return EXIT_OK
 
@@ -210,9 +215,11 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         ap_position = (args.ap_lat, args.ap_lon)
     if args.fit and ap_position is None:
         raise ValueError("--fit requires --ap-lat and --ap-lon for distances")
-    # The one check of the EIRP: fit_path_loss takes it as finite.
+    # The one check of each: fit_path_loss and interference_report take them as finite.
     if not math.isfinite(args.tx_eirp):
-        raise ValueError(f"tx_eirp_dbm must be finite, got {args.tx_eirp}")
+        raise ValueError(f"--tx-eirp: must be finite, got {args.tx_eirp}")
+    if not math.isfinite(args.coverage_threshold):
+        raise ValueError(f"--coverage-threshold: must be finite, got {args.coverage_threshold}")
     log_path = Path(args.log)
     # utf-8-sig drops a leading byte-order mark, which would otherwise
     # spoil a CSV header's first name.
@@ -223,7 +230,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         print(f"  line {lineno}: {message}", file=sys.stderr)
 
     summaries = summarize(records, ap_position=ap_position)
-    pairs = interference_report(summaries, coverage_threshold_dbm=args.coverage_threshold)
+    # Freed here, not at return: the records are most of the memory, and the
+    # pair stream and the CSV writes would otherwise add to them.
+    del records
+    pairs = interference_report(summaries, args.coverage_threshold)
     fit = None
     if args.fit:
         points = [
@@ -236,22 +246,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     # Published only now, so a rejected run leaves no directory.
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
     tables = {
-        "summaries.csv": (
-            [
-                "bssid", "ssid", "channel", "cell_x", "cell_y", "lat", "lon",
-                "mean_rssi_dbm", "stddev_rssi_dbm", "count", "low_confidence", "distance_m",
-            ],
-            # csv writes None, an unknown distance, as an empty field.
-            (
-                (s.bssid, s.ssid, s.channel_id, *s.cell, s.latitude, s.longitude, s.mean_rssi_dbm,
-                 s.stddev_rssi_dbm, s.count, int(s.low_confidence), s.distance_m)
-                for s in summaries
-            ),
-        ),
-        "interference.csv": (
-            ["bssid_a", "bssid_b", "overlap", "co_located", "interferes"],
-            ((p.bssid_a, p.bssid_b, p.overlap, int(p.co_located), int(p.interferes)) for p in pairs),
-        ),
+        "summaries.csv": (ApSummary._fields, summaries),
+        "interference.csv": (InterferencePair._fields, pairs),
     }
     _publish(args.out, tables, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:
@@ -278,7 +274,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     reference_loss_db = friis_path_loss(1.0, args.frequency)
     exponent = 2.0 if args.exponent is None else args.exponent
     rows = throughput_vs_distance(
-        Standard(args.standard), args.streams, args.width, args.tx_eirp, reference_loss_db, exponent,
+        args.standard, args.streams, args.width, args.tx_eirp, reference_loss_db, exponent,
         first, step, points,
     )
     first_row = next(rows)  # the cap: the curve is monotone non-increasing
@@ -310,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
         "--plan",
-        default=Plan.UNII.value,
-        choices=sorted({m.value for m in (*Plan, *Band)}),
+        default="unii",
+        choices=sorted({*BAND_PLAN, *BAND_PLAN.values()}),
         help="channel plan or sub-band to list (default: %(default)s)",
     )
     mode.add_argument(
@@ -325,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beamform", help="run the adaptive beamformer and export reports")
     p.add_argument("--scenario", help="scenario JSON file (default: shipped scenario)")
-    p.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
+    p.add_argument("--out", help="output directory (default: .)")
     p.add_argument("--iterations", type=int, help="override the scenario iteration count")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(func=cmd_beamform)
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="ingest a survey log and report coverage/interference")
     p.add_argument("log", help="survey log file")
     p.add_argument("--format", default="csv", choices=list(LOG_FORMATS))
-    p.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
+    p.add_argument("--out", help="output directory (default: .)")
     p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD_DBM,
                    help="RSSI threshold (dBm) defining an AP's coverage region")
     p.add_argument("--ap-lat", type=float, help="AP latitude for distance computation")
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("throughput", help="export a throughput-vs-distance curve")
-    p.add_argument("--standard", default=Standard.AC80211.value, choices=[s.value for s in Standard])
+    p.add_argument("--standard", default="ac", choices=list(WIDTHS_MHZ))
     p.add_argument("--streams", type=int, default=3)
     p.add_argument("--width", type=int, default=20, help="channel width in MHz")
     p.add_argument("--tx-eirp", type=float, default=20.0)
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-distance", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--points", type=int, default=30)
-    p.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
+    p.add_argument("--out", help="output directory (default: .)")
     p.set_defaults(func=cmd_throughput)
 
     return parser

@@ -25,17 +25,15 @@ def suppression_report(
     """Per-bin magnitude change of ``after`` relative to ``before``, in dB.
 
     The spectra have one size and the two bins are distinct bins of it.
-    Returns ``(desired_change_db, interferer_change_db)``.
-
-    Raises:
-        ValueError: for a zero before-magnitude at a probed bin (the ratio
-            would be undefined).
+    Returns ``(desired_change_db, interferer_change_db)``: each is NaN, as
+    undefined, where the before-magnitude is zero, and ``-inf`` where only
+    the after-magnitude is.
     """
     def change(bin_idx: int) -> float:
         b = before[bin_idx]
         a = after[bin_idx]
         if b == 0.0:
-            raise ValueError(f"zero magnitude at bin {bin_idx} in the 'before' spectrum")
+            return math.nan
         if a == 0.0:
             return -math.inf
         return 20.0 * math.log10(a / b)

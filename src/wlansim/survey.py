@@ -50,18 +50,21 @@ _MEMBER_ORDER = itemgetter(0, 4, 5, 6)
 
 
 class ApSummary(NamedTuple):
-    """RSSI statistics for one AP at one quantized survey location."""
+    """RSSI statistics for one AP at one quantized survey location; the
+    fields are the columns of ``summaries.csv``, in order, and a ``None``
+    distance (no AP position given) is written as an empty field."""
 
     bssid: str
     ssid: str
-    channel_id: int
-    cell: tuple[int, int]
-    latitude: float
-    longitude: float
+    channel: int
+    cell_x: int
+    cell_y: int
+    lat: float
+    lon: float
     mean_rssi_dbm: float
     stddev_rssi_dbm: float
     count: int
-    low_confidence: bool
+    low_confidence: int  # 1 for fewer than LOW_CONFIDENCE_COUNT samples, else 0
     distance_m: float | None = None
 
 
@@ -75,16 +78,15 @@ class FitResult(NamedTuple):
 
 
 class InterferencePair(NamedTuple):
-    """Channel overlap and geographic co-location verdict for an AP pair."""
+    """Channel overlap and geographic co-location verdict for an AP pair;
+    the fields are the columns of ``interference.csv``, in order, with the
+    flags as 0/1.  A pair interferes when it overlaps and is co-located."""
 
     bssid_a: str
     bssid_b: str
     overlap: float
-    co_located: bool
-
-    @property
-    def interferes(self) -> bool:
-        return self.overlap > 0.0 and self.co_located
+    co_located: int
+    interferes: int
 
 
 # A format yields (line, fields) per sample: the physical line where the
@@ -270,17 +272,8 @@ def summarize(
                 distance = haversine_distance(*ap_position, lat, lon)
             summaries.append(
                 ApSummary(
-                    bssid=bssid,
-                    ssid=ssids[0],
-                    channel_id=channel_ids[0],
-                    cell=cell,
-                    latitude=lat,
-                    longitude=lon,
-                    mean_rssi_dbm=mean_rssi,
-                    stddev_rssi_dbm=math.sqrt(var),
-                    count=n,
-                    low_confidence=n < LOW_CONFIDENCE_COUNT,
-                    distance_m=distance,
+                    bssid, ssids[0], channel_ids[0], *cell, lat, lon, mean_rssi, math.sqrt(var), n,
+                    int(n < LOW_CONFIDENCE_COUNT), distance,
                 )
             )
     return summaries
@@ -326,29 +319,25 @@ def fit_path_loss(
 
 
 def interference_report(
-    summaries: Sequence[ApSummary],
-    coverage_threshold_dbm: float = DEFAULT_COVERAGE_THRESHOLD_DBM,
-) -> list[InterferencePair]:
-    """Pairwise channel overlap and co-location across the surveyed APs.
+    summaries: Sequence[ApSummary], coverage_threshold_dbm: float
+) -> Iterator[InterferencePair]:
+    """Pairwise channel overlap and co-location across the surveyed APs,
+    as a lazy stream of pairs in bssid order; every per-AP and per-channel
+    table is built before the stream is returned.
 
     An AP's coverage region is the set of cells where its mean RSSI meets
-    the threshold; two APs are co-located when those regions intersect.
-    Each AP's plan follows from its channel id; a pair of APs in different
-    plans has overlap 0.
-
-    Raises:
-        ValueError: for a non-finite coverage threshold.
+    the threshold, which is finite; two APs are co-located when those
+    regions intersect.  Each AP's plan follows from its channel id; a pair
+    of APs in different plans has overlap 0.
     """
-    if not math.isfinite(coverage_threshold_dbm):
-        raise ValueError(f"coverage_threshold_dbm must be finite, got {coverage_threshold_dbm}")
     cells: dict[str, set[tuple[int, int]]] = {}
     counts: dict[str, dict[int, int]] = {}
     for s in summaries:
         cells.setdefault(s.bssid, set())
         if s.mean_rssi_dbm >= coverage_threshold_dbm:
-            cells[s.bssid].add(s.cell)
-        counts.setdefault(s.bssid, {}).setdefault(s.channel_id, 0)
-        counts[s.bssid][s.channel_id] += 1
+            cells[s.bssid].add((s.cell_x, s.cell_y))
+        counts.setdefault(s.bssid, {}).setdefault(s.channel, 0)
+        counts[s.bssid][s.channel] += 1
     # Channel per AP: the most common value across its groups, smallest id on ties.
     channels = {
         bssid: min(by_channel, key=lambda cid: (-by_channel[cid], cid))
@@ -356,13 +345,15 @@ def interference_report(
     }
     in_use = [channel_by_id(cid) for cid in sorted(set(channels.values()))]
     overlap = {
-        (a.id, b.id): overlap_fraction(a, b) if a.plan is b.plan else 0.0
+        (a.id, b.id): overlap_fraction(a, b) if a.plan == b.plan else 0.0
         for a in in_use
         for b in in_use
     }
     bssids = sorted(cells)
-    return [
-        InterferencePair(a, b, overlap[channels[a], channels[b]], not cells[a].isdisjoint(cells[b]))
-        for i, a in enumerate(bssids)
-        for b in bssids[i + 1 :]
-    ]
+
+    def pair(a: str, b: str) -> InterferencePair:
+        fraction = overlap[channels[a], channels[b]]
+        co_located = int(not cells[a].isdisjoint(cells[b]))
+        return InterferencePair(a, b, fraction, co_located, int(fraction > 0.0 and co_located))
+
+    return (pair(a, b) for i, a in enumerate(bssids) for b in bssids[i + 1 :])

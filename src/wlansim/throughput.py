@@ -10,32 +10,21 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from enum import Enum
 
-
-class Standard(Enum):
-    N80211 = "n"
-    AC80211 = "ac"
-
-
-class Modulation(Enum):
-    QAM64 = 64
-    QAM256 = 256
-
-
-# Maximum client data rate in Mbps by (standard, spatial streams).
-MAX_CLIENT_RATE_MBPS: dict[tuple[Standard, int], float] = {
-    (Standard.N80211, 1): 150.0,
-    (Standard.N80211, 3): 450.0,
-    (Standard.AC80211, 1): 450.0,
-    (Standard.AC80211, 3): 1300.0,
+# Maximum client data rate in Mbps by (standard, spatial streams); a
+# standard is its 802.11 amendment letters, "n" or "ac".
+MAX_CLIENT_RATE_MBPS: dict[tuple[str, int], float] = {
+    ("n", 1): 150.0,
+    ("n", 3): 450.0,
+    ("ac", 1): 450.0,
+    ("ac", 3): 1300.0,
 }
 
-# Channel widths in MHz by standard.  The published "106 MHz optional"
-# entry is encoded as the 160 MHz option.
-WIDTHS_MHZ: dict[Standard, tuple[int, ...]] = {
-    Standard.N80211: (20, 40),
-    Standard.AC80211: (20, 40, 80, 160),
+# Channel widths in MHz by standard, the one list of standards.  The
+# published "106 MHz optional" entry is encoded as the 160 MHz option.
+WIDTHS_MHZ: dict[str, tuple[int, ...]] = {
+    "n": (20, 40),
+    "ac": (20, 40, 80, 160),
 }
 
 NOISE_FLOOR_20MHZ_DBM = -90.0
@@ -46,7 +35,7 @@ DEFAULT_STAIRCASE_BASE_SNR_DB = 5.0
 DEFAULT_STAIRCASE_STEP_DB = 3.0
 
 
-def max_client_rate(standard: Standard, streams: int) -> float:
+def max_client_rate(standard: str, streams: int) -> float:
     """Published peak client rate in Mbps.
 
     Raises:
@@ -54,13 +43,14 @@ def max_client_rate(standard: Standard, streams: int) -> float:
     """
     rate = MAX_CLIENT_RATE_MBPS.get((standard, streams))
     if rate is None:
-        raise ValueError(f"no published rate for {standard.value} with {streams} streams")
+        raise ValueError(f"no published rate for {standard} with {streams} streams")
     return rate
 
 
-def bits_per_symbol(modulation: Modulation) -> int:
-    """Coded bits carried per symbol: log2 of the constellation size."""
-    return int(math.log2(modulation.value))
+def bits_per_symbol(constellation_size: int) -> int:
+    """Coded bits carried per symbol of a QAM constellation of
+    ``constellation_size`` points (64 or 256): log2 of the size."""
+    return int(math.log2(constellation_size))
 
 
 def noise_floor_dbm(channel_width_mhz: int) -> float:
@@ -81,7 +71,7 @@ def default_snr_staircase(cap_mbps: float) -> list[tuple[float, float]]:
 
 
 def throughput_vs_distance(
-    standard: Standard,
+    standard: str,
     streams: int,
     width_mhz: int,
     tx_eirp_dbm: float,
@@ -115,7 +105,7 @@ def throughput_vs_distance(
     """
     if width_mhz not in WIDTHS_MHZ[standard]:
         widths = "/".join(map(str, WIDTHS_MHZ[standard]))
-        raise ValueError(f"802.11{standard.value} supports {widths} MHz widths, got {width_mhz}")
+        raise ValueError(f"802.11{standard} supports {widths} MHz widths, got {width_mhz}")
     if not 1.0 <= exponent < math.inf:
         raise ValueError(f"path-loss exponent must be finite and >= 1, got {exponent}")
     if not math.isfinite(tx_eirp_dbm):

@@ -55,12 +55,12 @@ def interference_oracle(summaries, threshold_dbm) -> list[tuple]:
     """
 
     def channel(bssid):
-        ids = [s.channel_id for s in summaries if s.bssid == bssid]
+        ids = [s.channel for s in summaries if s.bssid == bssid]
         most = max(ids.count(c) for c in ids)
         return channel_by_id(min(c for c in ids if ids.count(c) == most))
 
     def coverage(bssid):
-        return {s.cell for s in summaries if s.bssid == bssid and s.mean_rssi_dbm >= threshold_dbm}
+        return {(s.cell_x, s.cell_y) for s in summaries if s.bssid == bssid and s.mean_rssi_dbm >= threshold_dbm}
 
     aps = sorted({s.bssid for s in summaries})
     rows = []

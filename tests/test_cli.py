@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import FIELD_NEAR_MISSES
 
 import wlansim
-from wlansim.arrays import load_scenario
+from wlansim.arrays import MAX_ITERATIONS, Scenario, Source, load_scenario
 from wlansim.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from wlansim.propagation import EARTH_RADIUS_M
 from wlansim.spectrum import dft_magnitude
@@ -150,6 +150,22 @@ class TestBeamformCommand:
                 id="second-desired-source",
             ),
             pytest.param("num_elements", 1025, "num_elements: must be <= 1024", id="num_elements-above-bound"),
+            pytest.param("noise_power", 1e201, "noise_power: must be in [0, 1e+200]", id="noise_power-above-bound"),
+            pytest.param(
+                "spacing_wavelengths", 1e308, "spacing_wavelengths: must be in (0, 1e+100]", id="spacing-above-bound"
+            ),
+            pytest.param(
+                "sources",
+                [dict(src, amplitude=1e-160) for src in load_scenario().to_dict()["sources"]],
+                "sources[0].amplitude: must be 0 or in [1e-100, 1e+100], got 1e-160",
+                id="amplitude-below-bound",
+            ),
+            pytest.param(
+                "sources",
+                [dict(src, normalized_freq=0.75) for src in load_scenario().to_dict()["sources"]],
+                "sources[0].normalized_freq: must be in [-0.5, 0.5], got 0.75",
+                id="normalized_freq-above-nyquist",
+            ),
             pytest.param("carrier_hz", 5e9, "carrier_hz: unknown field", id="unknown-key"),
             pytest.param(
                 "sources",
@@ -206,18 +222,19 @@ class TestBeamformCommand:
         assert "seed" in err
         assert not out_dir.exists()
 
-    def test_failed_summary_leaves_no_outputs(self, tmp_path, capsys):
-        data = load_scenario().to_dict()
-        data["noise_power"] = 0.0
+    def test_silent_scenario_leaves_out_the_suppression_fields(self, tmp_path, capsys):
+        data = {**load_scenario().to_dict(), "num_elements": 4, "iterations": 600, "noise_power": 0.0}
         for source in data["sources"]:
-            source["amplitude"] = 0.0  # a silent array: the suppression report has no reference
+            source["amplitude"] = 0.0  # a silent array: the suppression changes have no reference
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(data))
         out_dir = tmp_path / "out"
-        code, _, err = run_cli(["beamform", "--scenario", str(scenario), "--out", str(out_dir)], capsys)
-        assert code == EXIT_VALIDATION
-        assert "zero magnitude" in err
-        assert not out_dir.exists()
+        code, out, err = run_cli(["beamform", "--scenario", str(scenario), "--out", str(out_dir)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert "desired_change_db" not in out and "interferer_change_db" not in out
+        assert_summary_finite(out)
+        for name in BEAMFORM_OUTPUTS:
+            assert_numeric_fields_finite((out_dir / name).read_text(encoding="utf-8"), name)
 
     def test_zero_step_size_summary_is_finite(self, tmp_path, capsys):
         data = load_scenario().to_dict()
@@ -226,9 +243,7 @@ class TestBeamformCommand:
         scenario.write_text(json.dumps(data))
         code, out, _ = run_cli(["beamform", "--scenario", str(scenario), "--out", str(tmp_path / "out")], capsys)
         assert code == EXIT_OK
-        assert "nan" not in out and "inf" not in out
-        values = re.findall(r"=(\S+)", out)
-        assert values and all(math.isfinite(float(v)) for v in values)
+        assert_summary_finite(out)
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         dir_a = tmp_path / "a"
@@ -284,11 +299,12 @@ class TestBeamformCommand:
         assert code == EXIT_IO
         assert "I/O" in err
 
-    def test_output_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WLANSIM_OUTPUT_DIR", str(tmp_path / "env_out"))
+    def test_output_dir_defaults_to_the_current_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("WLANSIM_OUTPUT_DIR", str(tmp_path / "env_out"))  # ignored: only --out chooses
         code, _, _ = run_cli(["beamform", "--iterations", "50"], capsys)
         assert code == EXIT_OK
-        assert (tmp_path / "env_out" / "trace.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*BEAMFORM_OUTPUTS, "manifest.json"])
 
 
 def write_survey_csv(path: Path, ap_lat=51.8776, ap_lon=0.9426, exponent=2.7,
@@ -444,10 +460,10 @@ class TestCoverageCommand:
     @pytest.mark.parametrize(
         "flags,named",
         [
-            (["--fit", "--tx-eirp", "nan"], "tx_eirp_dbm"),
-            (["--fit", "--tx-eirp", "inf"], "tx_eirp_dbm"),
-            (["--tx-eirp", "nan"], "tx_eirp_dbm"),
-            (["--coverage-threshold", "nan"], "coverage_threshold_dbm"),
+            (["--fit", "--tx-eirp", "nan"], "--tx-eirp: must be finite, got nan"),
+            (["--fit", "--tx-eirp", "inf"], "--tx-eirp: must be finite, got inf"),
+            (["--tx-eirp", "nan"], "--tx-eirp: must be finite, got nan"),
+            (["--coverage-threshold", "nan"], "--coverage-threshold: must be finite, got nan"),
             (["--ap-lat", "91"], "--ap-lat"),
             (["--ap-lon", "181"], "--ap-lon"),
         ],
@@ -533,6 +549,29 @@ class TestCoverageCommand:
         assert code == EXIT_OK
         assert out_text in out
         assert "line 1:" not in err
+
+    def test_pairs_stream_to_their_csv(self, tmp_path):
+        # Each pair goes to the CSV as it is made: 400 co-located APs make
+        # 79 800 pairs, which as a list would take over 6 MiB.
+        log = tmp_path / "survey.csv"
+        log.write_text(
+            "".join(
+                f"2013-05-14T09:00:00Z,00:11:22:33:{k // 256:02X}:{k % 256:02X},net,{1 + k % 11},-60.0,51.8776,0.9426\n"
+                for k in range(400)
+            )
+        )
+        out_dir = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = main(["coverage", str(log), "--out", str(out_dir)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        with open(out_dir / "interference.csv", encoding="utf-8") as f:
+            assert sum(1 for _ in f) == 1 + 400 * 399 // 2
+        assert peak < 2 * 2**20, peak
 
     def test_malformed_line_count_reported(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
@@ -727,6 +766,12 @@ def assert_numeric_fields_finite(text: str, name: str, blank_distance: bool = Fa
         ), (name, row)
 
 
+def assert_summary_finite(out: str) -> None:
+    """The stdout summary line holds ``name=value`` fields, each value finite."""
+    fields = dict(field.split("=") for field in out.split())
+    assert fields and all(math.isfinite(float(value)) for value in fields.values()), out
+
+
 GOOD_SAMPLE = ["2013-05-14T09:00:00Z", "00:11:22:33:44:55", "eduroam", "1", "-60", "51.8776", "0.9426"]
 
 
@@ -816,6 +861,97 @@ def test_throughput_exit_contract_holds_for_any_flags(flags):
             rates = [float(row[1]) for row in list(csv.reader(io.StringIO(text)))[1:]]
             assert stdout.getvalue() == f"cap_mbps={max(rates)}\n"
         else:
+            assert not out_dir.exists()
+
+
+# JSON values of every kind a scenario field may be given: wrong types,
+# nesting, integers beyond a float or at a size bound, tiny and huge floats
+# and each magnitude bound, NaN and infinities (json.dumps writes
+# NaN/Infinity literals).
+EDGE_NUMBERS = st.sampled_from([
+    0, -0.0, 1, -1, 0.5, 0.5000000000000001, 1.5707963267948963, 1024, 1025, MAX_ITERATIONS + 1,
+    2**64 - 1, 2**64, 10**200, 10**400, 5e-324, 1e-100, 9.999999999999999e-101, 1e100, 1.0000000000000002e100,
+    1e200, 1.0000000000000002e200, 1e308, -1e308,
+])
+JSON_VALUES = EDGE_NUMBERS | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(min_size=1, max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# Each field, and one unknown key, of a scenario and of a source.
+SCENARIO_KEYS = [*Scenario._fields, "carrier_hz"]
+SOURCE_KEYS = [*Source._fields, "amplitdue"]
+
+
+def is_long_run(value) -> bool:
+    """Whether ``value`` is an iteration count the scenario accepts above 300."""
+    return type(value) in (int, float) and 300 < value <= MAX_ITERATIONS and value == int(value)
+
+
+@st.composite
+def scenario_documents(draw):
+    """The shipped scenario at 1-300 iterations, maybe silent (every
+    amplitude and the noise 0), with up to three fields of it or of its
+    sources set to drawn JSON values; or one drawn JSON value in its place."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    data = {**load_scenario().to_dict(), "iterations": draw(st.integers(1, 300))}
+    if draw(st.booleans()):
+        data["noise_power"] = 0
+        for source in data["sources"]:
+            source["amplitude"] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            source = data["sources"][draw(st.integers(0, 1))]
+            source[draw(st.sampled_from(SOURCE_KEYS))] = draw(JSON_VALUES)
+        else:
+            key = draw(st.sampled_from(SCENARIO_KEYS))
+            # Iterations stay few, so each example runs in milliseconds.
+            data[key] = draw(JSON_VALUES.filter(lambda v: not is_long_run(v)) if key == "iterations" else JSON_VALUES)
+            if key == "sources":
+                break  # the sources are no longer the two to edit
+    return data
+
+
+def shipped_with(source_fields: dict, **fields) -> dict:
+    """The shipped scenario at 300 iterations with ``fields`` set, and
+    ``source_fields`` set in its first source."""
+    data = {**load_scenario().to_dict(), "iterations": 300, **fields}
+    data["sources"][0].update(source_fields)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=scenario_documents())
+# Values past the magnitude bounds, where the snapshot energy (exit 3), a
+# sinusoid's phase (a message naming no field) or the NLMS norm (a
+# divergence blamed on step_size) would overflow.
+@example(document=shipped_with({"amplitude": 10**200}))
+@example(document=shipped_with({"normalized_freq": 1e306}))
+@example(document=shipped_with({}, noise_power=1e308))
+def test_beamform_exit_contract_holds_for_any_scenario_json(document):
+    """Exit 0 with finite CSV fields and a finite summary line, or exit 1
+    naming a field and no outputs; never exit 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(document), encoding="utf-8")
+        out_dir = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["beamform", "--scenario", str(scenario), "--out", str(out_dir)])
+        assert code in (EXIT_OK, EXIT_VALIDATION), stderr.getvalue()
+        if code == EXIT_OK:
+            assert_summary_finite(stdout.getvalue())
+            for name in BEAMFORM_OUTPUTS:
+                assert_numeric_fields_finite((out_dir / name).read_text(encoding="utf-8"), name)
+        else:
+            # A field name, or an unknown key of the document or of a source.
+            keys = {"scenario", *SCENARIO_KEYS, *SOURCE_KEYS}
+            sources = document.get("sources") if isinstance(document, dict) else None
+            for record in [document, *(sources if isinstance(sources, list) else [])]:
+                if isinstance(record, dict):
+                    keys |= set(record)
+            assert any(key in stderr.getvalue() for key in keys), stderr.getvalue()
             assert not out_dir.exists()
 
 

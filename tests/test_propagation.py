@@ -11,7 +11,7 @@ from wlansim.propagation import (
     friis_path_loss,
     haversine_distance,
 )
-from wlansim.throughput import Standard, noise_floor_dbm, throughput_vs_distance
+from wlansim.throughput import noise_floor_dbm, throughput_vs_distance
 
 # (latitude, longitude) in decimal degrees.
 LONDON = (51.5074, -0.1278)
@@ -38,7 +38,7 @@ def log_distance_snr(reference_loss_db, exponent, distances, tx_eirp_dbm=20.0):
         snr
         for d in distances
         for _, _, snr in throughput_vs_distance(
-            Standard.AC80211, 3, 20, tx_eirp_dbm, reference_loss_db, exponent, d, 0.0, 1
+            "ac", 3, 20, tx_eirp_dbm, reference_loss_db, exponent, d, 0.0, 1
         )
     ]
 

@@ -1,5 +1,7 @@
 """Tests for DFT magnitude spectra and the suppression report."""
 
+import math
+
 import numpy as np
 import pytest
 from oracles import dft_oracle
@@ -95,8 +97,14 @@ class TestSuppressionReport:
         assert d_chg == pytest.approx(0.0, abs=1e-6)
         assert i_chg <= -60.0
 
-    def test_zero_before_magnitude_rejected(self):
+    def test_zero_before_magnitude_is_undefined(self):
         before = np.zeros(32)  # every bin is exactly empty
-        after = np.ones(32)
-        with pytest.raises(ValueError, match="zero magnitude"):
-            suppression_report(dft_magnitude(before, 32), dft_magnitude(after, 32), 4, 7)
+        for after in (np.ones(32), np.zeros(32)):
+            d_chg, i_chg = suppression_report(dft_magnitude(before, 32), dft_magnitude(after, 32), 4, 7)
+            assert math.isnan(d_chg) and math.isnan(i_chg)
+
+    def test_zero_after_magnitude_is_minus_infinity(self):
+        before = np.zeros(32)
+        before[4] = before[7] = 1.0
+        d_chg, i_chg = suppression_report(before, np.zeros(32), 4, 7)
+        assert d_chg == i_chg == -math.inf

@@ -247,8 +247,8 @@ class TestSummarize:
         summaries = summarize(records)
         assert len(summaries) == 12
         for s in summaries:
-            key = min(oracle, key=lambda k: abs(k - s.latitude))
-            assert s.cell == location_cell(key, 0.9426)
+            key = min(oracle, key=lambda k: abs(k - s.lat))
+            assert (s.cell_x, s.cell_y) == location_cell(key, 0.9426)
             assert s.count == 25
             assert s.mean_rssi_dbm == pytest.approx(statistics.mean(oracle[key]), abs=1e-9)
             assert s.stddev_rssi_dbm == pytest.approx(statistics.pstdev(oracle[key]), abs=1e-9)
@@ -265,7 +265,7 @@ class TestSummarize:
 
     def test_low_confidence_flag(self):
         summaries = summarize([make_record() for _ in range(4)])
-        assert summaries[0].low_confidence
+        assert summaries[0].low_confidence == 1
 
     def test_distance_from_ap_position(self):
         records = [make_record() for _ in range(5)]
@@ -299,17 +299,19 @@ class TestFitPathLoss:
 
 
 def summary_at(bssid, channel, lat, lon, rssi=-60.0, ssid="net"):
+    cell_x, cell_y = location_cell(lat, lon)
     return ApSummary(
         bssid=bssid,
         ssid=ssid,
-        channel_id=channel,
-        cell=location_cell(lat, lon),
-        latitude=lat,
-        longitude=lon,
+        channel=channel,
+        cell_x=cell_x,
+        cell_y=cell_y,
+        lat=lat,
+        lon=lon,
         mean_rssi_dbm=rssi,
         stddev_rssi_dbm=0.0,
         count=25,
-        low_confidence=False,
+        low_confidence=0,
     )
 
 
@@ -319,7 +321,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 11, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries)
+        (pair,) = interference_report(summaries, -80.0)
         assert pair.overlap == 0.0
         assert pair.co_located
         assert not pair.interferes
@@ -329,7 +331,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 36, 51.8776, 0.9426),
             summary_at(AP_B, 36, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries)
+        (pair,) = interference_report(summaries, -80.0)
         assert pair.overlap == 1.0
         assert pair.co_located
         assert pair.interferes
@@ -339,14 +341,14 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 3, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(near)
+        (pair,) = interference_report(near, -80.0)
         assert pair.overlap == pytest.approx(12 / 22, abs=1e-12)
         assert pair.interferes
         far = [
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 3, 51.9776, 0.9426),  # ~11 km away
         ]
-        (pair,) = interference_report(far)
+        (pair,) = interference_report(far, -80.0)
         assert pair.overlap == pytest.approx(12 / 22, abs=1e-12)
         assert not pair.interferes
 
@@ -355,7 +357,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 2, 51.8776, 0.9426),
             summary_at(AP_B, 5, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries)
+        (pair,) = interference_report(summaries, -80.0)
         expected = overlap_fraction(
             channel_by_id(2), channel_by_id(5)
         )
@@ -366,7 +368,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 36, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries)
+        (pair,) = interference_report(summaries, -80.0)
         assert pair.overlap == 0.0
         assert pair.co_located
         assert not pair.interferes
@@ -376,7 +378,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426, rssi=-85.0),
             summary_at(AP_B, 1, 51.8776, 0.9426, rssi=-60.0),
         ]
-        (pair,) = interference_report(summaries, coverage_threshold_dbm=-80.0)
+        (pair,) = interference_report(summaries, -80.0)
         assert not pair.co_located
 
     def test_overlap_computed_once_per_channel_pair(self, monkeypatch):
@@ -392,7 +394,7 @@ class TestInterferenceReport:
             summary_at(f"00:11:22:33:44:{k:02X}", channels[k % len(channels)], 51.8776, 0.9426)
             for k in range(40)
         ]
-        assert len(interference_report(summaries)) == 40 * 39 // 2
+        assert len(list(interference_report(summaries, -80.0))) == 40 * 39 // 2
         assert len(calls) <= len(channels) ** 2
 
 
@@ -401,8 +403,8 @@ MACS = [f"00:11:22:33:44:{k:02X}" for k in range(6)]
 
 def summary_in_cell(bssid, channel, cell, rssi):
     return ApSummary(
-        bssid=bssid, ssid="net", channel_id=channel, cell=cell, latitude=0.0, longitude=0.0,
-        mean_rssi_dbm=rssi, stddev_rssi_dbm=0.0, count=5, low_confidence=False,
+        bssid=bssid, ssid="net", channel=channel, cell_x=cell[0], cell_y=cell[1], lat=0.0, lon=0.0,
+        mean_rssi_dbm=rssi, stddev_rssi_dbm=0.0, count=5, low_confidence=0,
     )
 
 
@@ -434,6 +436,6 @@ summary_lists = st.lists(
 def test_report_matches_per_pair_oracle(summaries, threshold):
     got = [
         (p.bssid_a, p.bssid_b, p.overlap, p.co_located, p.interferes)
-        for p in interference_report(summaries, coverage_threshold_dbm=threshold)
+        for p in interference_report(summaries, threshold)
     ]
     assert got == interference_oracle(summaries, threshold)
