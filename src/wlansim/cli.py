@@ -1,12 +1,16 @@
 """Command-line interface: one subcommand per simulator area.
 
-Every output is a table, a header plus an iterable of rows, and
-``_write_table`` writes every table as CSV, so the output format is
-decided here alone.  The ``channels``, ``summaries.csv`` and
-``interference.csv`` tables are the records ``channels_in``, ``summarize``
-and ``interference_report`` return, as they are, under the field names of
-``Channel``, ``ApSummary`` and ``InterferencePair``; each other table's
-header is stated by the command that writes it.
+Every output is a CSV table, and its format is decided here alone.
+``_write_table`` writes each table that is a header plus an iterable of
+rows through ``csv.writer``: the ``channels`` listing, ``summaries.csv``
+and the ``beamform`` and ``throughput`` tables.  The ``channels`` and
+``summaries.csv`` tables are the records ``channels_in`` and ``summarize``
+return, as they are, under the field names of ``Channel`` and
+``ApSummary``; each other table's header is stated by the command that
+writes it.  ``interference.csv`` is rendered by ``_write_pairs`` instead,
+a block of lines per AP: it has a row per AP pair, n(n-1)/2 for n APs,
+but few distinct verdicts, so one ``csv.writer`` call per pair would be
+most of the work of a dense survey.
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
 records the tool and Python versions (and numpy's, when the command loaded
@@ -28,9 +32,10 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from . import __version__
 from .channels import BAND_PLAN, Channel, channel_by_id, channels_in, overlap_fraction
@@ -39,7 +44,7 @@ from .survey import (
     DEFAULT_COVERAGE_THRESHOLD_DBM,
     LOG_FORMATS,
     ApSummary,
-    InterferencePair,
+    Verdict,
     fit_path_loss,
     interference_report,
     parse_log,
@@ -82,27 +87,53 @@ def _write_table(out: IO[str], table: Table) -> None:
     writer.writerows(rows)
 
 
-def _publish(out_arg: str | None, tables: dict[str, Table], config: dict) -> None:
-    """Write each table, then ``manifest.json``, into the output directory.
+class _VerdictTails(dict):
+    """Verdict -> the text that ends its pair's line, made on first use."""
+
+    def __missing__(self, verdict: Verdict) -> str:
+        tail = self[verdict] = f",{verdict.overlap},{verdict.co_located},{verdict.interferes}\r\n"
+        return tail
+
+
+def _write_pairs(out: IO[str], blocks: Iterable[tuple[str, list[tuple[str, Verdict]]]]) -> None:
+    """Write the interference table, the blocks ``interference_report``
+    yields, as ``csv.writer``'s default dialect would: its header line,
+    then one line per AP pair.
+
+    Each distinct verdict's text is made once and each AP's block is
+    written in one call.  No field needs quoting: every bssid passed
+    ``survey._MAC_RE`` when its log was parsed, so it holds no comma,
+    quote, CR or LF, and a verdict's fields are Python numbers, whose
+    ``str`` is what ``csv.writer`` writes for them.
+    """
+    out.write(",".join(["bssid_a", "bssid_b", *Verdict._fields]) + "\r\n")
+    tails = _VerdictTails()
+    for a, block in blocks:
+        out.write("".join([f"{a},{b}{tails[verdict]}" for b, verdict in block]))
+
+
+def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]], config: dict) -> None:
+    """Write each output by calling its writer with the file open, then
+    ``manifest.json``, into the output directory.
 
     Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
     any output is replaced and the new one is moved in last, so a manifest
     always describes the files beside it."""
     out_dir = Path(out_arg or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    temps = {name: out_dir / f".{name}.tmp" for name in [*tables, "manifest.json"]}
+    temps = {name: out_dir / f".{name}.tmp" for name in [*outputs, "manifest.json"]}
     try:
-        for name, table in tables.items():
+        for name, write in outputs.items():
             with open(temps[name], "w", encoding="utf-8", newline="") as f:
-                _write_table(f, table)
+                write(f)
         manifest = {
             "tool_version": __version__,
             "python_version": sys.version.split()[0],
             "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
             "seed": config.get("seed"),
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "outputs": list(tables),
-            "output_sha256": {name: _sha256_file(temps[name]) for name in tables},
+            "outputs": list(outputs),
+            "output_sha256": {name: _sha256_file(temps[name]) for name in outputs},
         }
         if "numpy" in sys.modules:  # only beamform loads it
             manifest["numpy_version"] = sys.modules["numpy"].__version__
@@ -196,7 +227,8 @@ def cmd_beamform(args: argparse.Namespace) -> int:
         "spectrum_before.csv": spectrum(before),
         "spectrum_after.csv": spectrum(after),
     }
-    _publish(args.out, tables, scenario.to_dict())  # the effective scenario: flag overrides count
+    outputs = {name: partial(_write_table, table=table) for name, table in tables.items()}
+    _publish(args.out, outputs, scenario.to_dict())  # the effective scenario: flag overrides count
 
     # A field with no finite value is left out, as an undefined plateau is:
     # all-zero weights give -inf gains, and a silent input leaves the
@@ -233,7 +265,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     # Freed here, not at return: the records are most of the memory, and the
     # pair stream and the CSV writes would otherwise add to them.
     del records
-    pairs = interference_report(summaries, args.coverage_threshold)
+    pair_blocks = interference_report(summaries, args.coverage_threshold)
     fit = None
     if args.fit:
         points = [
@@ -245,11 +277,11 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
     # Published only now, so a rejected run leaves no directory.
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
-    tables = {
-        "summaries.csv": (ApSummary._fields, summaries),
-        "interference.csv": (InterferencePair._fields, pairs),
+    outputs = {
+        "summaries.csv": partial(_write_table, table=(ApSummary._fields, summaries)),
+        "interference.csv": partial(_write_pairs, blocks=pair_blocks),
     }
-    _publish(args.out, tables, {**options, "log_sha256": _sha256_file(log_path)})
+    _publish(args.out, outputs, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:
         print(
             f"fit: exponent={fit.exponent:.4f} reference_loss_db={fit.reference_loss_db:.2f} "
@@ -281,7 +313,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     table = (["distance_m", "rate_mbps", "snr_db"], chain([first_row], rows))
-    _publish(args.out, {"throughput.csv": table}, options)
+    _publish(args.out, {"throughput.csv": partial(_write_table, table=table)}, options)
     print(f"cap_mbps={first_row[1]}")
     return EXIT_OK
 

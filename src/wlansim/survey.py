@@ -77,13 +77,11 @@ class FitResult(NamedTuple):
     sample_count: int
 
 
-class InterferencePair(NamedTuple):
+class Verdict(NamedTuple):
     """Channel overlap and geographic co-location verdict for an AP pair;
-    the fields are the columns of ``interference.csv``, in order, with the
-    flags as 0/1.  A pair interferes when it overlaps and is co-located."""
+    the fields are the last columns of ``interference.csv``, in order, with
+    the flags as 0/1.  A pair interferes when it overlaps and is co-located."""
 
-    bssid_a: str
-    bssid_b: str
     overlap: float
     co_located: int
     interferes: int
@@ -320,15 +318,27 @@ def fit_path_loss(
 
 def interference_report(
     summaries: Sequence[ApSummary], coverage_threshold_dbm: float
-) -> Iterator[InterferencePair]:
+) -> Iterator[tuple[str, list[tuple[str, Verdict]]]]:
     """Pairwise channel overlap and co-location across the surveyed APs,
-    as a lazy stream of pairs in bssid order; every per-AP and per-channel
-    table is built before the stream is returned.
+    as a lazy stream of one block per AP in bssid order: ``(bssid_a,
+    [(bssid_b, verdict), ...])`` for every ``bssid_b`` after ``bssid_a``.
+    Every per-AP and per-channel table is built before the stream is
+    returned.
 
     An AP's coverage region is the set of cells where its mean RSSI meets
     the threshold, which is finite; two APs are co-located when those
     regions intersect.  Each AP's plan follows from its channel id; a pair
     of APs in different plans has overlap 0.
+
+    A pair's verdict follows from the two channel ids and co-location
+    alone, so the at most 2k² verdicts of k channels in use are built once
+    and shared.  Co-location comes from a cell -> APs index whose sets of
+    APs are the bits of an integer, one bit per AP.  The APs near
+    ``bssid_a``, those sharing one of its covered cells, are the union of
+    its cells' sets: one integer OR per cell, however many APs share it.
+    That set is built when ``bssid_a``'s block is made and dropped with
+    it, so memory stays O(APs) beside the index and the block being
+    consumed.
     """
     cells: dict[str, set[tuple[int, int]]] = {}
     counts: dict[str, dict[int, int]] = {}
@@ -343,17 +353,31 @@ def interference_report(
         bssid: min(by_channel, key=lambda cid: (-by_channel[cid], cid))
         for bssid, by_channel in counts.items()
     }
-    in_use = [channel_by_id(cid) for cid in sorted(set(channels.values()))]
-    overlap = {
-        (a.id, b.id): overlap_fraction(a, b) if a.plan == b.plan else 0.0
-        for a in in_use
-        for b in in_use
-    }
+    # verdicts[channel_a][channel_b][co_located], nested so that a pair's
+    # lookup builds no key.
+    verdicts: dict[int, dict[int, tuple[Verdict, Verdict]]] = {}
+    in_use = [channel_by_id(cid) for cid in set(channels.values())]
+    for a in in_use:
+        verdicts[a.id] = {}
+        for b in in_use:
+            fraction = overlap_fraction(a, b) if a.plan == b.plan else 0.0
+            verdicts[a.id][b.id] = (Verdict(fraction, 0, 0), Verdict(fraction, 1, int(fraction > 0.0)))
     bssids = sorted(cells)
+    # cell -> the APs covering it, as a set of bits: bit j stands for bssids[j].
+    covering: dict[tuple[int, int], int] = {}
+    for j, bssid in enumerate(bssids):
+        for cell in cells[bssid]:
+            covering[cell] = covering.get(cell, 0) | 1 << j
 
-    def pair(a: str, b: str) -> InterferencePair:
-        fraction = overlap[channels[a], channels[b]]
-        co_located = int(not cells[a].isdisjoint(cells[b]))
-        return InterferencePair(a, b, fraction, co_located, int(fraction > 0.0 and co_located))
+    def blocks() -> Iterator[tuple[str, list[tuple[str, Verdict]]]]:
+        for i, a in enumerate(bssids):
+            near = 0
+            for cell in cells[a]:
+                near |= covering[cell]
+            later = bssids[i + 1 :]
+            # For each AP after a, in order, "1" when it is near a, else "0".
+            flags = f"{near >> (i + 1):0{len(later)}b}"[::-1]
+            row = verdicts[channels[a]]
+            yield a, [(b, row[channels[b]][flag == "1"]) for b, flag in zip(later, flags)]
 
-    return (pair(a, b) for i, a in enumerate(bssids) for b in bssids[i + 1 :])
+    return blocks()

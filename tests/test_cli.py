@@ -786,9 +786,10 @@ def near_miss_rows(draw):
 
 
 # Each value a float that argparse accepts: a value it refuses exits before main's handlers.
+# "-51.8776", "-179.0574" is GOOD_SAMPLE's antipode.
 AP_POSITIONS = st.tuples(
-    st.sampled_from(["51.8776", "51.8777", "-90", "90", "91", "nan", "1e308"]),
-    st.sampled_from(["0.9426", "0.9427", "-180", "180", "-181", "inf"]),
+    st.sampled_from(["51.8776", "51.8777", "-51.8776", "-90", "90", "91", "nan", "1e308"]),
+    st.sampled_from(["0.9426", "0.9427", "-179.0574", "-180", "180", "-181", "inf"]),
 )
 OPTION_VALUES = {
     "--tx-eirp": st.sampled_from(["20", "-1e308", "1e308", "nan"]),
@@ -803,6 +804,9 @@ OPTION_VALUES = {
     fit=st.booleans(),
     options=st.fixed_dictionaries({}, optional=OPTION_VALUES),
 )
+# The antipode, which the derandomized draws do not pair, with a second
+# sample so that the fit runs: every distance is about half the Earth's circumference.
+@example(rows=[[*GOOD_SAMPLE[:5], "51.8777", "0.9427"]], ap=("-51.8776", "-179.0574"), fit=True, options={})
 def test_coverage_exit_contract_holds_for_near_miss_logs(rows, ap, fit, options):
     """Survey CSV of one good sample and near misses, with or without an AP
     position and a fit: exit 0 with finite numbers, or exit 1 and no outputs."""

@@ -1,6 +1,6 @@
 """Every public function and class in ``src/wlansim`` is used by other
 package code, so nothing in the package lives only for its tests; and
-the CSV output format is decided in one place."""
+the CSV output format is decided in one place, ``cli``."""
 
 import ast
 from pathlib import Path
@@ -82,3 +82,20 @@ def csv_writer_sites(src: Path) -> list[tuple[str, str]]:
 
 def test_csv_writer_is_built_only_in_write_table():
     assert csv_writer_sites(SRC) == [("cli", "_write_table")]
+
+
+def crlf_literal_modules(src: Path) -> list[str]:
+    """Each module in ``src`` with a string literal, f-string parts
+    included, that holds the CSV line end ``\\r\\n``."""
+    return [
+        path.stem
+        for path in sorted(src.glob("*.py"))
+        if any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str) and "\r\n" in node.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+
+
+def test_csv_line_end_is_written_only_in_cli():
+    assert crlf_literal_modules(SRC) == ["cli"]

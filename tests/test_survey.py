@@ -5,6 +5,7 @@ import io
 import random
 import statistics
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from oracles import (
 )
 
 import wlansim.survey
-from wlansim.cli import build_parser
+from wlansim.cli import _write_pairs, build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.survey import (
     CSV_COLUMNS,
@@ -315,13 +316,26 @@ def summary_at(bssid, channel, lat, lon, rssi=-60.0, ssid="net"):
     )
 
 
+class Pair(NamedTuple):
+    bssid_a: str
+    bssid_b: str
+    overlap: float
+    co_located: int
+    interferes: int
+
+
+def report_pairs(summaries, threshold):
+    """The report's per-AP blocks flattened to one row per AP pair."""
+    return [Pair(a, b, *verdict) for a, block in interference_report(summaries, threshold) for b, verdict in block]
+
+
 class TestInterferenceReport:
     def test_disjoint_channels_not_flagged(self):
         summaries = [
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 11, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, -80.0)
+        (pair,) = report_pairs(summaries, -80.0)
         assert pair.overlap == 0.0
         assert pair.co_located
         assert not pair.interferes
@@ -331,7 +345,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 36, 51.8776, 0.9426),
             summary_at(AP_B, 36, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, -80.0)
+        (pair,) = report_pairs(summaries, -80.0)
         assert pair.overlap == 1.0
         assert pair.co_located
         assert pair.interferes
@@ -341,14 +355,14 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 3, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(near, -80.0)
+        (pair,) = report_pairs(near, -80.0)
         assert pair.overlap == pytest.approx(12 / 22, abs=1e-12)
         assert pair.interferes
         far = [
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 3, 51.9776, 0.9426),  # ~11 km away
         ]
-        (pair,) = interference_report(far, -80.0)
+        (pair,) = report_pairs(far, -80.0)
         assert pair.overlap == pytest.approx(12 / 22, abs=1e-12)
         assert not pair.interferes
 
@@ -357,7 +371,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 2, 51.8776, 0.9426),
             summary_at(AP_B, 5, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, -80.0)
+        (pair,) = report_pairs(summaries, -80.0)
         expected = overlap_fraction(
             channel_by_id(2), channel_by_id(5)
         )
@@ -368,7 +382,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426),
             summary_at(AP_B, 36, 51.8776, 0.9426),
         ]
-        (pair,) = interference_report(summaries, -80.0)
+        (pair,) = report_pairs(summaries, -80.0)
         assert pair.overlap == 0.0
         assert pair.co_located
         assert not pair.interferes
@@ -378,7 +392,7 @@ class TestInterferenceReport:
             summary_at(AP_A, 1, 51.8776, 0.9426, rssi=-85.0),
             summary_at(AP_B, 1, 51.8776, 0.9426, rssi=-60.0),
         ]
-        (pair,) = interference_report(summaries, -80.0)
+        (pair,) = report_pairs(summaries, -80.0)
         assert not pair.co_located
 
     def test_overlap_computed_once_per_channel_pair(self, monkeypatch):
@@ -394,7 +408,7 @@ class TestInterferenceReport:
             summary_at(f"00:11:22:33:44:{k:02X}", channels[k % len(channels)], 51.8776, 0.9426)
             for k in range(40)
         ]
-        assert len(list(interference_report(summaries, -80.0))) == 40 * 39 // 2
+        assert len(report_pairs(summaries, -80.0)) == 40 * 39 // 2
         assert len(calls) <= len(channels) ** 2
 
 
@@ -421,7 +435,10 @@ summary_lists = st.lists(
 )
 
 
-@given(summaries=summary_lists, threshold=st.sampled_from([-85.0, -80.0, -75.0]))
+thresholds = st.sampled_from([-85.0, -80.0, -75.0])
+
+
+@given(summaries=summary_lists, threshold=thresholds)
 @example(
     # Mixed plans, a tie between channels 6 and 1 (1 wins), and an AP with no covered cell.
     summaries=[
@@ -434,8 +451,19 @@ summary_lists = st.lists(
     threshold=-80.0,
 )
 def test_report_matches_per_pair_oracle(summaries, threshold):
-    got = [
-        (p.bssid_a, p.bssid_b, p.overlap, p.co_located, p.interferes)
-        for p in interference_report(summaries, threshold)
-    ]
-    assert got == interference_oracle(summaries, threshold)
+    assert report_pairs(summaries, threshold) == interference_oracle(summaries, threshold)
+
+
+@settings(max_examples=100)
+@given(summaries=summary_lists, threshold=thresholds)
+def test_rendered_report_matches_csv_writer_over_the_oracle(summaries, threshold):
+    got = io.StringIO()
+    _write_pairs(got, interference_report(summaries, threshold))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["bssid_a", "bssid_b", "overlap", "co_located", "interferes"])
+    writer.writerows(
+        (a, b, overlap, int(co_located), int(interferes))
+        for a, b, overlap, co_located, interferes in interference_oracle(summaries, threshold)
+    )
+    assert got.getvalue() == expected.getvalue()
