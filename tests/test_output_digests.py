@@ -36,6 +36,14 @@ def test_channel_plan_stdout(capsys, plan, pin):
     [
         pytest.param(["throughput"], {"throughput.csv": "d0a0dade24a5"}, id="throughput"),
         pytest.param(
+            # 30 000 rows over all nine rates, 450.0 down to 0.0, from an
+            # exponent-form first distance.
+            ["throughput", "--standard", "n", "--streams", "3", "--width", "40", "--tx-eirp", "22.8",
+             "--exponent", "2.75", "--min-distance", "5e-05", "--step", "0.0087", "--points", "30000"],
+            {"throughput.csv": "eb0c76332886"},
+            id="throughput-long",
+        ),
+        pytest.param(
             ["coverage", str(DATA / "survey.kml"), "--format", "kml"],
             {"summaries.csv": "07a6bd36ebdd", "interference.csv": "9ae65c5d1fee", "stderr": "2cc142289c07"},
             id="coverage-kml",
