@@ -3,14 +3,18 @@
 Every output is a CSV table, and its format is decided here alone.
 ``_write_table`` writes each table that is a header plus an iterable of
 rows through ``csv.writer``: the ``channels`` listing, ``summaries.csv``
-and the ``beamform`` and ``throughput`` tables.  The ``channels`` and
+and the ``beamform`` tables.  The ``channels`` and
 ``summaries.csv`` tables are the records ``channels_in`` and ``summarize``
 return, as they are, under the field names of ``Channel`` and
 ``ApSummary``; each other table's header is stated by the command that
 writes it.  ``interference.csv`` is rendered by ``_write_pairs`` instead,
 a block of lines per AP: it has a row per AP pair, n(n-1)/2 for n APs,
 but few distinct verdicts, so one ``csv.writer`` call per pair would be
-most of the work of a dense survey.
+most of the work of a dense survey.  ``throughput.csv`` is rendered by
+``_write_curve``, a chunk of lines at a time: it has a row per point, up to
+``MAX_CURVE_POINTS``, but at most nine distinct rates (0 and the eight
+rungs), so each rate's text is made once and only the distance and SNR
+are formatted per row.
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
 records the tool and Python versions (and numpy's, when the command loaded
@@ -33,7 +37,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
@@ -62,6 +66,9 @@ PATTERN_GRID_POINTS = 721
 
 # Upper bound of throughput --points: a larger curve would only fill the disk.
 MAX_CURVE_POINTS = 10**6
+
+# Throughput curve rows rendered per write.
+CURVE_CHUNK_ROWS = 4096
 
 # Floor for dB conversion of zero-magnitude spectrum bins.
 MAG_FLOOR = 1e-15
@@ -110,6 +117,33 @@ def _write_pairs(out: IO[str], blocks: Iterable[tuple[str, list[tuple[str, Verdi
     tails = _VerdictTails()
     for a, block in blocks:
         out.write("".join([f"{a},{b}{tails[verdict]}" for b, verdict in block]))
+
+
+class _RateTexts(dict):
+    """Rate -> the text between its curve row's distance and SNR, made on first use."""
+
+    def __missing__(self, rate: float) -> str:
+        text = self[rate] = f",{rate},"
+        return text
+
+
+def _write_curve(out: IO[str], rows: Iterable[tuple[float, float, float]]) -> None:
+    """Write the throughput table, the ``(distance_m, rate_mbps, snr_db)``
+    rows ``throughput_vs_distance`` yields, as ``csv.writer``'s default
+    dialect would: its header line, then one line per row.
+
+    Each distinct rate's text is made once, and ``CURVE_CHUNK_ROWS`` lines
+    are joined per write.  No field needs quoting: every field is a Python
+    float, whose ``str`` is the ``repr`` ``csv.writer`` writes and holds no
+    comma, quote, CR or LF.  A rate's text is made from the first rate
+    equal to it, so a -0.0 after a 0.0 would read 0.0; the curve's rates
+    are 0.0 and the positive rungs.
+    """
+    out.write("distance_m,rate_mbps,snr_db\r\n")
+    rates = _RateTexts()
+    rows = iter(rows)
+    while chunk := [f"{d}{rates[rate]}{snr}\r\n" for d, rate, snr in islice(rows, CURVE_CHUNK_ROWS)]:
+        out.write("".join(chunk))
 
 
 def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]], config: dict) -> None:
@@ -302,6 +336,13 @@ def cmd_throughput(args: argparse.Namespace) -> int:
         raise ValueError(f"--points: must be in [1, {MAX_CURVE_POINTS}], got {points}")
     if not math.isfinite(first + (points - 1) * step):
         raise ValueError(f"--step: the last distance {first} + {points - 1} * {step} m is not finite")
+    # The one check of each link-budget flag: the library takes them as given.
+    if not math.isfinite(args.tx_eirp):
+        raise ValueError(f"--tx-eirp: must be finite, got {args.tx_eirp}")
+    if not 0 < args.frequency < math.inf:
+        raise ValueError(f"--frequency: must be positive and finite, got {args.frequency}")
+    if args.exponent is not None and not 1 <= args.exponent < math.inf:
+        raise ValueError(f"--exponent: must be finite and >= 1, got {args.exponent}")
     # Free space unless an exponent is given, over the Friis loss at 1 m either way.
     reference_loss_db = friis_path_loss(1.0, args.frequency)
     exponent = 2.0 if args.exponent is None else args.exponent
@@ -312,8 +353,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     first_row = next(rows)  # the cap: the curve is monotone non-increasing
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    table = (["distance_m", "rate_mbps", "snr_db"], chain([first_row], rows))
-    _publish(args.out, {"throughput.csv": partial(_write_table, table=table)}, options)
+    _publish(args.out, {"throughput.csv": partial(_write_curve, rows=chain([first_row], rows))}, options)
     print(f"cap_mbps={first_row[1]}")
     return EXIT_OK
 

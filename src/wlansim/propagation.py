@@ -43,13 +43,8 @@ def friis_path_loss(distance_m: float, frequency_hz: float) -> float:
 
     ``20*log10(d) + 20*log10(f) + 20*log10(4*pi/c)`` with c the vacuum
     speed of light; exactly 20 dB per decade of distance or frequency.
-    ``distance_m`` is positive and finite.
-
-    Raises:
-        ValueError: if the frequency is not positive and finite.
+    ``distance_m`` and ``frequency_hz`` are positive and finite.
     """
-    if not 0 < frequency_hz < math.inf:
-        raise ValueError(f"frequency must be positive and finite, got {frequency_hz}")
     return (
         20.0 * math.log10(distance_m)
         + 20.0 * math.log10(frequency_hz)

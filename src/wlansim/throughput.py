@@ -89,8 +89,10 @@ def throughput_vs_distance(
     Each point's link SNR is the EIRP minus the log-distance path loss
     ``reference_loss_db + 10*exponent*log10(d)`` minus the noise floor of
     the channel width, with 0 dBi receive gain; exponent 2 over the Friis
-    loss at 1 m is free space.  ``reference_loss_db`` must be finite: the
-    overflow check below names the exponent for any non-finite SNR.
+    loss at 1 m is free space.  The link budget is the caller's to check:
+    ``tx_eirp_dbm`` and ``reference_loss_db`` finite, ``exponent`` finite
+    and at least 1; the overflow check below names the exponent for any
+    non-finite SNR.
     The grid is the caller's to check: ``first_m`` positive and finite,
     ``step_m`` non-negative, ``points`` at least 1 and the last distance
     finite, so every distance is positive, finite and non-decreasing.
@@ -98,18 +100,13 @@ def throughput_vs_distance(
     curve is monotone non-increasing in distance.
 
     Raises:
-        ValueError: for a width the standard does not support, an exponent
-            below 1 or non-finite, a non-finite EIRP, a (standard, streams)
-            cell with no tabulated peak rate, or an exponent so large that
-            the link SNR overflows.
+        ValueError: for a width the standard does not support, a
+            (standard, streams) cell with no tabulated peak rate, or an
+            exponent so large that the link SNR overflows.
     """
     if width_mhz not in WIDTHS_MHZ[standard]:
         widths = "/".join(map(str, WIDTHS_MHZ[standard]))
         raise ValueError(f"802.11{standard} supports {widths} MHz widths, got {width_mhz}")
-    if not 1.0 <= exponent < math.inf:
-        raise ValueError(f"path-loss exponent must be finite and >= 1, got {exponent}")
-    if not math.isfinite(tx_eirp_dbm):
-        raise ValueError(f"tx_eirp_dbm must be finite, got {tx_eirp_dbm}")
     staircase = default_snr_staircase(max_client_rate(standard, streams))
     # The highest rung whose threshold the SNR reaches, by bisection:
     # rates[k] is the rate once k thresholds are reached.  A NaN SNR would

@@ -627,15 +627,20 @@ class TestCoverageCommand:
 
 # Each rejected throughput input and what its message must hold.
 THROUGHPUT_REJECTIONS = [
-    (["--tx-eirp", "nan"], "tx_eirp_dbm"),
-    (["--exponent", "nan"], "exponent"),
-    (["--frequency", "nan"], "frequency"),
-    (["--frequency", "inf"], "frequency"),
+    (["--tx-eirp", "nan"], "--tx-eirp: must be finite, got nan"),
+    (["--exponent", "nan"], "--exponent: must be finite and >= 1, got nan"),
+    (["--exponent", "inf"], "--exponent: must be finite and >= 1, got inf"),
+    (["--exponent=-inf"], "--exponent: must be finite and >= 1, got -inf"),
+    (["--exponent", "0.5"], "--exponent: must be finite and >= 1, got 0.5"),
+    (["--frequency", "nan"], "--frequency: must be positive and finite, got nan"),
+    (["--frequency", "inf"], "--frequency: must be positive and finite, got inf"),
+    (["--frequency", "0"], "--frequency: must be positive and finite, got 0.0"),
+    (["--frequency", "-5"], "--frequency: must be positive and finite, got -5.0"),
     (["--min-distance", "inf"], "--min-distance: must be positive and finite, got inf"),
     (["--min-distance", "0"], "--min-distance: must be positive and finite, got 0.0"),
     (["--step", "nan"], "--step: must be >= 0 and finite, got nan"),
     (["--step", "-0.25"], "--step: must be >= 0 and finite, got -0.25"),
-    (["--exponent", "1e308"], "exponent"),
+    (["--exponent", "1e308"], "path-loss exponent 1e+308 overflows the link budget over 1.0..3.0 m"),
     (["--points", "0"], "--points: must be in [1, 1000000], got 0"),
     (["--points", "-5"], "--points: must be in [1, 1000000], got -5"),
     (["--points", "1000001"], "--points: must be in [1, 1000000], got 1000001"),

@@ -108,12 +108,6 @@ class TestFriis:
         assert friis_path_loss(2.0, 2.4e9) > friis_path_loss(1.9, 2.4e9)
         assert friis_path_loss(2.0, 5e9) > friis_path_loss(2.0, 2.4e9)
 
-    @pytest.mark.parametrize("d,f", [(1.0, 0.0), (1.0, -5.0), (1.0, math.nan), (1.0, math.inf)])
-    def test_domain_errors(self, d, f):
-        # Each case spoils the frequency; 1.0 m is the distance the one caller passes.
-        with pytest.raises(ValueError, match="frequency"):
-            friis_path_loss(d, f)
-
 
 class TestPathLossModel:
     def test_exponent_two_reproduces_friis(self):
@@ -123,22 +117,19 @@ class TestPathLossModel:
             for d, snr in zip(distances, snrs):
                 assert snr == pytest.approx(20.0 - friis_path_loss(d, f) + 90.0, abs=1e-9)
 
-    def test_exponent_below_one_rejected(self):
-        with pytest.raises(ValueError, match="exponent"):
-            log_distance_snr(40.0, 0.5, [1.0])
-
     @pytest.mark.parametrize(
         "fields,named",
         [
             ((-math.inf, 2.4e9), "exponent"),
             ((math.nan, 2.4e9), "exponent"),
             ((math.inf, 2.4e9), "exponent"),
-            ((2.0, math.nan), "frequency"),
-            ((2.0, math.inf), "frequency"),
         ],
     )
     def test_non_finite_field_rejected(self, fields, named):
-        # (exponent, frequency), the reference loss built as `throughput` builds it.
+        # (exponent, frequency), the reference loss built as `throughput`
+        # builds it.  `throughput` rejects these exponents first, and names
+        # the flag; the curve's overflow check rejects them too, as every
+        # SNR is then non-finite.
         exponent, frequency_hz = fields
         with pytest.raises(ValueError, match=named):
             log_distance_snr(friis_path_loss(1.0, frequency_hz), exponent, [1.0])

@@ -1,12 +1,17 @@
 """Tests for rate lookups, modulation accounting and distance curves."""
 
+import csv
+import io
 import math
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wlansim.cli import EXIT_OK, main
+from wlansim.cli import CURVE_CHUNK_ROWS, EXIT_OK, _write_curve, main
 from wlansim.propagation import SPEED_OF_LIGHT, friis_path_loss
 from wlansim.throughput import (
     WIDTHS_MHZ,
@@ -175,3 +180,35 @@ class TestDistanceCurves:
             closed_form = 20.0 + 90.0 - 20.0 * math.log10(4.0 * math.pi * float(d) * 5e9 / SPEED_OF_LIGHT)
             assert float(snr) == pytest.approx(closed_form, abs=1e-9)
             assert float(rate) == staircase_rate(float(snr), stairs)
+
+
+# Floats at the edges of float formatting: subnormals, exponent form at
+# 1e16 and above and at 1e-5 and below, negatives, -0.0 and integral floats.
+EDGE_FLOATS = st.sampled_from([
+    5e-324, 2.2250738585072014e-308, 1e-300, 1e-5, 9.999999999999999e-06, 0.0001, -0.0, 0.0,
+    1300.0, 1e16, 1.0000000000000002e16, 9999999999999998.0, 1.7976931348623157e308,
+    -5e-324, -1e-5, -17.5, -1e16, -1300.0,
+]) | st.floats()
+# A curve's rates: 0.0, the rungs of each cap, and other non-negative floats
+# (never -0.0, which a rate's text shares with 0.0).
+RATES = st.sampled_from(
+    [0.0, *(rate for cap in (150.0, 450.0, 1300.0) for _, rate in default_snr_staircase(cap))]
+) | st.floats(min_value=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=st.lists(st.tuples(EDGE_FLOATS, RATES, EDGE_FLOATS), min_size=1, max_size=12),
+    count=st.sampled_from([0, 1, CURVE_CHUNK_ROWS - 1, CURVE_CHUNK_ROWS, CURVE_CHUNK_ROWS + 1]),
+)
+def test_rendered_curve_matches_csv_writer(drawn, count):
+    # The drawn rows repeat to fill a count on either side of a chunk.
+    rows = list(islice(cycle(drawn), count))
+    got = io.StringIO()
+    _write_curve(got, iter(rows))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["distance_m", "rate_mbps", "snr_db"])
+    writer.writerows(rows)
+    # Compared line by line: pytest would diff a failing long text whole.
+    assert got.getvalue().splitlines(keepends=True) == expected.getvalue().splitlines(keepends=True)
