@@ -39,7 +39,7 @@ from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .channels import BAND_PLAN, Channel, channel_by_id, channels_in, overlap_fraction
@@ -127,7 +127,7 @@ class _RateTexts(dict):
         return text
 
 
-def _write_curve(out: IO[str], rows: Iterable[tuple[float, float, float]]) -> None:
+def _write_curve(out: IO[str], rows: Iterator[tuple[float, float, float]]) -> None:
     """Write the throughput table, the ``(distance_m, rate_mbps, snr_db)``
     rows ``throughput_vs_distance`` yields, as ``csv.writer``'s default
     dialect would: its header line, then one line per row.
@@ -141,7 +141,6 @@ def _write_curve(out: IO[str], rows: Iterable[tuple[float, float, float]]) -> No
     """
     out.write("distance_m,rate_mbps,snr_db\r\n")
     rates = _RateTexts()
-    rows = iter(rows)
     while chunk := [f"{d}{rates[rate]}{snr}\r\n" for d, rate, snr in islice(rows, CURVE_CHUNK_ROWS)]:
         out.write("".join(chunk))
 
