@@ -205,7 +205,7 @@ def test_rendered_curve_matches_csv_writer(drawn, count):
     # The drawn rows repeat to fill a count on either side of a chunk.
     rows = list(islice(cycle(drawn), count))
     got = io.StringIO()
-    _write_curve(got, iter(rows))
+    _write_curve(got, rows)
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(["distance_m", "rate_mbps", "snr_db"])
