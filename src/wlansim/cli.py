@@ -305,11 +305,12 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     pair_blocks = interference_report(summaries, args.coverage_threshold)
     fit = None
     if args.fit:
-        points = [
-            (s.distance_m, s.mean_rssi_dbm)
-            for s in summaries
-            if s.distance_m is not None and s.distance_m > 0
-        ]
+        # Points under 1 m, the model's reference distance and the survey
+        # grid's cell size, are left out: a group at the AP's own position
+        # can lie a rounding error away from it, and its log-distance would
+        # weigh most in the fit.  --fit requires the AP position, so every
+        # summary has a distance.
+        points = [(s.distance_m, s.mean_rssi_dbm) for s in summaries if s.distance_m >= 1.0]
         fit = fit_path_loss(points, args.tx_eirp)
 
     # Published only now, so a rejected run leaves no directory.

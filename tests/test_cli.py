@@ -355,6 +355,24 @@ class TestCoverageCommand:
         assert match
         assert float(match.group(1)) == pytest.approx(2.7, abs=1e-3)
 
+    def test_fit_leaves_out_groups_under_one_metre(self, tmp_path, capsys):
+        log = tmp_path / "survey.csv"
+        write_survey_csv(log, exponent=2.7)
+        # Off-model samples 0.5 m from the AP: under the 1 m reference distance.
+        lat = 51.8776 + math.degrees(0.5 / EARTH_RADIUS_M)
+        near = [f"2013-05-14T09:10:{k:02d}Z,00:11:22:33:44:55,eduroam,1,-30.0,{lat},0.9426" for k in range(5)]
+        log.write_text(log.read_text() + "\n".join(near) + "\n")
+        code, out, _ = run_cli(
+            [
+                "coverage", str(log), "--out", str(tmp_path / "out"), "--fit",
+                "--tx-eirp", "20", "--ap-lat", "51.8776", "--ap-lon", "0.9426",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert "samples=6" in out
+        assert float(re.search(r"exponent=([-\d.]+)", out).group(1)) == pytest.approx(2.7, abs=1e-3)
+
     def test_fit_without_ap_position_rejected(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
         write_survey_csv(log)

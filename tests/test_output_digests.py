@@ -55,7 +55,7 @@ def test_channel_plan_stdout(capsys, plan, pin):
         ),
         pytest.param(
             ["coverage", str(DATA / "survey_mixed.csv"), "--ap-lat", "51.8776", "--ap-lon", "0.9426", "--fit"],
-            {"summaries.csv": "2da89f6715b1", "interference.csv": "bd93178648b0", "stdout": "5dfe0a65b61d"},
+            {"summaries.csv": "2da89f6715b1", "interference.csv": "bd93178648b0", "stdout": "824178fee50e"},
             id="coverage-fit",
         ),
         pytest.param(
