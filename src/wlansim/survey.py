@@ -24,7 +24,6 @@ import csv
 import math
 import re
 from itertools import chain
-from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .channels import CHANNEL_IDS, channel_by_id, overlap_fraction
@@ -44,9 +43,6 @@ GRID_M = 1.0
 
 # (t, bssid, ssid, channel_id, rssi_dbm, lat, lon), as ``_record_from_fields`` builds it.
 Record = tuple[str, str, str, int, float, float, float]
-
-# Canonical member order within a group: (t, rssi_dbm, lat, lon).
-_MEMBER_ORDER = itemgetter(0, 4, 5, 6)
 
 
 class ApSummary(NamedTuple):
@@ -227,15 +223,20 @@ def summarize(
     """Aggregate records into per-(AP, location-cell) RSSI statistics.
 
     A record's cell is its position quantized to the local ``GRID_M``
-    metric grid by an equirectangular projection: adequate for
-    survey-scale extents and independent of input order.  Groups with
-    fewer than 5 samples are flagged low-confidence.  When
+    metric grid by an equirectangular projection, adequate for
+    survey-scale extents.  A group's mean position, mean RSSI and RSSI
+    variance divide ``math.fsum`` sums, which are exact up to their one
+    final rounding, by the group's size.  Its SSID and channel are those
+    of its earliest sample: the least record, by timestamp text and then
+    by its other fields.  So the result does not depend on the order of
+    ``records``, whatever the log.  Groups with fewer than
+    ``LOW_CONFIDENCE_COUNT`` samples are flagged low-confidence.  When
     ``ap_position``, a checked ``(lat, lon)``, is given, each summary
     carries the great-circle distance from the AP to the group's mean
     position, which is in range as its members' positions are.
     ``records`` is nonempty, as ``parse_log`` returns them.
     """
-    radians, cos, floor = math.radians, math.cos, math.floor
+    radians, cos, floor, fsum = math.radians, math.cos, math.floor, math.fsum
     # AP -> cell -> members: the groups then sort by AP and cell apart,
     # which is cheaper than sorting (AP, cell) keys.
     groups: dict[str, dict[tuple[int, int], list[Record]]] = {}
@@ -257,20 +258,19 @@ def summarize(
     for bssid, cells in sorted(groups.items()):
         for cell, members in sorted(cells.items()):
             n = len(members)
-            if n > 1:
-                # Canonical member order keeps float sums permutation-invariant.
-                members.sort(key=_MEMBER_ORDER)
-            _, _, ssids, channel_ids, rssis, lats, lons = zip(*members)
-            mean_rssi = sum(rssis) / n
-            var = sum((r - mean_rssi) ** 2 for r in rssis) / n
-            lat = sum(lats) / n
-            lon = sum(lons) / n
+            _, _, ssid, channel_id, *_ = min(members)
+            _, _, _, _, rssis, lats, lons = zip(*members)
+            mean_rssi = fsum(rssis) / n
+            # A product, not ** 2, which calls libm pow.
+            var = fsum([(r - mean_rssi) * (r - mean_rssi) for r in rssis]) / n
+            lat = fsum(lats) / n
+            lon = fsum(lons) / n
             distance = None
             if ap_position is not None:
                 distance = haversine_distance(*ap_position, lat, lon)
             summaries.append(
                 ApSummary(
-                    bssid, ssids[0], channel_ids[0], *cell, lat, lon, mean_rssi, math.sqrt(var), n,
+                    bssid, ssid, channel_id, *cell, lat, lon, mean_rssi, math.sqrt(var), n,
                     int(n < LOW_CONFIDENCE_COUNT), distance,
                 )
             )

@@ -50,12 +50,12 @@ def test_channel_plan_stdout(capsys, plan, pin):
         ),
         pytest.param(
             ["coverage", str(DATA / "survey_mixed.csv")],
-            {"summaries.csv": "6d8f8912e7ec", "interference.csv": "bd93178648b0", "stderr": "e3b0c44298fc"},
+            {"summaries.csv": "c34fdc509419", "interference.csv": "bd93178648b0", "stderr": "e3b0c44298fc"},
             id="coverage-mixed",
         ),
         pytest.param(
             ["coverage", str(DATA / "survey_mixed.csv"), "--ap-lat", "51.8776", "--ap-lon", "0.9426", "--fit"],
-            {"summaries.csv": "2da89f6715b1", "interference.csv": "bd93178648b0", "stdout": "824178fee50e"},
+            {"summaries.csv": "395d19668c49", "interference.csv": "bd93178648b0", "stdout": "824178fee50e"},
             id="coverage-fit",
         ),
         pytest.param(
