@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -332,6 +333,19 @@ class TestCoverageCommand:
         rows = (out_dir / "summaries.csv").read_text().strip().splitlines()
         assert len(rows) == 7  # header + 6 locations
         assert (out_dir / "interference.csv").exists()
+
+    def test_row_order_leaves_the_tables_unchanged(self, tmp_path):
+        header, *rows = (DATA / "survey_mixed.csv").read_text().splitlines()
+        tables = ("summaries.csv", "interference.csv")
+        assert main(["coverage", str(DATA / "survey_mixed.csv"), "--out", str(tmp_path / "out")]) == EXIT_OK
+        expected = {name: (tmp_path / "out" / name).read_bytes() for name in tables}
+        for seed in range(3):
+            random.Random(seed).shuffle(rows)
+            log = tmp_path / f"shuffled{seed}.csv"
+            log.write_text("\n".join([header, *rows]) + "\n")
+            out_dir = tmp_path / f"out{seed}"
+            assert main(["coverage", str(log), "--out", str(out_dir)]) == EXIT_OK
+            assert {name: (out_dir / name).read_bytes() for name in tables} == expected
 
     def test_empty_file_exits_nonzero(self, tmp_path, capsys):
         log = tmp_path / "empty.csv"
@@ -982,11 +996,40 @@ def test_beamform_exit_contract_holds_for_any_scenario_json(document):
             assert not out_dir.exists()
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_python(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package, with ``env`` added to its environment."""
     src = str(Path(wlansim.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+# Three samples per group whose RSSI standard deviation, taken with ``d ** 2``
+# (libm pow), reads differently under glibc's FMA and non-FMA libm on an
+# x86-64 CPU with FMA.
+LIBM_SENSITIVE_RSSI = [(-75.0, -64.46, -86.4), (-47.76, -66.69, -85.2), (-81.16, -54.7, -87.77)]
+
+
+def test_summaries_do_not_depend_on_the_libm_variant(tmp_path):
+    """``summaries.csv`` has the same bytes whichever libm variant glibc
+    loads: ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-FMA4``, set on one child
+    process only, makes glibc load its non-FMA variant there.  On a CPU or
+    a glibc where the tunable changes nothing, this passes trivially."""
+    lines = [",".join(CSV_COLUMNS)]
+    for ap, rssis in enumerate(LIBM_SENSITIVE_RSSI):
+        for k, rssi in enumerate(rssis):
+            lines.append(f"2013-05-14T09:00:{k:02d}Z,00:11:22:33:44:{ap:02d},eduroam,1,{rssi},51.8776,0.9426")
+    log = tmp_path / "survey.csv"
+    log.write_text("\n".join(lines) + "\n")
+    tables = {}
+    for name, env in [("default", {}), ("no_fma", {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-FMA4"})]:
+        out_dir = tmp_path / name
+        argv = ["coverage", str(log), "--out", str(out_dir)]
+        done = run_python(f"from wlansim.cli import main; main({argv!r})", **env)
+        assert done.returncode == 0, done.stderr
+        tables[name] = (out_dir / "summaries.csv").read_bytes()
+    assert tables["default"] == tables["no_fma"]
 
 
 class TestImports:

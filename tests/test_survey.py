@@ -260,9 +260,17 @@ class TestSummarize:
             make_record(rssi=-50 - rng.random(), lat=51.8776 + (i % 3) * 3e-4)
             for i in range(60)
         ]
+        # Tied on (t, rssi_dbm, lat, lon), apart in SSID and channel.
+        records += [
+            make_record(ssid=ssid, channel=channel, rssi=-70.0, lat=51.879)
+            for ssid, channel in [("beta", 6), ("alpha", 1)]
+        ]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert summarize(records) == summarize(shuffled)
+        summaries = summarize(records)
+        assert summaries == summarize(shuffled) == summarize(records[::-1])
+        # The earliest sample names the group, the rest of the record breaking the tie.
+        assert [(s.ssid, s.channel) for s in summaries if s.lat == 51.879] == [("alpha", 1)]
 
     def test_low_confidence_flag(self):
         summaries = summarize([make_record() for _ in range(4)])
