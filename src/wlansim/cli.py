@@ -94,12 +94,17 @@ def _write_table(out: IO[str], table: Table) -> None:
     writer.writerows(rows)
 
 
-class _VerdictTails(dict):
-    """Verdict -> the text that ends its pair's line, made on first use."""
+class _Texts(dict):
+    """Key -> ``fmt % key``, made on first use: the text of one verdict or
+    one rate in its table's lines."""
 
-    def __missing__(self, verdict: Verdict) -> str:
-        tail = self[verdict] = f",{verdict.overlap},{verdict.co_located},{verdict.interferes}\r\n"
-        return tail
+    def __init__(self, fmt: str) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.fmt % key
+        return text
 
 
 def _write_pairs(out: IO[str], blocks: Iterable[tuple[str, list[tuple[str, Verdict]]]]) -> None:
@@ -111,20 +116,12 @@ def _write_pairs(out: IO[str], blocks: Iterable[tuple[str, list[tuple[str, Verdi
     written in one call.  No field needs quoting: every bssid passed
     ``survey._MAC_RE`` when its log was parsed, so it holds no comma,
     quote, CR or LF, and a verdict's fields are Python numbers, whose
-    ``str`` is what ``csv.writer`` writes for them.
+    ``str``, which ``%s`` calls, is what ``csv.writer`` writes for them.
     """
     out.write(",".join(["bssid_a", "bssid_b", *Verdict._fields]) + "\r\n")
-    tails = _VerdictTails()
+    tails = _Texts(",%s,%s,%s\r\n")  # a Verdict is the tuple of its fields
     for a, block in blocks:
         out.write("".join([f"{a},{b}{tails[verdict]}" for b, verdict in block]))
-
-
-class _RateTexts(dict):
-    """Rate -> the text between its curve row's distance and SNR, made on first use."""
-
-    def __missing__(self, rate: float) -> str:
-        text = self[rate] = f",{rate},"
-        return text
 
 
 def _write_curve(out: IO[str], rows: Iterable[tuple[float, float, float]]) -> None:
@@ -141,7 +138,7 @@ def _write_curve(out: IO[str], rows: Iterable[tuple[float, float, float]]) -> No
     0.0; the curve's rates are 0.0 and the positive rungs.
     """
     out.write("distance_m,rate_mbps,snr_db\r\n")
-    rates = _RateTexts()
+    rates = _Texts(",%s,")
     rows = iter(rows)  # islice of a list would start over at each chunk
     while chunk := [
         "%s%s%s\r\n" % (d, rates[rate], snr) for d, rate, snr in islice(rows, CURVE_CHUNK_ROWS)
