@@ -89,11 +89,16 @@ class Verdict(NamedTuple):
 Rows = Iterator[tuple[int, Sequence[str] | str]]
 
 
-def _record_from_fields(fields: Sequence[str]) -> Record:
+def _record_from_fields(
+    fields: Sequence[str], texts: dict[str, str], macs: dict[str, str], rssis: dict[str, float]
+) -> Record:
     """Check one sample's seven field texts and build its record.
 
     The one place a sample is checked.  A sample with several faults is
     reported by the first check it fails, so the order below is output.
+    ``texts``, ``macs`` and ``rssis`` map a stripped text to its shared
+    object.  Each is read where its check stands and holds only texts that
+    passed it, so a hit skips only a check that would pass.
     """
     t, bssid, ssid, channel, rssi_text, lat_text, lon_text = fields
     rssi_text = rssi_text.strip()
@@ -101,17 +106,24 @@ def _record_from_fields(fields: Sequence[str]) -> Record:
         raise ValueError(f"rssi {rssi_text!r} violates the [-120, 0] dBm range")
     bssid = bssid.strip()
     channel_id = int(channel)
-    rssi_dbm = float(rssi_text)
+    rssi_dbm = rssis.get(rssi_text)
+    if rssi_dbm is None:
+        rssi_dbm = rssis[rssi_text] = float(rssi_text)
     lat = float(lat_text)
     lon = float(lon_text)
     check_position(lat, lon)
-    if not _MAC_RE.match(bssid):
-        raise ValueError(f"invalid MAC address {bssid!r}")
+    mac = macs.get(bssid)
+    if mac is None:
+        if not _MAC_RE.match(bssid):
+            raise ValueError(f"invalid MAC address {bssid!r}")
+        mac = macs[bssid] = bssid
     if not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
         raise ValueError(f"rssi {rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
     if channel_id not in CHANNEL_IDS:
         raise ValueError(f"channel {channel_id} not in any known plan")
-    return (t.strip(), bssid, ssid.strip(), channel_id, rssi_dbm, lat, lon)
+    t = t.strip()
+    ssid = ssid.strip()
+    return (texts.setdefault(t, t), mac, texts.setdefault(ssid, ssid), channel_id, rssi_dbm, lat, lon)
 
 
 def _csv_rows(stream: IO[str]) -> Rows:
@@ -197,18 +209,27 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, 
     """Parse a survey log in the given format, a key of ``LOG_FORMATS``,
     into records and the ``(line, message)`` of each skipped sample.
 
+    The records of one log share one object per distinct text: every
+    record with the same ``t``, ``bssid`` or ``ssid`` text holds the same
+    ``str``, and the same RSSI text the same ``float``.  Each distinct
+    bssid text is pattern-checked once.
+
     Raises:
         ValueError: for an unparseable KML document, or when no sample
             parses at all.
     """
     records: list[Record] = []
     errors: list[tuple[int, str]] = []
+    # A t text can equal an RSSI text, so the floats have their own memo.
+    texts: dict[str, str] = {}
+    macs: dict[str, str] = {}
+    rssis: dict[str, float] = {}
     for lineno, fields in LOG_FORMATS[fmt](stream):
         if isinstance(fields, str):
             errors.append((lineno, fields))
             continue
         try:
-            records.append(_record_from_fields(fields))
+            records.append(_record_from_fields(fields, texts, macs, rssis))
         except ValueError as exc:
             errors.append((lineno, str(exc)))
     if not records:
@@ -242,8 +263,9 @@ def summarize(
     groups: dict[str, dict[tuple[int, int], list[Record]]] = {}
     for rec in records:
         _, bssid, _, _, _, lat, lon = rec
-        y = EARTH_RADIUS_M * radians(lat)
-        x = EARTH_RADIUS_M * radians(lon) * cos(radians(lat))
+        phi = radians(lat)
+        y = EARTH_RADIUS_M * phi
+        x = EARTH_RADIUS_M * radians(lon) * cos(phi)
         cell = (floor(x / GRID_M), floor(y / GRID_M))
         cells = groups.get(bssid)
         if cells is None:
@@ -300,7 +322,8 @@ def fit_path_loss(
     n = len(points)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
+    # A product, not ** 2, which calls libm pow.
+    sxx = sum((x - mean_x) * (x - mean_x) for x in xs)
     if sxx == 0.0:
         raise ValueError("all distances equal; fit is degenerate")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))

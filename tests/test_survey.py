@@ -118,6 +118,57 @@ class TestCsvParsing:
         assert fmt.choices == list(LOG_FORMATS)
 
 
+class TestSharedTexts:
+    def test_equal_texts_share_one_object(self):
+        texts = [
+            ("09:00", AP_A, "eduroam", "-60.5"),
+            (" 09:00 ", f" {AP_B} ", "guest", "-61.5"),
+            ("-60.5", AP_A, " eduroam", "-60.5"),
+            ("09:01", f"{AP_B} ", "guest ", "-61.5"),
+            ("09:00", AP_A, "eduroam", " -60.5 "),
+        ]
+        text = "\n".join(csv_line(t=t, bssid=b, ssid=s, rssi=r) for t, b, s, r in texts)
+        records, errors = parse_log(io.StringIO(text), "csv")
+        assert errors == []
+        # A t text equal to an RSSI text stays a str beside its float.
+        assert records[2][:5] == ("-60.5", AP_A, "eduroam", 1, -60.5)
+        for field in (0, 1, 2, 4):  # t, bssid, ssid, rssi_dbm
+            # Every record holds the object of the first record equal to it there.
+            first = {}
+            for rec in records:
+                assert rec[field] is first.setdefault(rec[field], rec[field])
+
+    @pytest.mark.parametrize(
+        "lines,expected",
+        [
+            pytest.param(
+                [csv_line(rssi=-60.5), csv_line(channel="x", rssi=-60.5)],
+                [(2, "invalid literal for int() with base 10: 'x'")],
+                id="accepted-bssid-and-rssi-then-bad-channel",
+            ),
+            pytest.param(
+                [csv_line(bssid="00:11:22:33:44"), csv_line(), csv_line(bssid="00:11:22:33:44")],
+                [(1, "invalid MAC address '00:11:22:33:44'"), (3, "invalid MAC address '00:11:22:33:44'")],
+                id="bad-mac-twice",
+            ),
+            pytest.param(
+                [csv_line(rssi="nan"), csv_line(), csv_line(rssi="nan")],
+                [(1, "rssi nan dBm outside [-120.0, 0.0]"), (3, "rssi nan dBm outside [-120.0, 0.0]")],
+                id="nan-rssi-twice",
+            ),
+            pytest.param(
+                [csv_line(rssi="+5"), csv_line(), csv_line(rssi="+5")],
+                [(1, "rssi '+5' violates the [-120, 0] dBm range"), (3, "rssi '+5' violates the [-120, 0] dBm range")],
+                id="plus-rssi-twice",
+            ),
+        ],
+    )
+    def test_repeated_texts_report_their_first_failing_check(self, lines, expected):
+        records, errors = parse_log(io.StringIO("\n".join(lines) + "\n"), "csv")
+        assert errors == expected
+        assert len(records) == len(lines) - len(expected)
+
+
 # Two good samples, one with padded fields.
 GOOD_ROWS = [
     ("2013-05-14T09:00:00Z", AP_A, "eduroam", "1", "-60", "51.8776", "0.9426"),
