@@ -89,16 +89,13 @@ class Verdict(NamedTuple):
 Rows = Iterator[tuple[int, Sequence[str] | str]]
 
 
-def _record_from_fields(
-    fields: Sequence[str], texts: dict[str, str], macs: dict[str, str], rssis: dict[str, float]
-) -> Record:
+def _record_from_fields(fields: Sequence[str], texts: dict[str, str], rssis: dict[str, float]) -> Record:
     """Check one sample's seven field texts and build its record.
 
     The one place a sample is checked.  A sample with several faults is
     reported by the first check it fails, so the order below is output.
-    ``texts``, ``macs`` and ``rssis`` map a stripped text to its shared
-    object.  Each is read where its check stands and holds only texts that
-    passed it, so a hit skips only a check that would pass.
+    ``texts`` and ``rssis`` map a stripped text to the one ``str`` or
+    ``float`` that the log's records share for it.
     """
     t, bssid, ssid, channel, rssi_text, lat_text, lon_text = fields
     rssi_text = rssi_text.strip()
@@ -106,24 +103,20 @@ def _record_from_fields(
         raise ValueError(f"rssi {rssi_text!r} violates the [-120, 0] dBm range")
     bssid = bssid.strip()
     channel_id = int(channel)
-    rssi_dbm = rssis.get(rssi_text)
-    if rssi_dbm is None:
-        rssi_dbm = rssis[rssi_text] = float(rssi_text)
+    rssi_dbm = rssis.setdefault(rssi_text, float(rssi_text))
     lat = float(lat_text)
     lon = float(lon_text)
     check_position(lat, lon)
-    mac = macs.get(bssid)
-    if mac is None:
-        if not _MAC_RE.match(bssid):
-            raise ValueError(f"invalid MAC address {bssid!r}")
-        mac = macs[bssid] = bssid
+    if not _MAC_RE.match(bssid):
+        raise ValueError(f"invalid MAC address {bssid!r}")
     if not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
         raise ValueError(f"rssi {rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
     if channel_id not in CHANNEL_IDS:
         raise ValueError(f"channel {channel_id} not in any known plan")
     t = t.strip()
     ssid = ssid.strip()
-    return (texts.setdefault(t, t), mac, texts.setdefault(ssid, ssid), channel_id, rssi_dbm, lat, lon)
+    share = texts.setdefault
+    return (share(t, t), share(bssid, bssid), share(ssid, ssid), channel_id, rssi_dbm, lat, lon)
 
 
 def _csv_rows(stream: IO[str]) -> Rows:
@@ -211,8 +204,7 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, 
 
     The records of one log share one object per distinct text: every
     record with the same ``t``, ``bssid`` or ``ssid`` text holds the same
-    ``str``, and the same RSSI text the same ``float``.  Each distinct
-    bssid text is pattern-checked once.
+    ``str``, and the same RSSI text the same ``float``.
 
     Raises:
         ValueError: for an unparseable KML document, or when no sample
@@ -222,14 +214,13 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, 
     errors: list[tuple[int, str]] = []
     # A t text can equal an RSSI text, so the floats have their own memo.
     texts: dict[str, str] = {}
-    macs: dict[str, str] = {}
     rssis: dict[str, float] = {}
     for lineno, fields in LOG_FORMATS[fmt](stream):
         if isinstance(fields, str):
             errors.append((lineno, fields))
             continue
         try:
-            records.append(_record_from_fields(fields, texts, macs, rssis))
+            records.append(_record_from_fields(fields, texts, rssis))
         except ValueError as exc:
             errors.append((lineno, str(exc)))
     if not records:
