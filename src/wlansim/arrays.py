@@ -254,8 +254,6 @@ def _noise_block(num_elements: int, power: float, seed: int, rows: range) -> np.
     # Row n reads 2 * num_elements words (radii, then angles for Box-Muller)
     # from word n * width of the noise stream, width rounded up to whole
     # Philox blocks.
-    if power == 0.0:
-        return np.zeros((len(rows), num_elements), dtype=complex)
     width = -(-2 * num_elements // 4) * 4
     words = _stream_words(seed, _NOISE_STREAM, rows.start * width, len(rows) * width)
     u = (words.reshape(len(rows), width)[:, : 2 * num_elements] >> np.uint64(11)) * 2.0**-53

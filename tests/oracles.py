@@ -102,10 +102,11 @@ def nlms_fold(scenario, stride) -> dict:
     """``nlms.run`` rebuilt from the NLMS equations, one snapshot at a
     time: y = w^H x, e = d - y, w <- w + mu/(||x||^2 + eps) * x * conj(e),
     with the update skipped when the denominator is zero and the weights
-    kept as they are when e is zero.  Counts the skipped updates."""
+    kept as they are when e is zero; |e|^2 and the amplitudes are squared
+    by product, as IEEE 754 rounds it.  Counts the skipped updates."""
     n_iter = scenario.iterations
     expected_energy = scenario.num_elements * (
-        sum(s.amplitude**2 for s in scenario.sources) + scenario.noise_power
+        sum(s.amplitude * s.amplitude for s in scenario.sources) + scenario.noise_power
     )
     mu, eps = scenario.step_size, RELATIVE_EPS * expected_energy
     w = np.zeros(scenario.num_elements, dtype=complex)
@@ -121,7 +122,7 @@ def nlms_fold(scenario, stride) -> dict:
             skipped += 1
         elif e != 0:
             w = w + (mu / denom) * x * np.conj(e)
-        err.append(abs(e) ** 2)
+        err.append(e.real * e.real + e.imag * e.imag)
         out.append(y)
         x0.append(x[0])
         if (n + 1) % stride == 0:

@@ -117,6 +117,31 @@ class TestSynthesize:
             x += s * np.exp(-2j * math.pi * 0.5 * math.sin(src.angle_rad) * np.arange(6))
         assert np.allclose(got, x, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            (
+                Source("desired", 0.4, "sinusoid", 0.08, 1.3),
+                Source("interferer", -0.7, "sinusoid", 0.21, 0.0),
+                Source("interferer", 0.9, "sinusoid", -0.33, 0.6),
+            ),
+            (Source("desired", -0.7, "sinusoid", 0.21, 0.0),),
+        ],
+        ids=["tones", "silent"],
+    )
+    def test_noiseless_block_is_the_source_sum_bit_for_bit(self, sources):
+        """At zero noise power the noise adds only signed zeros, which leave
+        every bit of the source sum as it was.  A silent source's terms hold
+        negative zeros, and summed onto +0.0 they read +0.0: zero signs that
+        ``== 0`` and ``approx`` cannot see."""
+        sc = scenario_with(num_elements=5, sources=sources)
+        X, _ = block(sc, 0, 40)
+        expected = np.zeros((40, 5), dtype=complex)
+        for src in sources:
+            s = np.array([src.amplitude * cmath.exp(2j * math.pi * src.normalized_freq * n) for n in range(40)])
+            expected += s[:, None] * steering_vector(src.angle_rad, 5, sc.spacing_wavelengths)
+        assert X.tobytes() == expected.tobytes()
+
     def test_reproducible_bit_identical(self):
         sc = scenario_with(noise_power=0.5, seed=99)
         xa, da = snapshot(sc, 7)

@@ -240,14 +240,25 @@ def test_run_equals_fold_of_step_bit_for_bit(case):
         assert ref["skipped"] == scenario.iterations
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 1e-156])
-def test_divergence_is_a_validation_error_naming_the_iteration(amplitude):
-    """mu = 3 is outside NLMS's stable range.  At unit amplitude the error
-    power overflows; at 1e-156 the input energy is subnormal, so the
-    update overflows the weights first and the per-chunk check fires."""
-    scenario = load_scenario(step_size=3.0)
-    scenario = scenario._replace(
-        sources=tuple(s._replace(amplitude=amplitude) for s in scenario.sources), noise_power=0.0
-    )
-    with pytest.raises(ValueError, match=r"^iteration \d+: adaptation diverged"):
+@pytest.mark.parametrize(
+    "step_size,amplitude,iteration",
+    [
+        pytest.param(3.0, 1.0, 532, id="1.0"),
+        pytest.param(3.0, 1e-156, 1, id="1e-156"),
+        pytest.param(2.5, None, 927, id="shipped-2.5"),
+    ],
+)
+def test_divergence_is_a_validation_error_naming_the_iteration(step_size, amplitude, iteration):
+    """Step sizes outside NLMS's stable range (0, 2) on the shipped
+    scenario: noiseless with every amplitude set, or as shipped where the
+    amplitude is None.  At unit amplitude, and at 2.5, the error power overflows to inf; at
+    1e-156 the input energy is subnormal, so the update overflows the
+    weights first.  Both reach the per-chunk finite check, which names
+    the first iteration whose error power is not finite."""
+    scenario = load_scenario(step_size=step_size)
+    if amplitude is not None:
+        scenario = scenario._replace(
+            sources=tuple(s._replace(amplitude=amplitude) for s in scenario.sources), noise_power=0.0
+        )
+    with pytest.raises(ValueError, match=rf"^iteration {iteration}: adaptation diverged"):
         run(scenario)
