@@ -61,7 +61,7 @@ def test_channel_plan_stdout(capsys, plan, pin):
         pytest.param(
             ["beamform"],
             {
-                "trace.csv": "91264a0b92fd",
+                "trace.csv": "b7919846ef2d",
                 "weights.csv": "7645d2691ca9",
                 "pattern.csv": "dcfe6f52e039",
                 "spectrum_before.csv": "1df6a835b0e7",
