@@ -33,8 +33,9 @@ def haversine_distance(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -
     lat2, lon2 = math.radians(lat_b), math.radians(lon_b)
     dlat = lat2 - lat1
     dlon = lon2 - lon1
+    s_lat, s_lon = math.sin(dlat / 2), math.sin(dlon / 2)
     # Rounding can push a just past 1 for nearly antipodal points.
-    a = min(1.0, math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2)
+    a = min(1.0, s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon)
     return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(a), math.sqrt(1 - a))
 
 

@@ -1010,22 +1010,49 @@ def run_python(code: str, **env: str) -> subprocess.CompletedProcess:
 # x86-64 CPU with FMA.
 LIBM_SENSITIVE_RSSI = [(-75.0, -64.46, -86.4), (-47.76, -66.69, -85.2), (-81.16, -54.7, -87.77)]
 
+# Positions, one AP's one sample at each, whose great-circle distance from
+# (51.8776, 0.9426), taken with ``math.sin(x) ** 2`` (libm pow), reads
+# differently under the same two libm variants.
+LIBM_SENSITIVE_POSITIONS = [
+    (51.878567610000005, 0.941171705),
+    (51.87757276, 0.94189871),
+    (51.8776612, 0.9433420800000001),
+    (51.87729442, 0.94050173),
+    (51.87739326, 0.94126853),
+    (51.8770966075, 0.9438848075),
+    (51.87811033, 0.94408014),
+]
 
-def test_summaries_do_not_depend_on_the_libm_variant(tmp_path):
+
+@pytest.mark.parametrize(
+    "samples,options",
+    [
+        pytest.param(
+            [(ap, rssi, 51.8776, 0.9426) for ap, rssis in enumerate(LIBM_SENSITIVE_RSSI) for rssi in rssis],
+            [],
+            id="stddev_rssi_dbm",
+        ),
+        pytest.param(
+            [(ap, -60, lat, lon) for ap, (lat, lon) in enumerate(LIBM_SENSITIVE_POSITIONS)],
+            ["--ap-lat", "51.8776", "--ap-lon", "0.9426"],
+            id="distance_m",
+        ),
+    ],
+)
+def test_summaries_do_not_depend_on_the_libm_variant(tmp_path, samples, options):
     """``summaries.csv`` has the same bytes whichever libm variant glibc
     loads: ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-FMA4``, set on one child
     process only, makes glibc load its non-FMA variant there.  On a CPU or
     a glibc where the tunable changes nothing, this passes trivially."""
     lines = [",".join(CSV_COLUMNS)]
-    for ap, rssis in enumerate(LIBM_SENSITIVE_RSSI):
-        for k, rssi in enumerate(rssis):
-            lines.append(f"2013-05-14T09:00:{k:02d}Z,00:11:22:33:44:{ap:02d},eduroam,1,{rssi},51.8776,0.9426")
+    for k, (ap, rssi, lat, lon) in enumerate(samples):
+        lines.append(f"2013-05-14T09:00:{k:02d}Z,00:11:22:33:44:{ap:02d},eduroam,1,{rssi},{lat},{lon}")
     log = tmp_path / "survey.csv"
     log.write_text("\n".join(lines) + "\n")
     tables = {}
     for name, env in [("default", {}), ("no_fma", {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-FMA4"})]:
         out_dir = tmp_path / name
-        argv = ["coverage", str(log), "--out", str(out_dir)]
+        argv = ["coverage", str(log), *options, "--out", str(out_dir)]
         done = run_python(f"from wlansim.cli import main; main({argv!r})", **env)
         assert done.returncode == 0, done.stderr
         tables[name] = (out_dir / "summaries.csv").read_bytes()
@@ -1046,6 +1073,15 @@ class TestImports:
         done = run_python(
             "import sys, wlansim.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_none_of_the_writer_modules(self):
+        # Only _publish and _sha256_file use them, and `channels` writes no file.
+        done = run_python(
+            "import sys, wlansim.cli\n"
+            "print(sorted(m for m in ('datetime', 'hashlib', 'json') if m in sys.modules))"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
