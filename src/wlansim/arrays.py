@@ -195,8 +195,8 @@ class Scenario(NamedTuple):
             raise ValueError(f"iterations: must be <= {MAX_ITERATIONS}, got {sc.iterations}")
         if not 0 <= sc.seed < 2**64:
             raise ValueError(f"seed: must be in [0, 2**64), got {sc.seed}")
-        if not 0 <= sc.noise_power <= MAX_MAGNITUDE**2:
-            raise ValueError(f"noise_power: must be in [0, {MAX_MAGNITUDE**2}], got {sc.noise_power}")
+        if not 0 <= sc.noise_power <= MAX_MAGNITUDE * MAX_MAGNITUDE:
+            raise ValueError(f"noise_power: must be in [0, {MAX_MAGNITUDE * MAX_MAGNITUDE}], got {sc.noise_power}")
         if not sc.sources:
             raise ValueError("sources: at least one source required")
         desired = [i for i, s in enumerate(sc.sources) if s.role == ROLE_DESIRED]

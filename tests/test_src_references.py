@@ -1,6 +1,7 @@
 """Every public function and class in ``src/wlansim`` is used by other
-package code, so nothing in the package lives only for its tests; and
-the CSV output format is decided in one place, ``cli``."""
+package code, so nothing in the package lives only for its tests; the
+CSV output format is decided in one place, ``cli``; and no variable is
+raised to a power with ``**``, which on a float is libm's ``pow``."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,22 @@ def crlf_literal_modules(src: Path) -> list[str]:
 
 def test_csv_line_end_is_written_only_in_cli():
     assert crlf_literal_modules(SRC) == ["cli"]
+
+
+def float_power_sites(src: Path) -> list[tuple[str, int]]:
+    """``(module, line)`` of each ``**`` in ``src`` whose base is not a
+    number literal.  On a float, ``x ** 2`` calls libm ``pow``, whose last
+    bit depends on the CPU and the libm build, where ``x * x`` is rounded
+    by IEEE 754 alone.  A literal base, as in ``2**64``, ``10**6`` or
+    ``2.0**-53``, writes a constant."""
+    return [
+        (path.stem, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not isinstance(node.left, ast.Constant))
+        or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow))
+    ]
+
+
+def test_no_float_power_in_src():
+    assert float_power_sites(SRC) == []
