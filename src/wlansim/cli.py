@@ -30,12 +30,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -79,6 +76,8 @@ Table = tuple[Sequence[str], Iterable[Sequence]]
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib  # here, not at module level: see _publish
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         while chunk := f.read(1 << 16):
@@ -153,6 +152,12 @@ def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]],
     Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
     any output is replaced and the new one is moved in last, so a manifest
     always describes the files beside it."""
+    # Imported here, not at module level: `channels` writes no file, and the
+    # three cost ~10 ms of start-up.
+    import hashlib
+    import json
+    from datetime import datetime, timezone
+
     out_dir = Path(out_arg or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     temps = {name: out_dir / f".{name}.tmp" for name in [*outputs, "manifest.json"]}
