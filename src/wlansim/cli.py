@@ -76,8 +76,7 @@ Table = tuple[Sequence[str], Iterable[Sequence]]
 
 
 def _sha256_file(path: Path) -> str:
-    import hashlib  # here, not at module level: see _publish
-
+    import hashlib  # not at module level: see _publish
     h = hashlib.sha256()
     with open(path, "rb") as f:
         while chunk := f.read(1 << 16):
@@ -152,8 +151,7 @@ def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]],
     Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
     any output is replaced and the new one is moved in last, so a manifest
     always describes the files beside it."""
-    # Imported here, not at module level: `channels` writes no file, and the
-    # three cost ~10 ms of start-up.
+    # Not at module level: `channels` writes no file, and these take ~10 ms to import.
     import hashlib
     import json
     from datetime import datetime, timezone

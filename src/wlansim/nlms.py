@@ -99,13 +99,11 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     iterations (the final weights are always recorded).  Deterministic for
     a fixed scenario; bit-identical to the fold in ``tests/oracles.py``.
 
-    The error power is the product ``e.real * e.real + e.imag * e.imag``,
-    which overflows to ``inf`` and never raises, so one finite check per
-    chunk of ``CHUNK_ROWS`` iterations finds every divergence.
-
     Raises:
-        ValueError: if the adaptation diverges (error power or weights
-            stop being finite), naming the iteration.
+        ValueError: if the adaptation diverges, naming the iteration.  The
+            error power is ``e.real * e.real + e.imag * e.imag``, which
+            overflows to ``inf`` and never raises, so one finite check of
+            the error power and the weights per chunk finds it.
     """
     n_iter = scenario.iterations
     tail = final_tenth(n_iter)
