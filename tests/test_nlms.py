@@ -251,10 +251,11 @@ def test_run_equals_fold_of_step_bit_for_bit(case):
 def test_divergence_is_a_validation_error_naming_the_iteration(step_size, amplitude, iteration):
     """Step sizes outside NLMS's stable range (0, 2) on the shipped
     scenario: noiseless with every amplitude set, or as shipped where the
-    amplitude is None.  At unit amplitude, and at 2.5, the error power overflows to inf; at
-    1e-156 the input energy is subnormal, so the update overflows the
-    weights first.  Both reach the per-chunk finite check, which names
-    the first iteration whose error power is not finite."""
+    amplitude is None.  At unit amplitude, and at 2.5, the error power
+    overflows to inf; at 1e-156 the input energy is subnormal, so the
+    update overflows the weights first.  Every case reaches the per-chunk
+    finite check, which names the first iteration whose error power is
+    not finite."""
     scenario = load_scenario(step_size=step_size)
     if amplitude is not None:
         scenario = scenario._replace(
