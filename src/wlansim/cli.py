@@ -197,7 +197,7 @@ def cmd_channels(args: argparse.Namespace) -> int:
 def cmd_beamform(args: argparse.Namespace) -> int:
     # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
     from . import nlms
-    from .arrays import ROLE_DESIRED, WAVEFORM_SINUSOID, array_pattern, gain_db, load_scenario
+    from .arrays import ROLE_DESIRED, WAVEFORM_SINUSOID, array_pattern, gain_db, load_scenario, synthesize_blocks
     from .spectrum import dft_magnitude, suppression_report
 
     # Flags go into the scenario before it is checked, so they pass the file's checks.
@@ -210,13 +210,15 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     grid = [(-math.pi / 2) + k * math.pi / (PATTERN_GRID_POINTS - 1) for k in range(PATTERN_GRID_POINTS)]
     pattern = array_pattern(trace.converged_weights, spacing, grid)
 
-    size = min(SPECTRUM_SIZE, scenario.iterations)
-    # "Before" is the raw element-0 input; "after" the adapted array output.
-    before = dft_magnitude(trace.first_element_input[-size:], size)
+    n_iter = scenario.iterations
+    size = min(SPECTRUM_SIZE, n_iter)
+    # "Before" is the raw element-0 input, synthesized again: every row is
+    # keyed on its sample index, so these are the inputs the run adapted
+    # on.  "After" is the adapted array output.
+    before = dft_magnitude(next(synthesize_blocks(scenario, n_iter - size, n_iter, size))[0][:, 0], size)
     after = dft_magnitude(trace.outputs[-size:], size)
 
-    final_err = float(trace.error_power[-nlms.final_tenth(scenario.iterations):].mean())
-    fields = [("final_error_power", final_err, ".6e")]
+    fields = [("final_error_power", trace.final_error_power, ".6e")]
 
     desired = scenario.desired_source()
     interferers = [s for s in scenario.sources if s.role != ROLE_DESIRED]
@@ -235,21 +237,12 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     if plateau is not None:
         fields.append(("plateau_iteration", plateau, "d"))
 
-    n_iter = trace.iterations
-    # Converted a chunk at a time: whole-column lists would hold three
-    # Python floats per iteration at once.
-    chunks = (slice(start, start + nlms.CHUNK_ROWS) for start in range(0, n_iter, nlms.CHUNK_ROWS))
-    trace_rows = chain.from_iterable(
-        zip(
-            range(n_iter)[rows],
-            trace.error_power[rows].tolist(),
-            trace.outputs[rows].real.tolist(),
-            trace.outputs[rows].imag.tolist(),
-        )
-        for rows in chunks
-    )
+    # A memoryview yields each entry as a Python float when it is read, so
+    # no column is held as Python objects.
+    out = trace.outputs
+    trace_rows = zip(range(n_iter), *map(memoryview, (trace.error_power, out.real, out.imag)))
     weight_rows = chain.from_iterable(
-        zip(repeat(n), range(len(w)), w.real.tolist(), w.imag.tolist()) for n, w in trace.weight_snapshots
+        zip(repeat(n), range(len(w)), memoryview(w.real), memoryview(w.imag)) for n, w in trace.weight_snapshots
     )
 
     def spectrum(mags):  # bin k is normalized frequency k / size

@@ -32,8 +32,8 @@ PLATEAU_REL_CHANGE = 1e-3
 def final_tenth(iterations: int) -> int:
     """Length of a run's final span: its last tenth, at least one iteration.
 
-    The weight-snapshot stride, the window ``converged_weights`` averages
-    and the window of the reported final error power.
+    The weight-snapshot stride and the window that both
+    ``converged_weights`` and ``final_error_power`` average over.
     """
     return max(1, iterations // 10)
 
@@ -56,24 +56,20 @@ def update(
 
 
 class ConvergenceTrace(NamedTuple):
-    """Per-iteration record of one adaptive run.
+    """Per-iteration record of one adaptive run, holding only what the
+    adaptation made: ``synthesize_blocks`` regenerates its inputs.
 
-    ``first_element_input`` is the raw element-0 observation, kept so
-    before/after-adaptation spectra can be compared.  ``converged_weights``
-    is the mean weight vector over the last ``final_tenth`` iterations, a
-    lower-variance estimate of the settled solution than the single final
-    vector, which is the last of ``weight_snapshots``.
+    ``converged_weights`` and ``final_error_power`` are the mean weight
+    vector and the mean error power over the last ``final_tenth``
+    iterations; the former is a lower-variance estimate of the settled
+    solution than the single final vector, the last of ``weight_snapshots``.
     """
 
     error_power: np.ndarray
     outputs: np.ndarray
-    first_element_input: np.ndarray
     weight_snapshots: list[tuple[int, np.ndarray]]
     converged_weights: np.ndarray
-
-    @property
-    def iterations(self) -> int:
-        return len(self.error_power)
+    final_error_power: float
 
     def plateau_iteration(self) -> int | None:
         """First iteration where the windowed error-power mean settles.
@@ -82,7 +78,7 @@ class ConvergenceTrace(NamedTuple):
         ``PLATEAU_WINDOW``-sample mean below ``PLATEAU_REL_CHANGE``.
         Reporting only; the run itself never exits early.
         """
-        if self.iterations < 2 * PLATEAU_WINDOW:
+        if len(self.error_power) < 2 * PLATEAU_WINDOW:
             return None
         means = np.convolve(self.error_power, np.ones(PLATEAU_WINDOW) / PLATEAU_WINDOW, mode="valid")
         prev = means[:-PLATEAU_WINDOW]
@@ -117,7 +113,6 @@ def run(scenario: Scenario) -> ConvergenceTrace:
 
     err = np.empty(n_iter)
     out = np.empty(n_iter, dtype=complex)
-    x0 = np.empty(n_iter, dtype=complex)
     snapshots: list[tuple[int, np.ndarray]] = []
     tail_start = n_iter - tail
     w_sum = np.zeros(scenario.num_elements, dtype=complex)
@@ -139,7 +134,6 @@ def run(scenario: Scenario) -> ConvergenceTrace:
                     w_sum += w
             err[start:stop] = errs
             out[start:stop] = ys
-            x0[start:stop] = X[:, 0]
             bad = np.flatnonzero(~np.isfinite(err[start:stop]))
             if bad.size:
                 raise _diverged(start + int(bad[0]), mu)
@@ -149,9 +143,9 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     return ConvergenceTrace(
         error_power=err,
         outputs=out,
-        first_element_input=x0,
         weight_snapshots=snapshots,
         converged_weights=w_sum / tail,
+        final_error_power=float(err[tail_start:].mean()),
     )
 
 

@@ -110,7 +110,7 @@ def nlms_fold(scenario, stride) -> dict:
     )
     mu, eps = scenario.step_size, RELATIVE_EPS * expected_energy
     w = np.zeros(scenario.num_elements, dtype=complex)
-    err, out, x0, snapshots, skipped = [], [], [], [], 0
+    err, out, snapshots, skipped = [], [], [], 0
     tail_start = max(0, n_iter - max(1, n_iter // 10))
     w_sum = np.zeros(scenario.num_elements, dtype=complex)
     for n, (X, d) in enumerate(synthesize_blocks(scenario, 0, n_iter, 1)):
@@ -124,7 +124,6 @@ def nlms_fold(scenario, stride) -> dict:
             w = w + (mu / denom) * x * np.conj(e)
         err.append(e.real * e.real + e.imag * e.imag)
         out.append(y)
-        x0.append(x[0])
         if (n + 1) % stride == 0:
             snapshots.append((n, w.copy()))
         if n >= tail_start:
@@ -134,8 +133,8 @@ def nlms_fold(scenario, stride) -> dict:
     return {
         "error_power": np.array(err),
         "outputs": np.array(out, dtype=complex),
-        "first_element_input": np.array(x0, dtype=complex),
         "converged_weights": w_sum / (n_iter - tail_start),
+        "final_error_power": float(np.array(err[tail_start:]).mean()),
         "weight_snapshots": snapshots,
         "skipped": skipped,
     }
