@@ -254,6 +254,18 @@ class TestBeamformCommand:
         for name in BEAMFORM_OUTPUTS:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, tmp_path, capsys):
+        # Each input row is keyed on its sample index and the recursion is
+        # causal, so iterations past n leave the first n trace rows as they
+        # are.  700 rows span two whole 256-row chunks and part of a third.
+        lines = {}
+        for n in (300, 700):
+            argv = ["beamform", "--iterations", str(n), "--out", str(tmp_path / str(n))]
+            assert run_cli(argv, capsys)[0] == EXIT_OK
+            lines[n] = (tmp_path / str(n) / "trace.csv").read_bytes().splitlines(keepends=True)
+        assert len(lines[300]) == 301
+        assert lines[700][:301] == lines[300]
+
     def test_failed_write_leaves_no_partial_set(self, tmp_path, capsys, monkeypatch):
         write_table = wlansim.cli._write_table
         written = []
@@ -732,18 +744,32 @@ class TestThroughputCommand:
         rates = [float(r.split(",")[1]) for r in rows]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
-    def test_curve_streams_to_its_csv(self, tmp_path):
-        # Each row goes to the CSV as it is computed; three float columns
-        # of 200 000 points alone would take 4.6 MiB.
+    def test_shorter_curve_is_a_prefix_of_a_longer_one(self, tmp_path, capsys):
+        # Each distance is computed from its own index.  5 000 points span
+        # a whole 4 096-row chunk and part of a second.
+        lines = {}
+        for n in (1000, 5000):
+            argv = ["throughput", "--points", str(n), "--step", "0.37", "--out", str(tmp_path / str(n))]
+            assert run_cli(argv, capsys)[0] == EXIT_OK
+            lines[n] = (tmp_path / str(n) / "throughput.csv").read_bytes().splitlines(keepends=True)
+        assert len(lines[1000]) == 1001
+        assert lines[5000][:1001] == lines[1000]
+
+    def test_curve_streams_to_its_csv(self, tmp_path, monkeypatch):
+        # Each row goes to the CSV as it is computed, a chunk at a time.
+        # With 64-row chunks the run peaks under 0.6 MiB, the modules the
+        # manifest imports included; a writer that held the 20 000 rows
+        # would take over 2 MiB.
+        monkeypatch.setattr(wlansim.cli, "CURVE_CHUNK_ROWS", 64)
         tracemalloc.start()
         try:
             with redirect_stdout(io.StringIO()):
-                code = main(["throughput", "--points", "200000", "--out", str(tmp_path)])
+                code = main(["throughput", "--points", "20000", "--out", str(tmp_path)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert peak < 2 * 2**20, peak
+        assert peak < 2**20, peak
 
 
 # Columns that hold text; every other column of every output is a number.

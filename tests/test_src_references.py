@@ -1,7 +1,8 @@
 """Every public function and class in ``src/wlansim`` is used by other
 package code, so nothing in the package lives only for its tests; the
-CSV output format is decided in one place, ``cli``; and no variable is
-raised to a power with ``**``, which on a float is libm's ``pow``."""
+CSV output format is decided in one place, ``cli``; ``cli`` takes only
+``run`` from ``nlms``; and no variable is raised to a power with ``**``,
+which on a float is libm's ``pow``."""
 
 import ast
 from pathlib import Path
@@ -100,6 +101,24 @@ def crlf_literal_modules(src: Path) -> list[str]:
 
 def test_csv_line_end_is_written_only_in_cli():
     assert crlf_literal_modules(SRC) == ["cli"]
+
+
+def names_taken_from(src: Path, module: str, source: str) -> list[str]:
+    """Each name that ``module`` in ``src`` reads as ``source.name`` or
+    imports with ``from .source import name``."""
+    names = set()
+    for node in ast.walk(ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == source:
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source:
+            names.update(alias.name for alias in node.names)
+    return sorted(names)
+
+
+def test_cli_takes_only_run_from_nlms():
+    # The trace carries what the CLI writes; the chunk size and the final
+    # window are nlms's own decisions.
+    assert names_taken_from(SRC, "cli", "nlms") == ["run"]
 
 
 def float_power_sites(src: Path) -> list[tuple[str, int]]:
