@@ -67,10 +67,14 @@ _REQUIRED = object()
 
 
 def _number(value) -> float:
-    """A JSON number as a float; a string or a boolean is refused."""
+    """A JSON number as a finite float; a string, a boolean, NaN or an
+    infinity (which ``json`` reads from ``NaN`` and ``Infinity``) is refused."""
     if type(value) not in (int, float):
         raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
 
 
 def _integer(value) -> int:
@@ -103,13 +107,6 @@ def _known_keys(data: dict, fields: tuple[str, ...]) -> None:
             raise ValueError(f"{key}: unknown field")
 
 
-def _finite(record: Source | Scenario, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: must be finite, got {value}")
-
-
 def _source(data, i: int) -> Source:
     """Read and check ``sources[i]`` of a scenario; every error names ``sources[i]``."""
     if not isinstance(data, dict):
@@ -123,7 +120,6 @@ def _source(data, i: int) -> Source:
             normalized_freq=_field(data, "normalized_freq", _number, 0.0),
             amplitude=_field(data, "amplitude", _number, 1.0),
         )
-        _finite(source, ("angle_rad", "normalized_freq", "amplitude"))
         if source.role not in (ROLE_DESIRED, ROLE_INTERFERER):
             raise ValueError(f"role: must be 'desired' or 'interferer', got {source.role!r}")
         if not abs(source.angle_rad) < math.pi / 2:
@@ -178,7 +174,6 @@ class Scenario(NamedTuple):
             noise_power=_field(data, "noise_power", _number),
             sources=tuple(_source(s, i) for i, s in enumerate(raw_sources)),
         )
-        _finite(sc, ("spacing_wavelengths", "step_size", "noise_power"))
         if sc.num_elements < 1:
             raise ValueError(f"num_elements: must be >= 1, got {sc.num_elements}")
         if sc.num_elements > MAX_ELEMENTS:

@@ -2,7 +2,9 @@
 
 Encodes channel numbers, centre frequencies, bandwidths and regulatory
 EIRP limits, and computes spectral overlap between channels using
-idealized rectangular masks of the nominal bandwidth.
+idealized rectangular masks of the nominal bandwidth.  Overlap is defined
+for any two channels; a pair from different plans is refused only where a
+user names one, by the ``channels --overlap`` command in ``cli``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ def _unii_channels() -> list[Channel]:
 # Channel ids of the two plans do not overlap (1-14 vs 36-161), so an id
 # alone names its channel and its plan.
 _CHANNELS: dict[int, Channel] = {c.id: c for c in (*_ism24_channels(), *_unii_channels())}
-CHANNEL_IDS = _CHANNELS.keys()
 
 
 def channels_in(name: str) -> list[Channel]:
@@ -93,13 +94,9 @@ def overlap_fraction(a: Channel, b: Channel) -> float:
     Channels are modelled as rectangular masks of their nominal bandwidth
     centred on their centre frequency.  The result is the overlapping
     width divided by ``a.bandwidth_hz``, so it is symmetric whenever both
-    bandwidths are equal.
-
-    Raises:
-        ValueError: if the channels come from different plans.
+    bandwidths are equal.  The 2.4 GHz and 5 GHz masks lie GHz apart and
+    never meet, so a pair from different plans gives 0.0.
     """
-    if a.plan != b.plan:
-        raise ValueError(f"cannot compare channels from different plans ({a.plan} vs {b.plan})")
     lo = max(a.center_hz - a.bandwidth_hz / 2, b.center_hz - b.bandwidth_hz / 2)
     hi = min(a.center_hz + a.bandwidth_hz / 2, b.center_hz + b.bandwidth_hz / 2)
     width = max(0.0, hi - lo)

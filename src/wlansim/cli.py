@@ -188,6 +188,9 @@ def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]],
 def cmd_channels(args: argparse.Namespace) -> int:
     if args.overlap:
         a, b = (channel_by_id(cid) for cid in args.overlap)
+        # --overlap takes two ids of one plan; overlap_fraction itself gives 0.0 across plans.
+        if a.plan != b.plan:
+            raise ValueError(f"cannot compare channels from different plans ({a.plan} vs {b.plan})")
         print(overlap_fraction(a, b))
         return EXIT_OK
     _write_table(sys.stdout, (Channel._fields, channels_in(args.plan)))
@@ -215,8 +218,8 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     # "Before" is the raw element-0 input, synthesized again: every row is
     # keyed on its sample index, so these are the inputs the run adapted
     # on.  "After" is the adapted array output.
-    before = dft_magnitude(next(synthesize_blocks(scenario, n_iter - size, n_iter, size))[0][:, 0], size)
-    after = dft_magnitude(trace.outputs[-size:], size)
+    before = dft_magnitude(next(synthesize_blocks(scenario, n_iter - size, n_iter, size))[0][:, 0])
+    after = dft_magnitude(trace.outputs[-size:])
 
     fields = [("final_error_power", trace.final_error_power, ".6e")]
 

@@ -7,13 +7,13 @@ import math
 import numpy as np
 
 
-def dft_magnitude(signal: np.ndarray, size: int) -> np.ndarray:
-    """Magnitude of the ``size``-point DFT of ``signal``, zero-padded.
+def dft_magnitude(signal: np.ndarray) -> np.ndarray:
+    """Magnitude of the DFT of ``signal``, a nonempty 1-D complex array.
 
-    ``signal`` is a nonempty 1-D complex array no longer than ``size``.
-    Bin ``k`` of the result is normalized frequency ``k / size``, in [0, 1).
+    The transform is as long as the signal: bin ``k`` of the result is
+    normalized frequency ``k / len(signal)``, in [0, 1).
     """
-    return np.abs(np.fft.fft(signal, n=size))
+    return np.abs(np.fft.fft(signal))
 
 
 def suppression_report(

@@ -26,7 +26,7 @@ import re
 from itertools import chain
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .channels import CHANNEL_IDS, channel_by_id, overlap_fraction
+from .channels import channel_by_id, overlap_fraction
 from .propagation import EARTH_RADIUS_M, check_position, haversine_distance
 
 CSV_COLUMNS = ["t", "bssid", "ssid", "channel", "rssi_dbm", "lat", "lon"]
@@ -111,8 +111,7 @@ def _record_from_fields(fields: Sequence[str], texts: dict[str, str], rssis: dic
         raise ValueError(f"invalid MAC address {bssid!r}")
     if not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
         raise ValueError(f"rssi {rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
-    if channel_id not in CHANNEL_IDS:
-        raise ValueError(f"channel {channel_id} not in any known plan")
+    channel_by_id(channel_id)  # refuses an id in no known plan
     t = t.strip()
     ssid = ssid.strip()
     share = texts.setdefault
@@ -152,8 +151,8 @@ def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
         if tag == "Data":
             name = elem.get("name", "")
             for child in elem:
-                if _local_tag(child) == "value" and child.text is not None:
-                    fields[name] = child.text
+                if _local_tag(child) == "value":  # <value/> holds "", as an empty CSV field does
+                    fields[name] = child.text or ""
         elif tag == "when" and elem.text is not None:
             fields["t"] = elem.text
         elif tag == "coordinates" and elem.text is not None:
@@ -341,8 +340,8 @@ def interference_report(
 
     An AP's coverage region is the set of cells where its mean RSSI meets
     the threshold, which is finite; two APs are co-located when those
-    regions intersect.  Each AP's plan follows from its channel id; a pair
-    of APs in different plans has overlap 0.
+    regions intersect.  A pair of APs in different plans, valid in a
+    mixed-band survey, has overlap 0, as ``overlap_fraction`` gives it.
 
     A pair's verdict follows from the two channel ids and co-location
     alone, so the at most 2k² verdicts of k channels in use are built once
@@ -374,7 +373,7 @@ def interference_report(
     for a in in_use:
         verdicts[a.id] = {}
         for b in in_use:
-            fraction = overlap_fraction(a, b) if a.plan == b.plan else 0.0
+            fraction = overlap_fraction(a, b)
             verdicts[a.id][b.id] = (Verdict(fraction, 0, 0), Verdict(fraction, 1, int(fraction > 0.0)))
     bssids = sorted(cells)
     # cell -> the APs covering it, as a set of bits: bit j stands for bssids[j].

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from wlansim.arrays import synthesize_blocks
-from wlansim.channels import CHANNEL_IDS, channel_by_id
+from wlansim.channels import channel_by_id, channels_in
 from wlansim.nlms import RELATIVE_EPS
 
 
@@ -72,17 +72,15 @@ def interference_oracle(summaries, threshold_dbm) -> list[tuple]:
     return rows
 
 
-def dft_oracle(signal, size) -> np.ndarray:
-    """Direct O(N^2) summation from the transform definition."""
-    x = np.zeros(size, dtype=complex)
-    x[: len(signal)] = signal
-    mags = np.empty(size)
-    for k in range(size):
-        acc = 0j
-        for n in range(size):
-            acc += x[n] * np.exp(-2j * np.pi * k * n / size)
-        mags[k] = abs(acc)
-    return mags
+def dft_oracle(signal) -> np.ndarray:
+    """Direct O(N^2) summation from the transform definition, no FFT:
+    bin k is |sum_n x[n] exp(-2j pi k n / N)|, as the N x N matrix of those
+    factors times the signal.  ``k n`` is reduced mod N, exactly, so every
+    phase is in [0, 2 pi)."""
+    x = np.asarray(signal, dtype=complex)
+    size = len(x)
+    kn = np.outer(np.arange(size), np.arange(size)) % size
+    return np.abs(np.exp(-2j * np.pi * kn / size) @ x)
 
 
 def synth_fit_points(exponent, ref_loss=40.0, eirp=20.0, noise=None, seed=0, count=50):
@@ -148,6 +146,10 @@ def location_cell(latitude, longitude) -> tuple[int, int]:
     return (math.floor(x), math.floor(y))
 
 
+# Every id of the two plans, listed plan by plan.
+KNOWN_CHANNEL_IDS = {c.id for plan in ("ism24", "unii") for c in channels_in(plan)}
+
+
 def survey_record_oracle(t, bssid, ssid, channel, rssi_dbm, lat, lon) -> tuple:
     """One survey sample checked field by field, in the order and with the
     messages of the check when a sample was a record object holding a
@@ -168,7 +170,7 @@ def survey_record_oracle(t, bssid, ssid, channel, rssi_dbm, lat, lon) -> tuple:
         raise ValueError(f"invalid MAC address {bssid!r}")
     if not -120.0 <= rssi <= 0.0:
         raise ValueError(f"rssi {rssi} dBm outside [-120.0, 0.0]")
-    if channel_id not in CHANNEL_IDS:
+    if channel_id not in KNOWN_CHANNEL_IDS:
         raise ValueError(f"channel {channel_id} not in any known plan")
     return (t.strip(), bssid, ssid.strip(), channel_id, rssi, latitude, longitude)
 

@@ -159,7 +159,7 @@ def test_criterion_6_interference_suppression():
     d_bin = round(desired.normalized_freq * size)
     i_bin = round(interferer.normalized_freq * size)
     d_chg, i_chg = suppression_report(
-        dft_magnitude(before, size), dft_magnitude(after, size), d_bin, i_bin
+        dft_magnitude(before), dft_magnitude(after), d_bin, i_bin
     )
 
     ok = depth >= 30.0 and i_chg <= -20.0 and abs(d_chg) <= 1.0 and elapsed < 10.0
@@ -177,8 +177,8 @@ def test_criterion_7_spectrum_correctness():
     worst_parseval = 0.0
     for size in (16, 64, 256, 1024):
         signal = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        mags = dft_magnitude(signal, size)
-        worst_mag = max(worst_mag, float(np.max(np.abs(mags - dft_oracle(signal, size)))))
+        mags = dft_magnitude(signal)
+        worst_mag = max(worst_mag, float(np.max(np.abs(mags - dft_oracle(signal)))))
         time_energy = float(np.sum(np.abs(signal) ** 2))
         freq_energy = float(np.sum(mags**2)) / size
         worst_parseval = max(worst_parseval, abs(freq_energy - time_energy) / time_energy)

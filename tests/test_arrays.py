@@ -383,6 +383,32 @@ class TestScenarioIO:
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize(
+        "faults,message",
+        [
+            (
+                {("spacing_wavelengths",): math.nan, ("sources", 0, "amplitude"): "x"},
+                "spacing_wavelengths: must be finite, got nan",
+            ),
+            (
+                {("sources", 0, "angle_rad"): math.inf, ("sources", 0, "amplitude"): "x"},
+                "sources[0].angle_rad: must be finite, got inf",
+            ),
+        ],
+        ids=["nan-spacing", "inf-angle"],
+    )
+    def test_first_faulty_field_in_reading_order_is_named(self, faults, message):
+        # A number is refused non-finite as it is read, so a NaN or inf
+        # read before another field's fault is the one reported.
+        data = load_scenario().to_dict()
+        for path, value in faults.items():
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("iterations", 300.7),

@@ -13,12 +13,13 @@ import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import FIELD_NEAR_MISSES
+from oracles import FIELD_NEAR_MISSES, near_misses
 
 import wlansim
 from wlansim.arrays import MAX_ITERATIONS, Scenario, Source, load_scenario
@@ -891,6 +892,79 @@ def test_coverage_exit_contract_holds_for_near_miss_logs(rows, ap, fit, options)
                 assert_numeric_fields_finite((out_dir / name).read_text(encoding="utf-8"), name, ap is None)
         else:
             assert not out_dir.exists()
+
+
+# XML 1.0 cannot carry these characters at all; CR and LF it carries only
+# as a line end, and near_misses draws neither.
+XML_ILLEGAL = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+SSID_TEXTS = near_misses("", "a,b", 'say "hi"', "AT&T", "<guest>", 'x & "y", <z>')
+
+
+@st.composite
+def kml_safe_rows(draw):
+    """A sample of one of three APs on channel 1, 2 or 36 in one of three
+    cells, with an SSID of near misses or texts with commas, quotes, ``&``
+    and ``<``, and up to two other fields replaced by near misses.  The
+    position texts hold no comma, which separates them in a KML
+    ``coordinates`` element."""
+    row = [
+        draw(st.sampled_from(["2013-05-14T09:00:00Z", "2013-05-14T09:00:05Z"])),
+        draw(st.sampled_from(["00:11:22:33:44:55", "00:11:22:33:44:66", "00:11:22:33:44:77"])),
+        draw(SSID_TEXTS),
+        draw(st.sampled_from(["1", "2", "36"])),
+        draw(st.sampled_from(["-60", "-85", "-70.5"])),
+        *draw(st.sampled_from([("51.8776", "0.9426"), ("51.87761", "0.94261"), ("51.8777", "0.9427")])),
+    ]
+    for i in draw(st.sets(st.sampled_from([0, 1, 3, 4, 5, 6]), max_size=2)):
+        row[i] = draw(FIELD_NEAR_MISSES[i])
+    row = [XML_ILLEGAL.sub("", text) for text in row]
+    row[5:] = [text.replace(",", "") for text in row[5:]]
+    return row
+
+
+def kml_document(rows) -> str:
+    """The samples as a KML document, one Placemark a line, each text
+    XML-escaped."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', '<kml xmlns="http://www.opengis.net/kml/2.2"><Document>']
+    for row in rows:
+        t, bssid, ssid, channel, rssi, lat, lon = map(escape, row)
+        data = "".join(
+            f'<Data name="{name}"><value>{text}</value></Data>'
+            for name, text in [("bssid", bssid), ("ssid", ssid), ("channel", channel), ("rssi_dbm", rssi)]
+        )
+        lines.append(
+            f"<Placemark><TimeStamp><when>{t}</when></TimeStamp><ExtendedData>{data}</ExtendedData>"
+            f"<Point><coordinates>{lon},{lat}</coordinates></Point></Placemark>"
+        )
+    lines.append("</Document></kml>")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(kml_safe_rows(), min_size=2, max_size=8))
+def test_csv_and_kml_logs_of_the_same_samples_agree(rows):
+    """The same samples as a CSV log and as a KML document: the same
+    ``summaries.csv`` and ``interference.csv`` bytes, or exit 1 and no
+    outputs for both; never exit 3.  Texts hold no CR, LF or character that
+    XML cannot carry verbatim, and the position texts no comma."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+        logs = {"csv": out.getvalue(), "kml": kml_document(rows)}
+        results = {}
+        for fmt, text in logs.items():
+            log = Path(tmp) / f"survey.{fmt}"
+            log.write_text(text, encoding="utf-8")
+            out_dir = Path(tmp) / fmt
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(["coverage", str(log), "--format", fmt, "--out", str(out_dir)])
+            assert code in (EXIT_OK, EXIT_VALIDATION)
+            if code == EXIT_OK:
+                results[fmt] = [(out_dir / name).read_bytes() for name in ("summaries.csv", "interference.csv")]
+            else:
+                assert not out_dir.exists()
+                results[fmt] = code
+        assert results["csv"] == results["kml"]
 
 
 # Values of each throughput flag, valid ones at their extremes among them.

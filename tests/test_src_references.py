@@ -1,7 +1,8 @@
 """Every public function and class in ``src/wlansim`` is used by other
 package code, so nothing in the package lives only for its tests; the
 CSV output format is decided in one place, ``cli``; ``cli`` takes only
-``run`` from ``nlms``; and no variable is raised to a power with ``**``,
+``run`` from ``nlms``, and ``survey`` only the channel lookup and the
+overlap from ``channels``; and no variable is raised to a power with ``**``,
 which on a float is libm's ``pow``."""
 
 import ast
@@ -104,14 +105,19 @@ def test_csv_line_end_is_written_only_in_cli():
 
 
 def names_taken_from(src: Path, module: str, source: str) -> list[str]:
-    """Each name that ``module`` in ``src`` reads as ``source.name`` or
-    imports with ``from .source import name``."""
-    names = set()
-    for node in ast.walk(ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == source:
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source:
-            names.update(alias.name for alias in node.names)
+    """Each name that ``module`` in ``src`` imports with ``from .source
+    import name`` or, where it binds the module by ``from . import
+    source``, reads as ``source.name``; a local variable that happens to
+    be called ``source`` is not the module."""
+    nodes = list(ast.walk(ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))))
+    imports = [node for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 1]
+    names = {alias.name for node in imports if node.module == source for alias in node.names}
+    if any(node.module is None and alias.name == source for node in imports for alias in node.names):
+        names.update(
+            node.attr
+            for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == source
+        )
     return sorted(names)
 
 
@@ -119,6 +125,11 @@ def test_cli_takes_only_run_from_nlms():
     # The trace carries what the CLI writes; the chunk size and the final
     # window are nlms's own decisions.
     assert names_taken_from(SRC, "cli", "nlms") == ["run"]
+
+
+def test_survey_takes_only_the_lookup_and_the_overlap_from_channels():
+    # Which ids exist and how plans compare are channels's own rules.
+    assert names_taken_from(SRC, "survey", "channels") == ["channel_by_id", "overlap_fraction"]
 
 
 def float_power_sites(src: Path) -> list[tuple[str, int]]:
