@@ -1,20 +1,17 @@
 """Command-line interface: one subcommand per simulator area.
 
-Every output is a CSV table, and its format is decided here alone.
-``_write_table`` writes each table that is a header plus an iterable of
-rows through ``csv.writer``: the ``channels`` listing, ``summaries.csv``
-and the ``beamform`` tables.  The ``channels`` and
-``summaries.csv`` tables are the records ``channels_in`` and ``summarize``
-return, as they are, under the field names of ``Channel`` and
-``ApSummary``; each other table's header is stated by the command that
-writes it.  ``interference.csv`` is rendered by ``_write_pairs`` instead,
-a block of lines per AP: it has a row per AP pair, n(n-1)/2 for n APs,
-but few distinct verdicts, so one ``csv.writer`` call per pair would be
-most of the work of a dense survey.  ``throughput.csv`` is rendered by
-``_write_curve``, a chunk of lines at a time: it has a row per point, up to
-``MAX_CURVE_POINTS``, but at most nine distinct rates (0 and the eight
-rungs), so each rate's text is made once and only the distance and SNR
-are formatted per row.
+Every output is a CSV table, and its format is decided here alone:
+``csv.writer`` where a field is free text, one line writer everywhere
+else.  ``_write_table`` writes ``summaries.csv``, the records
+``summarize`` returns under ``ApSummary``'s field names, through
+``csv.writer``: an SSID is free text, and a ``None`` distance is an empty
+field.  ``_write_lines`` writes each other table a chunk of rendered lines
+at a time.  Their fields are numbers and texts with no comma, quote, CR or
+LF, such as band names, so none needs quoting.  ``_plain_lines`` renders
+the ``channels`` listing and the ``beamform`` tables.
+``interference.csv`` has a row per AP pair and ``throughput.csv`` a row
+per point, but few distinct verdicts and rates, so ``_pair_lines`` and
+``_curve_lines`` make each one's text once.
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
 records the tool and Python versions (and numpy's, when the command loaded
@@ -36,7 +33,7 @@ import sys
 from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .channels import BAND_PLAN, Channel, channel_by_id, channels_in, overlap_fraction
@@ -64,15 +61,15 @@ PATTERN_GRID_POINTS = 721
 # Upper bound of throughput --points: a larger curve would only fill the disk.
 MAX_CURVE_POINTS = 10**6
 
-# Throughput curve rows rendered per write.
-CURVE_CHUNK_ROWS = 4096
+# Table lines joined per write by _write_lines.
+CHUNK_LINES = 256
 
 # Floor for dB conversion of zero-magnitude spectrum bins.
 MAG_FLOOR = 1e-15
 
-# A header, such as a NamedTuple's ``_fields``, and its rows, which may be
-# produced lazily while they are written.
-Table = tuple[Sequence[str], Iterable[Sequence]]
+# A header, such as a NamedTuple's ``_fields``, and its rows or rendered
+# lines, which may be produced lazily while they are written.
+Table = tuple[Sequence[str], Iterable]
 
 
 def _sha256_file(path: Path) -> str:
@@ -92,6 +89,21 @@ def _write_table(out: IO[str], table: Table) -> None:
     writer.writerows(rows)
 
 
+def _write_lines(out: IO[str], table: Table) -> None:
+    """Write a header line, then the rendered lines, ``CHUNK_LINES`` per write."""
+    header, lines = table
+    out.write(",".join(header) + "\r\n")
+    lines = iter(lines)  # islice of a list would start over at each chunk
+    while chunk := "".join(islice(lines, CHUNK_LINES)):
+        out.write(chunk)
+
+
+def _plain_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Table:
+    """``header`` and ``rows`` as ``_write_lines`` takes them, each field
+    rendered by ``%s``, which calls the ``str`` that ``csv.writer`` writes."""
+    return header, map((",".join(["%s"] * len(header)) + "\r\n").__mod__, rows)
+
+
 class _Texts(dict):
     """Key -> ``fmt % key``, made on first use: the text of one verdict or
     one rate in its table's lines."""
@@ -105,43 +117,25 @@ class _Texts(dict):
         return text
 
 
-def _write_pairs(out: IO[str], blocks: Iterable[tuple[str, list[tuple[str, Verdict]]]]) -> None:
-    """Write the interference table, the blocks ``interference_report``
-    yields, as ``csv.writer``'s default dialect would: its header line,
-    then one line per AP pair.
-
-    Each distinct verdict's text is made once and each AP's block is
-    written in one call.  No field needs quoting: every bssid passed
-    ``survey._MAC_RE`` when its log was parsed, so it holds no comma,
-    quote, CR or LF, and a verdict's fields are Python numbers, whose
-    ``str``, which ``%s`` calls, is what ``csv.writer`` writes for them.
-    """
-    out.write(",".join(["bssid_a", "bssid_b", *Verdict._fields]) + "\r\n")
+def _pair_lines(blocks: Iterable[tuple[str, list[tuple[str, Verdict]]]]) -> Iterator[str]:
+    """The interference table's lines, one per AP pair of the blocks
+    ``interference_report`` yields, each verdict's text made once.  No
+    field needs quoting: every bssid passed ``survey._MAC_RE`` when its log
+    was parsed, so it holds no comma, quote, CR or LF, and a verdict's
+    fields are Python numbers."""
     tails = _Texts(",%s,%s,%s\r\n")  # a Verdict is the tuple of its fields
-    for a, block in blocks:
-        out.write("".join([f"{a},{b}{tails[verdict]}" for b, verdict in block]))
+    return chain.from_iterable([f"{a},{b}{tails[verdict]}" for b, verdict in block] for a, block in blocks)
 
 
-def _write_curve(out: IO[str], rows: Iterable[tuple[float, float, float]]) -> None:
-    """Write the throughput table, the ``(distance_m, rate_mbps, snr_db)``
-    rows ``throughput_vs_distance`` yields, as ``csv.writer``'s default
-    dialect would: its header line, then one line per row.
-
-    Each distinct rate's text is made once, and ``CURVE_CHUNK_ROWS`` lines
-    are joined per write.  No field needs quoting: every field is a Python
-    float, whose ``str`` is the ``repr`` ``csv.writer`` writes and holds no
-    comma, quote, CR or LF; ``%s`` calls that ``str`` directly, where an
-    f-string's ``float.__format__`` took ~15 % longer.  A rate's text is
-    made from the first rate equal to it, so a -0.0 after a 0.0 would read
-    0.0; the curve's rates are 0.0 and the positive rungs.
-    """
-    out.write("distance_m,rate_mbps,snr_db\r\n")
+def _curve_lines(rows: Iterable[tuple[float, float, float]]) -> Iterator[str]:
+    """The throughput table's lines, one per ``(distance_m, rate_mbps,
+    snr_db)`` row ``throughput_vs_distance`` yields, each rate's text made
+    once.  No field needs quoting: each is a Python float.  ``%s`` calls its
+    ``str``, where an f-string's ``float.__format__`` took ~15 % longer.
+    A rate's text is made from the first rate equal to it, so a -0.0 after
+    a 0.0 would read 0.0; the curve's rates are 0.0 and the positive rungs."""
     rates = _Texts(",%s,")
-    rows = iter(rows)  # islice of a list would start over at each chunk
-    while chunk := [
-        "%s%s%s\r\n" % (d, rates[rate], snr) for d, rate, snr in islice(rows, CURVE_CHUNK_ROWS)
-    ]:
-        out.write("".join(chunk))
+    return ("%s%s%s\r\n" % (d, rates[rate], snr) for d, rate, snr in rows)
 
 
 def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]], config: dict) -> None:
@@ -193,7 +187,7 @@ def cmd_channels(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot compare channels from different plans ({a.plan} vs {b.plan})")
         print(overlap_fraction(a, b))
         return EXIT_OK
-    _write_table(sys.stdout, (Channel._fields, channels_in(args.plan)))
+    _write_lines(sys.stdout, _plain_lines(Channel._fields, channels_in(args.plan)))
     return EXIT_OK
 
 
@@ -250,17 +244,17 @@ def cmd_beamform(args: argparse.Namespace) -> int:
 
     def spectrum(mags):  # bin k is normalized frequency k / size
         rows = ((k / size, m, 20.0 * math.log10(max(m, MAG_FLOOR))) for k, m in enumerate(mags))
-        return ["normalized_freq", "magnitude", "magnitude_db"], rows
+        return _plain_lines(["normalized_freq", "magnitude", "magnitude_db"], rows)
 
     # Published only now, so a rejected, diverged or failed run leaves no directory.
     tables = {
-        "trace.csv": (["n", "error_power", "output_re", "output_im"], trace_rows),
-        "weights.csv": (["n", "element", "re", "im"], weight_rows),
-        "pattern.csv": (["angle_rad", "gain_db"], pattern),
+        "trace.csv": _plain_lines(["n", "error_power", "output_re", "output_im"], trace_rows),
+        "weights.csv": _plain_lines(["n", "element", "re", "im"], weight_rows),
+        "pattern.csv": _plain_lines(["angle_rad", "gain_db"], pattern),
         "spectrum_before.csv": spectrum(before),
         "spectrum_after.csv": spectrum(after),
     }
-    outputs = {name: partial(_write_table, table=table) for name, table in tables.items()}
+    outputs = {name: partial(_write_lines, table=table) for name, table in tables.items()}
     _publish(args.out, outputs, scenario.to_dict())  # the effective scenario: flag overrides count
 
     # A field with no finite value is left out, as an undefined plateau is:
@@ -311,9 +305,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
     # Published only now, so a rejected run leaves no directory.
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
+    pairs = (["bssid_a", "bssid_b", *Verdict._fields], _pair_lines(pair_blocks))
     outputs = {
         "summaries.csv": partial(_write_table, table=(ApSummary._fields, summaries)),
-        "interference.csv": partial(_write_pairs, blocks=pair_blocks),
+        "interference.csv": partial(_write_lines, table=pairs),
     }
     _publish(args.out, outputs, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:
@@ -353,7 +348,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     first_row = next(rows)  # the cap: the curve is monotone non-increasing
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    _publish(args.out, {"throughput.csv": partial(_write_curve, rows=chain([first_row], rows))}, options)
+    curve = (["distance_m", "rate_mbps", "snr_db"], _curve_lines(chain([first_row], rows)))
+    _publish(args.out, {"throughput.csv": partial(_write_lines, table=curve)}, options)
     print(f"cap_mbps={first_row[1]}")
     return EXIT_OK
 

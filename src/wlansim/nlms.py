@@ -8,6 +8,7 @@ training mode: the reference is the known desired-source waveform.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -103,9 +104,10 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     """
     n_iter = scenario.iterations
     tail = final_tenth(n_iter)
-    # Expected per-snapshot energy sets the regularization scale.
+    # Expected per-snapshot energy sets the regularization scale; fsum rounds
+    # it alike on every Python version.
     expected_energy = scenario.num_elements * (
-        sum(s.amplitude * s.amplitude for s in scenario.sources) + scenario.noise_power
+        math.fsum([s.amplitude * s.amplitude for s in scenario.sources]) + scenario.noise_power
     )
     mu = scenario.step_size
     eps = RELATIVE_EPS * expected_energy

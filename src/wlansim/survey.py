@@ -100,7 +100,7 @@ def _record_from_fields(fields: Sequence[str], texts: dict[str, str], rssis: dic
     t, bssid, ssid, channel, rssi_text, lat_text, lon_text = fields
     rssi_text = rssi_text.strip()
     if rssi_text.startswith("+"):
-        raise ValueError(f"rssi {rssi_text!r} violates the [-120, 0] dBm range")
+        raise ValueError(f"rssi {rssi_text!r} violates the [{RSSI_MIN_DBM:g}, {RSSI_MAX_DBM:g}] dBm range")
     bssid = bssid.strip()
     channel_id = int(channel)
     rssi_dbm = rssis.setdefault(rssi_text, float(rssi_text))
@@ -145,7 +145,7 @@ def _local_tag(elem: "ET.Element") -> str:
 
 
 def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
-    fields: dict[str, str] = {"t": ""}
+    fields: dict[str, str] = {}
     for elem in placemark.iter():
         tag = _local_tag(elem)
         if tag == "Data":
@@ -153,8 +153,8 @@ def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
             for child in elem:
                 if _local_tag(child) == "value":  # <value/> holds "", as an empty CSV field does
                     fields[name] = child.text or ""
-        elif tag == "when" and elem.text is not None:
-            fields["t"] = elem.text
+        elif tag == "when":  # so does <when/>
+            fields["t"] = elem.text or ""
         elif tag == "coordinates" and elem.text is not None:
             parts = elem.text.strip().split(",")
             if len(parts) >= 2:
@@ -299,7 +299,8 @@ def fit_path_loss(
     distance is positive and ``tx_eirp_dbm`` is finite.  The losses are
     fitted as ``-rssi`` and the EIRP is added to the intercept at the end:
     the slope and residuals do not depend on that shift, and a huge EIRP
-    cannot overflow the sums.
+    cannot overflow the sums.  Each sum is a correctly rounded ``math.fsum``,
+    so the fit depends on neither the points' order nor the Python version.
 
     Raises:
         ValueError: with fewer than two points, or when every distance is
@@ -310,17 +311,17 @@ def fit_path_loss(
     xs = [10.0 * math.log10(d) for d, _ in points]
     ys = [-rssi for _, rssi in points]
     n = len(points)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
     # A product, not ** 2, which calls libm pow.
-    sxx = sum((x - mean_x) * (x - mean_x) for x in xs)
+    sxx = math.fsum([(x - mean_x) * (x - mean_x) for x in xs])
     if sxx == 0.0:
         raise ValueError("all distances equal; fit is degenerate")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxy = math.fsum([(x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)])
     exponent = sxy / sxx
     reference = mean_y - exponent * mean_x
     residuals = [y - (reference + exponent * x) for x, y in zip(xs, ys)]
-    rms = math.sqrt(sum(r * r for r in residuals) / n)
+    rms = math.sqrt(math.fsum([r * r for r in residuals]) / n)
     return FitResult(
         exponent=exponent,
         reference_loss_db=reference + tx_eirp_dbm,

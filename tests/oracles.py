@@ -101,10 +101,11 @@ def nlms_fold(scenario, stride) -> dict:
     time: y = w^H x, e = d - y, w <- w + mu/(||x||^2 + eps) * x * conj(e),
     with the update skipped when the denominator is zero and the weights
     kept as they are when e is zero; |e|^2 and the amplitudes are squared
-    by product, as IEEE 754 rounds it.  Counts the skipped updates."""
+    by product, as IEEE 754 rounds it, and the squares summed exactly by
+    ``math.fsum``.  Counts the skipped updates."""
     n_iter = scenario.iterations
     expected_energy = scenario.num_elements * (
-        sum(s.amplitude * s.amplitude for s in scenario.sources) + scenario.noise_power
+        math.fsum([s.amplitude * s.amplitude for s in scenario.sources]) + scenario.noise_power
     )
     mu, eps = scenario.step_size, RELATIVE_EPS * expected_energy
     w = np.zeros(scenario.num_elements, dtype=complex)

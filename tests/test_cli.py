@@ -268,13 +268,13 @@ class TestBeamformCommand:
         assert lines[700][:301] == lines[300]
 
     def test_failed_write_leaves_no_partial_set(self, tmp_path, capsys, monkeypatch):
-        write_table = wlansim.cli._write_table
+        write_lines = wlansim.cli._write_lines
         written = []
 
         def failing(out, table):
             written.append(table)
             if len(written) < 4:
-                return write_table(out, table)
+                return write_lines(out, table)
             out.write("normalized_freq,")
             raise OSError("disk full")
 
@@ -282,7 +282,7 @@ class TestBeamformCommand:
         assert run_cli(["beamform", "--iterations", "300", "--seed", "1", "--out", str(earlier)], capsys)[0] == EXIT_OK
         complete_set = {p.name: p.read_bytes() for p in earlier.iterdir()}
         # The fourth table, spectrum_before.csv, follows trace, weights and pattern: a failure mid-set.
-        monkeypatch.setattr(wlansim.cli, "_write_table", failing)
+        monkeypatch.setattr(wlansim.cli, "_write_lines", failing)
         for out_dir in (earlier, fresh):
             written.clear()
             code, out, err = run_cli(["beamform", "--iterations", "300", "--seed", "2", "--out", str(out_dir)], capsys)
@@ -746,8 +746,8 @@ class TestThroughputCommand:
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_shorter_curve_is_a_prefix_of_a_longer_one(self, tmp_path, capsys):
-        # Each distance is computed from its own index.  5 000 points span
-        # a whole 4 096-row chunk and part of a second.
+        # Each distance is computed from its own index.  1 000 points end
+        # inside a 256-line chunk, which the longer curve writes whole.
         lines = {}
         for n in (1000, 5000):
             argv = ["throughput", "--points", str(n), "--step", "0.37", "--out", str(tmp_path / str(n))]
@@ -761,7 +761,7 @@ class TestThroughputCommand:
         # With 64-row chunks the run peaks under 0.6 MiB, the modules the
         # manifest imports included; a writer that held the 20 000 rows
         # would take over 2 MiB.
-        monkeypatch.setattr(wlansim.cli, "CURVE_CHUNK_ROWS", 64)
+        monkeypatch.setattr(wlansim.cli, "CHUNK_LINES", 64)
         tracemalloc.start()
         try:
             with redirect_stdout(io.StringIO()):

@@ -241,6 +241,27 @@ def test_run_equals_fold_of_step_bit_for_bit(case):
         assert ref["skipped"] == scenario.iterations
 
 
+@pytest.mark.parametrize("k", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("seed,noise_power", [(1, 0.01), (3, 0.3)])
+def test_power_of_two_scale_leaves_the_weights_bit_identical(k, seed, noise_power):
+    """Amplitudes times k and noise power times k*k, for k a power of two.
+    Scaling by a power of two commutes with IEEE 754 rounding, and eps
+    scales with the expected energy, so the weights are bit-identical, the
+    error power is exactly k*k times and the outputs exactly k times."""
+    base = load_scenario(seed=seed, iterations=1000, noise_power=noise_power)
+    scaled = base._replace(
+        sources=tuple(s._replace(amplitude=s.amplitude * k) for s in base.sources),
+        noise_power=noise_power * k * k,
+    )
+    a, b = run(base), run(scaled)
+    assert b.converged_weights.tobytes() == a.converged_weights.tobytes()
+    assert [(n, w.tobytes()) for n, w in b.weight_snapshots] == [(n, w.tobytes()) for n, w in a.weight_snapshots]
+    assert b.error_power.tobytes() == (a.error_power * (k * k)).tobytes()
+    assert b.outputs.tobytes() == (a.outputs * k).tobytes()
+    assert b.final_error_power == a.final_error_power * (k * k)
+    assert b.plateau_iteration() == a.plateau_iteration()
+
+
 @pytest.mark.parametrize(
     "step_size,amplitude,iteration",
     [

@@ -2,8 +2,9 @@
 package code, so nothing in the package lives only for its tests; the
 CSV output format is decided in one place, ``cli``; ``cli`` takes only
 ``run`` from ``nlms``, and ``survey`` only the channel lookup and the
-overlap from ``channels``; and no variable is raised to a power with ``**``,
-which on a float is libm's ``pow``."""
+overlap from ``channels``; no variable is raised to a power with ``**``,
+which on a float is libm's ``pow``; and no float is summed by the builtin
+``sum``, whose rounding depends on the Python version."""
 
 import ast
 from pathlib import Path
@@ -149,3 +150,19 @@ def float_power_sites(src: Path) -> list[tuple[str, int]]:
 
 def test_no_float_power_in_src():
     assert float_power_sites(SRC) == []
+
+
+def builtin_sum_sites(src: Path) -> list[tuple[str, int]]:
+    """``(module, line)`` of each call of the builtin ``sum`` in ``src``.
+    Its float result depends on the Python version, as 3.12 made it
+    compensated, where ``math.fsum`` is correctly rounded on every one."""
+    return [
+        (path.stem, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+def test_no_builtin_sum_in_src():
+    assert builtin_sum_sites(SRC) == []

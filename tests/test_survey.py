@@ -19,7 +19,7 @@ from oracles import (
 )
 
 import wlansim.survey
-from wlansim.cli import _write_pairs, build_parser
+from wlansim.cli import _pair_lines, _write_lines, build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.survey import (
     CSV_COLUMNS,
@@ -234,7 +234,8 @@ class TestKmlParsing:
         )
         good = (
             f'<Placemark>\n{data}<Data name="rssi_dbm"><value>-61</value></Data>\n'
-            "<Point><coordinates>0.9,51.8</coordinates></Point>\n</Placemark>\n"
+            "<TimeStamp><when>t0</when></TimeStamp><Point><coordinates>0.9,51.8</coordinates></Point>\n"
+            "</Placemark>\n"
         )
         bad = good.replace("-61", "+3")
         text = f"<kml>\n<Document>\n{good}\n\n{bad}</Document>\n</kml>\n"
@@ -251,7 +252,10 @@ class TestKmlParsing:
             f'<Data name="{k}"><value>{v}</value></Data>\n'
             for k, v in [("bssid", AP_A), ("ssid", "eduroam"), ("channel", "36"), ("rssi_dbm", "-61")]
         )
-        point = "<Point><coordinates>0.9,51.8</coordinates></Point>\n</Placemark>\n"
+        point = (
+            "<TimeStamp><when>t0</when></TimeStamp><Point><coordinates>0.9,51.8</coordinates></Point>\n"
+            "</Placemark>\n"
+        )
         good = f"<Placemark>\n{fields}{point}"
         bad = f'<Placemark\n id="a">\n{fields.replace("-61", "+3")}{point}'
         text = f"<kml>\n<Document>\n{bad}{good}</Document>\n</kml>\n"
@@ -260,9 +264,41 @@ class TestKmlParsing:
         assert errors == [(4, "rssi '+3' violates the [-120, 0] dBm range")]
         assert text.splitlines()[2:4] == ["<Placemark", ' id="a">']
 
+    def test_placemark_without_timestamp_is_refused(self):
+        """A placemark must carry its TimeStamp/when, as a CSV row must
+        carry its ``t`` column; an empty ``<when/>`` reads "", as an empty
+        ``<value/>`` does."""
+        fields = "".join(
+            f'<Data name="{k}"><value>{v}</value></Data>\n'
+            for k, v in [("bssid", AP_A), ("ssid", "e"), ("channel", "1"), ("rssi_dbm", "-60")]
+        )
+        point = "<Point><coordinates>0.9,51.8</coordinates></Point>\n"
+        placemarks = "".join(
+            f"<Placemark>\n{fields}{when}{point}</Placemark>\n" for when in ["", "<TimeStamp><when/></TimeStamp>\n"]
+        )
+        records, errors = parse_log(io.StringIO(f"<kml>\n<Document>\n{placemarks}</Document>\n</kml>\n"), "kml")
+        assert errors == [(3, "placemark missing fields: t")]
+        assert records == [("", AP_A, "e", 1, -60.0, 51.8, 0.9)]
+
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):
             parse_log(io.StringIO("this is not xml"), "kml")
+
+
+# Records of two APs over a few 1 m cells, so that groups hold several samples.
+record_lists = st.lists(
+    st.builds(
+        make_record,
+        bssid=st.sampled_from([AP_A, AP_B]),
+        ssid=st.sampled_from(["a", "b"]),
+        channel=st.sampled_from([1, 6, 36]),
+        rssi=st.floats(-120.0, 0.0),
+        lat=st.floats(51.8776, 51.87762),
+        lon=st.floats(0.9426, 0.94263),
+    ),
+    min_size=1,
+    max_size=30,
+)
 
 
 class TestSummarize:
@@ -323,6 +359,21 @@ class TestSummarize:
         # The earliest sample names the group, the rest of the record breaking the tie.
         assert [(s.ssid, s.channel) for s in summaries if s.lat == 51.879] == [("alpha", 1)]
 
+    @settings(max_examples=100)
+    @given(records=record_lists)
+    def test_replicated_records_change_only_the_counts(self, records):
+        """Every sum is correctly rounded, and two copies of each term
+        double the exact sum, so the means, spreads and positions are the
+        same bit for bit; only ``count`` doubles, and ``low_confidence``
+        may clear."""
+        for ap_position in (None, (51.87761, 0.94261)):
+            once = summarize(records, ap_position=ap_position)
+            twice = summarize(records + records, ap_position=ap_position)
+            assert [s._replace(count=0, low_confidence=0) for s in twice] == [
+                s._replace(count=0, low_confidence=0) for s in once
+            ]
+            assert [s.count for s in twice] == [2 * s.count for s in once]
+
     def test_low_confidence_flag(self):
         summaries = summarize([make_record() for _ in range(4)])
         assert summaries[0].low_confidence == 1
@@ -348,6 +399,14 @@ class TestFitPathLoss:
         fit = fit_path_loss(synth_fit_points(2.7, noise=2.0, seed=1), 20.0)
         assert fit.exponent == pytest.approx(2.7, abs=0.05)
         assert fit.sample_count == 50
+
+    def test_fit_is_bit_identical_under_permutations(self):
+        # Every sum is correctly rounded, so the order of the points changes no bit.
+        points = synth_fit_points(2.7, noise=6.0, seed=3, count=400)
+        expected = fit_path_loss(points, 20.0)
+        rng = random.Random(11)
+        for order in [points[::-1], *(rng.sample(points, len(points)) for _ in range(5))]:
+            assert fit_path_loss(order, 20.0) == expected
 
     def test_equal_distances_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -517,10 +576,11 @@ def test_report_matches_per_pair_oracle(summaries, threshold):
 @given(summaries=summary_lists, threshold=thresholds)
 def test_rendered_report_matches_csv_writer_over_the_oracle(summaries, threshold):
     got = io.StringIO()
-    _write_pairs(got, interference_report(summaries, threshold))
+    header = ["bssid_a", "bssid_b", "overlap", "co_located", "interferes"]
+    _write_lines(got, (header, _pair_lines(interference_report(summaries, threshold))))
     expected = io.StringIO()
     writer = csv.writer(expected)
-    writer.writerow(["bssid_a", "bssid_b", "overlap", "co_located", "interferes"])
+    writer.writerow(header)
     writer.writerows(
         (a, b, overlap, int(co_located), int(interferes))
         for a, b, overlap, co_located, interferes in interference_oracle(summaries, threshold)

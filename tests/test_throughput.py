@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlansim.cli
-from wlansim.cli import EXIT_OK, _write_curve, main
+from wlansim.cli import EXIT_OK, _curve_lines, _write_lines, main
 from wlansim.propagation import SPEED_OF_LIGHT, friis_path_loss
 from wlansim.throughput import (
     WIDTHS_MHZ,
@@ -199,7 +199,7 @@ RATES = st.sampled_from(
 
 
 # The chunk size the rendering test patches in, so that each example renders
-# a few rows; the 30 000-row digest pin covers the real CURVE_CHUNK_ROWS.
+# a few rows; the 30 000-row digest pin covers the real CHUNK_LINES.
 TEST_CHUNK_ROWS = 8
 
 
@@ -212,10 +212,10 @@ def test_rendered_curve_matches_csv_writer(drawn, count):
     # The drawn rows repeat to fill a count on either side of a chunk.
     rows = list(islice(cycle(drawn), count))
     got = io.StringIO()
-    # _write_curve reads the chunk size on each call.  Patched here, since
+    # _write_lines reads the chunk size on each call.  Patched here, since
     # hypothesis rejects the function-scoped monkeypatch fixture.
-    with patch.object(wlansim.cli, "CURVE_CHUNK_ROWS", TEST_CHUNK_ROWS):
-        _write_curve(got, rows)
+    with patch.object(wlansim.cli, "CHUNK_LINES", TEST_CHUNK_ROWS):
+        _write_lines(got, (["distance_m", "rate_mbps", "snr_db"], _curve_lines(rows)))
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(["distance_m", "rate_mbps", "snr_db"])
