@@ -10,7 +10,7 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed on
 ``(seed, stream)`` with ``0 <= seed < 2**64``: stream 0 is the noise and
 stream ``1 + i`` the symbols of source ``i``.  Sample ``n`` reads a fixed
 range of words at a fixed counter offset, so any snapshot is reproducible
-in isolation, independent of generation order, and a block of snapshots
+in isolation, independent of generation order, and a range of snapshots
 comes from one draw per stream.
 """
 
@@ -21,7 +21,7 @@ import json
 import math
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,12 +113,13 @@ def _source(data, i: int) -> Source:
         raise ValueError(f"sources[{i}]: must be a JSON object")
     try:
         _known_keys(data, Source._fields)
+        defaults = Source._field_defaults
         source = Source(
             role=_field(data, "role", str),
             angle_rad=_field(data, "angle_rad", _number),
-            waveform=_field(data, "waveform", str, WAVEFORM_SINUSOID),
-            normalized_freq=_field(data, "normalized_freq", _number, 0.0),
-            amplitude=_field(data, "amplitude", _number, 1.0),
+            waveform=_field(data, "waveform", str, defaults["waveform"]),
+            normalized_freq=_field(data, "normalized_freq", _number, defaults["normalized_freq"]),
+            amplitude=_field(data, "amplitude", _number, defaults["amplitude"]),
         )
         if source.role not in (ROLE_DESIRED, ROLE_INTERFERER):
             raise ValueError(f"role: must be 'desired' or 'interferer', got {source.role!r}")
@@ -226,13 +227,13 @@ def steering_vector(theta_rad: float, num_elements: int, spacing_wavelengths: fl
     return np.exp(-2j * np.pi * k * spacing_wavelengths * math.sin(theta_rad))
 
 
-def _stream_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    # Words start .. start + count - 1 of the (seed, stream) Philox4x64
+def _stream_words(seed: int, stream: int, words: range) -> np.ndarray:
+    # Words ``words`` (a range of step 1) of the (seed, stream) Philox4x64
     # sequence, whose word 4c is the first that Philox(counter=c) returns
     # (numpy encrypts counter value c + 1 first, so word 0 is the output
     # of counter value 1).
-    bitgen = np.random.Philox(key=(stream << 64) | seed, counter=start // 4)
-    return bitgen.random_raw(start % 4 + count)[start % 4 :]
+    bitgen = np.random.Philox(key=(stream << 64) | seed, counter=words.start // 4)
+    return bitgen.random_raw(words.start % 4 + len(words))[words.start % 4 :]
 
 
 def _source_samples(source: Source, seed: int, stream: int, rows: range) -> np.ndarray:
@@ -242,7 +243,7 @@ def _source_samples(source: Source, seed: int, stream: int, rows: range) -> np.n
     # Random QPSK-style symbols on the unit circle: sample n takes its
     # phase from the top two bits of word n of its stream.
     qpsk = np.exp(1j * (np.arange(4) + 0.5) * (math.pi / 2))
-    return source.amplitude * qpsk[_stream_words(seed, stream, rows.start, len(rows)) >> np.uint64(62)]
+    return source.amplitude * qpsk[_stream_words(seed, stream, rows) >> np.uint64(62)]
 
 
 def _noise_block(num_elements: int, power: float, seed: int, rows: range) -> np.ndarray:
@@ -250,39 +251,32 @@ def _noise_block(num_elements: int, power: float, seed: int, rows: range) -> np.
     # from word n * width of the noise stream, width rounded up to whole
     # Philox blocks.
     width = -(-2 * num_elements // 4) * 4
-    words = _stream_words(seed, _NOISE_STREAM, rows.start * width, len(rows) * width)
+    words = _stream_words(seed, _NOISE_STREAM, range(rows.start * width, rows.stop * width))
     u = (words.reshape(len(rows), width)[:, : 2 * num_elements] >> np.uint64(11)) * 2.0**-53
     radius = math.sqrt(power / 2.0) * np.sqrt(-2.0 * np.log1p(-u[:, :num_elements]))
     angle = 2.0 * math.pi * u[:, num_elements:]
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
-def synthesize_blocks(
-    scenario: Scenario, start: int, stop: int, rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(X, d)`` for consecutive blocks of at most ``rows``
-    snapshots covering ``start <= n < stop``.
+def synthesize(scenario: Scenario, rows: range) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, d)`` for the snapshots ``n in rows``, a range of step 1.
 
-    Row ``j`` of the block that starts at ``first`` is x(first + j), the
-    steering-weighted sum of all source samples plus circular complex
-    Gaussian noise of the configured power; ``d[j]`` is the desired
-    source's clean sample.  Every row is keyed on its own sample index,
-    so it does not depend on the block it was generated in.  Each steering
-    vector is computed once per call.
+    Row ``j`` of ``X`` is x(rows[j]), the steering-weighted sum of all
+    source samples plus circular complex Gaussian noise of the configured
+    power; ``d[j]`` is the desired source's clean sample.  Every row is
+    keyed on its own sample index, so it is the same alone as in any
+    range that contains it.
     """
     m = scenario.num_elements
-    steering = [steering_vector(src.angle_rad, m, scenario.spacing_wavelengths) for src in scenario.sources]
-    for first in range(start, stop, rows):
-        block = range(first, min(first + rows, stop))
-        X = np.zeros((len(block), m), dtype=complex)
-        d = np.zeros(len(block), dtype=complex)
-        for i, (src, a) in enumerate(zip(scenario.sources, steering)):
-            s = _source_samples(src, scenario.seed, 1 + i, block)
-            X += s[:, None] * a
-            if src.role == ROLE_DESIRED:
-                d += s
-        X += _noise_block(m, scenario.noise_power, scenario.seed, block)
-        yield X, d
+    X = np.zeros((len(rows), m), dtype=complex)
+    d = np.zeros(len(rows), dtype=complex)
+    for i, src in enumerate(scenario.sources):
+        s = _source_samples(src, scenario.seed, 1 + i, rows)
+        X += s[:, None] * steering_vector(src.angle_rad, m, scenario.spacing_wavelengths)
+        if src.role == ROLE_DESIRED:
+            d += s
+    X += _noise_block(m, scenario.noise_power, scenario.seed, rows)
+    return X, d
 
 
 def gain_db(w: np.ndarray, spacing_wavelengths: float, angles: Sequence[float]) -> list[float]:

@@ -194,7 +194,7 @@ def cmd_channels(args: argparse.Namespace) -> int:
 def cmd_beamform(args: argparse.Namespace) -> int:
     # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
     from . import nlms
-    from .arrays import ROLE_DESIRED, WAVEFORM_SINUSOID, array_pattern, gain_db, load_scenario, synthesize_blocks
+    from .arrays import ROLE_DESIRED, WAVEFORM_SINUSOID, array_pattern, gain_db, load_scenario, synthesize
     from .spectrum import dft_magnitude, suppression_report
 
     # Flags go into the scenario before it is checked, so they pass the file's checks.
@@ -212,8 +212,9 @@ def cmd_beamform(args: argparse.Namespace) -> int:
     # "Before" is the raw element-0 input, synthesized again: every row is
     # keyed on its sample index, so these are the inputs the run adapted
     # on.  "After" is the adapted array output.
-    before = dft_magnitude(next(synthesize_blocks(scenario, n_iter - size, n_iter, size))[0][:, 0])
-    after = dft_magnitude(trace.outputs[-size:])
+    window = range(n_iter - size, n_iter)
+    before = dft_magnitude(synthesize(scenario, window)[0][:, 0])
+    after = dft_magnitude(trace.outputs[window.start : window.stop])
 
     fields = [("final_error_power", trace.final_error_power, ".6e")]
 

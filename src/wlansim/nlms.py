@@ -13,15 +13,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import Scenario, synthesize_blocks
+from .arrays import Scenario, synthesize
 
 # Relative regularization applied to the norm denominator by run();
 # scaled by the scenario's expected snapshot energy.
 RELATIVE_EPS = 1e-12
 
-# Snapshots synthesized and adapted per block by run(), so memory does not
-# grow with the run length.  Larger blocks bought no measurable speed, and
-# 1024-row blocks raised the peak RSS of a 12000-iteration run by 0.2 MB
+# Snapshots synthesized and adapted per chunk by run(), so memory does not
+# grow with the run length.  Larger chunks bought no measurable speed, and
+# 1024-row chunks raised the peak RSS of a 12000-iteration run by 0.2 MB
 # through their temporaries.
 CHUNK_ROWS = 256
 
@@ -58,7 +58,8 @@ def update(
 
 class ConvergenceTrace(NamedTuple):
     """Per-iteration record of one adaptive run, holding only what the
-    adaptation made: ``synthesize_blocks`` regenerates its inputs.
+    adaptation made: ``synthesize`` regenerates the inputs of any range of
+    its iterations.
 
     ``converged_weights`` and ``final_error_power`` are the mean weight
     vector and the mean error power over the last ``final_tenth``
@@ -122,25 +123,22 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     # Divergence is detected and reported per chunk below; numpy's
     # overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        stop = 0
-        for X, d in synthesize_blocks(scenario, 0, n_iter, CHUNK_ROWS):
-            start, stop = stop, stop + len(d)
-            errs, ys = [], []
-            for n, x, dn in zip(range(start, stop), X, d.tolist()):
+        for first in range(0, n_iter, CHUNK_ROWS):
+            rows = range(first, min(first + CHUNK_ROWS, n_iter))
+            X, d = synthesize(scenario, rows)
+            for n, x, dn in zip(rows, X, d.tolist()):
                 y, e, w = update(w, x, dn, mu, eps)
-                errs.append(e.real * e.real + e.imag * e.imag)
-                ys.append(y)
+                err[n] = e.real * e.real + e.imag * e.imag
+                out[n] = y
                 if (n + 1) % tail == 0 or n == n_iter - 1:
                     snapshots.append((n, w.copy()))
                 if n >= tail_start:
                     w_sum += w
-            err[start:stop] = errs
-            out[start:stop] = ys
-            bad = np.flatnonzero(~np.isfinite(err[start:stop]))
+            bad = np.flatnonzero(~np.isfinite(err[rows.start : rows.stop]))
             if bad.size:
-                raise _diverged(start + int(bad[0]), mu)
+                raise _diverged(rows.start + int(bad[0]), mu)
             if not np.isfinite(w).all():
-                raise _diverged(stop - 1, mu)
+                raise _diverged(rows.stop - 1, mu)
 
     return ConvergenceTrace(
         error_power=err,

@@ -16,7 +16,7 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from wlansim.arrays import synthesize_blocks
+from wlansim.arrays import synthesize
 from wlansim.channels import channel_by_id, channels_in
 from wlansim.nlms import RELATIVE_EPS
 
@@ -112,7 +112,8 @@ def nlms_fold(scenario, stride) -> dict:
     err, out, snapshots, skipped = [], [], [], 0
     tail_start = max(0, n_iter - max(1, n_iter // 10))
     w_sum = np.zeros(scenario.num_elements, dtype=complex)
-    for n, (X, d) in enumerate(synthesize_blocks(scenario, 0, n_iter, 1)):
+    for n in range(n_iter):
+        X, d = synthesize(scenario, range(n, n + 1))
         x = X[0]
         y = complex(np.vdot(w, x))
         e = complex(d[0]) - y

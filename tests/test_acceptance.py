@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wlansim.arrays import load_scenario, steering_vector, synthesize_blocks
+from wlansim.arrays import load_scenario, steering_vector, synthesize
 from wlansim.channels import channel_by_id, channels_in, overlap_fraction
 from wlansim.cli import main
 from wlansim.nlms import run, update
@@ -154,7 +154,7 @@ def test_criterion_6_interference_suppression():
     size = 512
     # Rows are keyed per sample, so these are the inputs the run adapted on.
     n_iter = scenario.iterations
-    before = next(synthesize_blocks(scenario, n_iter - size, n_iter, size))[0][:, 0]
+    before = synthesize(scenario, range(n_iter - size, n_iter))[0][:, 0]
     after = trace.outputs[-size:]
     d_bin = round(desired.normalized_freq * size)
     i_bin = round(interferer.normalized_freq * size)

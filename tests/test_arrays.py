@@ -18,7 +18,7 @@ from wlansim.arrays import (
     array_pattern,
     load_scenario,
     steering_vector,
-    synthesize_blocks,
+    synthesize,
     _stream_words,
 )
 from wlansim.nlms import CHUNK_ROWS
@@ -39,14 +39,14 @@ def scenario_with(**overrides) -> Scenario:
 
 
 def snapshot(sc: Scenario, n: int) -> tuple[np.ndarray, complex]:
-    """x(n) and d(n), from a block of that one row."""
-    X, d = next(synthesize_blocks(sc, n, n + 1, 1))
+    """x(n) and d(n), synthesized alone."""
+    X, d = synthesize(sc, range(n, n + 1))
     return X[0], complex(d[0])
 
 
 def block(sc: Scenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``start <= n < stop`` as one block."""
-    return next(synthesize_blocks(sc, start, stop, stop - start))
+    """Rows ``start <= n < stop`` as one range."""
+    return synthesize(sc, range(start, stop))
 
 
 class TestSteeringVector:
@@ -198,7 +198,8 @@ class TestSynthesize:
         start, stop = CHUNK_ROWS - 4, CHUNK_ROWS + 4
         X, d = block(sc, start, stop)
         assert X.shape == (stop - start, sc.num_elements)
-        blocks = list(synthesize_blocks(sc, start, stop, 3))
+        partition = [range(start, start + 3), range(start + 3, start + 6), range(start + 6, stop)]
+        blocks = [synthesize(sc, rows) for rows in partition]
         assert [len(bd) for _, bd in blocks] == [3, 3, 2]
         X3 = np.concatenate([bx for bx, _ in blocks])
         d3 = np.concatenate([bd for _, bd in blocks])
@@ -223,13 +224,14 @@ class TestSynthesize:
         )
         start, stop = 3, 40
         singles = [snapshot(sc, n) for n in range(start, stop)]
-        for rows in (1, 2, 3, 5, 8, stop - start):
-            blocks = list(synthesize_blocks(sc, start, stop, rows))
+        for size in (1, 2, 3, 5, 8, stop - start):
+            partition = [range(first, min(first + size, stop)) for first in range(start, stop, size)]
+            blocks = [synthesize(sc, rows) for rows in partition]
             X = np.concatenate([bx for bx, _ in blocks])
             d = np.concatenate([bd for _, bd in blocks])
             for n, (x, dn) in enumerate(singles, start):
-                assert x.tobytes() == X[n - start].tobytes(), (rows, n)
-                assert dn == d[n - start], (rows, n)
+                assert x.tobytes() == X[n - start].tobytes(), (size, n)
+                assert dn == d[n - start], (size, n)
 
     def test_noise_is_circular_gaussian_of_the_configured_power(self):
         # 1e5 noise samples: 50 elements x 2000 snapshots, no source power.
@@ -265,7 +267,7 @@ class TestSynthesize:
         )
         X, d = block(symbols, 0, 64)
         assert not np.allclose(X[:, 0] - d, d)
-        words = [_stream_words(7, stream, 0, 64) for stream in (0, 1, 2)]
+        words = [_stream_words(7, stream, range(64)) for stream in (0, 1, 2)]
         assert not np.any(words[0] == words[1]) and not np.any(words[1] == words[2])
 
 

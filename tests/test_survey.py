@@ -586,3 +586,26 @@ def test_rendered_report_matches_csv_writer_over_the_oracle(summaries, threshold
         for a, b, overlap, co_located, interferes in interference_oracle(summaries, threshold)
     )
     assert got.getvalue() == expected.getvalue()
+
+
+@st.composite
+def summaries_and_two_of_their_means(draw):
+    """A summary list and two thresholds, low <= high, each the mean RSSI of
+    one of its groups, so that a group sits on the boundary of each."""
+    summaries = draw(summary_lists)
+    means = st.sampled_from([s.mean_rssi_dbm for s in summaries])
+    low, high = sorted([draw(means), draw(means)])
+    return summaries, low, high
+
+
+@settings(max_examples=100)
+@given(case=summaries_and_two_of_their_means())
+def test_lower_threshold_co_locates_a_superset_of_pairs(case):
+    """Coverage is monotone in the threshold: every pair co-located (and
+    interfering) at the higher threshold is so at the lower one too, and
+    the pairs and their overlaps are the same at both."""
+    summaries, low, high = case
+    for lo, hi in zip(report_pairs(summaries, low), report_pairs(summaries, high), strict=True):
+        assert lo[:3] == hi[:3]
+        assert lo.co_located >= hi.co_located
+        assert lo.interferes >= hi.interferes
