@@ -282,17 +282,18 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         raise ValueError(f"--coverage-threshold: must be finite, got {args.coverage_threshold}")
     log_path = Path(args.log)
     # utf-8-sig drops a leading byte-order mark, which would otherwise
-    # spoil a CSV header's first name.
+    # spoil a CSV header's first name.  The records stream from the log
+    # into their groups, so no list of them is ever held.
     with open(log_path, "r", encoding="utf-8-sig") as f:
         records, errors = parse_log(f, args.format)
-    print(f"parsed {len(records)} records, {len(errors)} malformed lines")
+        summaries = summarize(records, ap_position=ap_position)
+    parsed = 0
+    for s in summaries:  # each record is in exactly one group
+        parsed += s.count
+    print(f"parsed {parsed} records, {len(errors)} malformed lines")
     for lineno, message in errors:
         print(f"  line {lineno}: {message}", file=sys.stderr)
 
-    summaries = summarize(records, ap_position=ap_position)
-    # Freed here, not at return: the records are most of the memory, and the
-    # pair stream and the CSV writes would otherwise add to them.
-    del records
     pair_blocks = interference_report(summaries, args.coverage_threshold)
     fit = None
     if args.fit:

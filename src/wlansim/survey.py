@@ -24,7 +24,7 @@ import csv
 import math
 import re
 from itertools import chain
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .channels import channel_by_id, overlap_fraction
 from .propagation import EARTH_RADIUS_M, check_position, haversine_distance
@@ -165,7 +165,9 @@ def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
 
 def _kml_rows(stream: IO[str]) -> Rows:
     """Placemarks, each at the line its start tag closes on (the document is
-    fed a line at a time), which for a one-line tag is the line it starts on."""
+    fed a line at a time), which for a one-line tag is the line it starts on.
+    A placemark's subtree is cleared once its fields are read, so the
+    parsed document is never held whole."""
     import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
 
     parser = ET.XMLPullParser(("start", "end"))
@@ -184,11 +186,14 @@ def _kml_rows(stream: IO[str]) -> Rows:
                     starts.append(lineno)
                     continue
                 fields = _placemark_fields(elem)
+                start = starts.pop()
+                if not starts:  # an enclosing placemark would read this one's fields too
+                    elem.clear()
                 missing = [k for k in CSV_COLUMNS if k not in fields]
                 if missing:
-                    yield starts.pop(), f"placemark missing fields: {', '.join(missing)}"
+                    yield start, f"placemark missing fields: {', '.join(missing)}"
                 else:
-                    yield starts.pop(), [fields[k] for k in CSV_COLUMNS]
+                    yield start, [fields[k] for k in CSV_COLUMNS]
     except ET.ParseError as exc:
         raise ValueError(f"not a parseable KML document: {exc}") from exc
 
@@ -197,38 +202,48 @@ def _kml_rows(stream: IO[str]) -> Rows:
 LOG_FORMATS = {"csv": _csv_rows, "kml": _kml_rows}
 
 
-def parse_log(stream: IO[str], fmt: str) -> tuple[list[Record], list[tuple[int, str]]]:
+def parse_log(stream: IO[str], fmt: str) -> tuple[Iterator[Record], list[tuple[int, str]]]:
     """Parse a survey log in the given format, a key of ``LOG_FORMATS``,
-    into records and the ``(line, message)`` of each skipped sample.
+    into a lazy stream of records and a list of skipped samples.
 
-    The records of one log share one object per distinct text: every
-    record with the same ``t``, ``bssid`` or ``ssid`` text holds the same
-    ``str``, and the same RSSI text the same ``float``.
+    ``stream`` is read as the records are, and each skipped sample's
+    ``(line, message)`` is appended to the list as the records pass it,
+    so the list is complete once the records are exhausted.  The records
+    of one log share one object per distinct text: every record with the
+    same ``t``, ``bssid`` or ``ssid`` text holds the same ``str``, and
+    the same RSSI text the same ``float``.
 
-    Raises:
-        ValueError: for an unparseable KML document, or when no sample
-            parses at all.
+    Raises, from the record stream as it is read:
+        ValueError: for an unparseable KML document, or when the stream
+            ends having yielded no record.
     """
-    records: list[Record] = []
+    rows = LOG_FORMATS[fmt](stream)
     errors: list[tuple[int, str]] = []
-    # A t text can equal an RSSI text, so the floats have their own memo.
-    texts: dict[str, str] = {}
-    rssis: dict[str, float] = {}
-    for lineno, fields in LOG_FORMATS[fmt](stream):
-        if isinstance(fields, str):
-            errors.append((lineno, fields))
-            continue
-        try:
-            records.append(_record_from_fields(fields, texts, rssis))
-        except ValueError as exc:
-            errors.append((lineno, str(exc)))
-    if not records:
-        raise ValueError("no valid measurement records in input")
-    return records, errors
+
+    def records() -> Iterator[Record]:
+        # A t text can equal an RSSI text, so the floats have their own memo.
+        texts: dict[str, str] = {}
+        rssis: dict[str, float] = {}
+        parsed = False
+        for lineno, fields in rows:
+            if isinstance(fields, str):
+                errors.append((lineno, fields))
+                continue
+            try:
+                record = _record_from_fields(fields, texts, rssis)
+            except ValueError as exc:
+                errors.append((lineno, str(exc)))
+                continue
+            parsed = True
+            yield record
+        if not parsed:
+            raise ValueError("no valid measurement records in input")
+
+    return records(), errors
 
 
 def summarize(
-    records: Sequence[Record],
+    records: Iterable[Record],
     ap_position: tuple[float, float] | None = None,
 ) -> list[ApSummary]:
     """Aggregate records into per-(AP, location-cell) RSSI statistics.
@@ -245,14 +260,19 @@ def summarize(
     ``ap_position``, a checked ``(lat, lon)``, is given, each summary
     carries the great-circle distance from the AP to the group's mean
     position, which is in range as its members' positions are.
-    ``records`` is nonempty, as ``parse_log`` returns them.
+
+    ``records`` is read once, so it may be the stream ``parse_log``
+    returns.  A group keeps only what its summary needs: its least
+    record and each member's RSSI, latitude and longitude, not the
+    member records.  Each group is freed as its summary is made.
     """
     radians, cos, floor, fsum = math.radians, math.cos, math.floor, math.fsum
-    # AP -> cell -> members: the groups then sort by AP and cell apart,
-    # which is cheaper than sorting (AP, cell) keys.
-    groups: dict[str, dict[tuple[int, int], list[Record]]] = {}
+    # AP -> cell -> [least record, rssi, lat, lon, rssi, lat, lon, ...]:
+    # the groups then sort by AP and cell apart, which is cheaper than
+    # sorting (AP, cell) keys.
+    groups: dict[str, dict[tuple[int, int], list]] = {}
     for rec in records:
-        _, bssid, _, _, _, lat, lon = rec
+        _, bssid, _, _, rssi, lat, lon = rec
         phi = radians(lat)
         y = EARTH_RADIUS_M * phi
         x = EARTH_RADIUS_M * radians(lon) * cos(phi)
@@ -260,23 +280,28 @@ def summarize(
         cells = groups.get(bssid)
         if cells is None:
             cells = groups[bssid] = {}
-        members = cells.get(cell)
-        if members is None:
-            cells[cell] = [rec]
+        group = cells.get(cell)
+        if group is None:
+            cells[cell] = [rec, rssi, lat, lon]
         else:
-            members.append(rec)
+            # Equal records differ in no field, so which of them is kept does not matter.
+            if rec < group[0]:
+                group[0] = rec
+            group += (rssi, lat, lon)
 
     summaries = []
-    for bssid, cells in sorted(groups.items()):
-        for cell, members in sorted(cells.items()):
-            n = len(members)
-            _, _, ssid, channel_id, *_ = min(members)
-            _, _, _, _, rssis, lats, lons = zip(*members)
+    for bssid in sorted(groups):
+        cells = groups.pop(bssid)
+        for cell in sorted(cells):
+            group = cells.pop(cell)
+            _, _, ssid, channel_id, *_ = group[0]
+            rssis = group[1::3]
+            n = len(rssis)
             mean_rssi = fsum(rssis) / n
             # A product, not ** 2, which calls libm pow.
             var = fsum([(r - mean_rssi) * (r - mean_rssi) for r in rssis]) / n
-            lat = fsum(lats) / n
-            lon = fsum(lons) / n
+            lat = fsum(group[2::3]) / n
+            lon = fsum(group[3::3]) / n
             distance = None
             if ap_position is not None:
                 distance = haversine_distance(*ap_position, lat, lon)

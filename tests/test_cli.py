@@ -618,6 +618,30 @@ class TestCoverageCommand:
             assert sum(1 for _ in f) == 1 + 400 * 399 // 2
         assert peak < 2 * 2**20, peak
 
+    def test_records_stream_into_their_groups(self, tmp_path):
+        # 20 000 samples of 4 APs in a few 1 m cells, which as a list of
+        # records would take over 4 MiB: a group keeps only its least record
+        # and each member's RSSI, latitude and longitude.
+        log = tmp_path / "survey.csv"
+        log.write_text(
+            "".join(
+                f"2013-05-14T09:{k // 60 % 60:02d}:{k % 60:02d}Z,00:11:22:33:44:{k % 4:02X},net,1,"
+                f"{-50 - k % 40}.5,51.87760{k % 7},0.94260{k % 5}\n"
+                for k in range(20_000)
+            )
+        )
+        out_dir = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()) as out:
+                code = main(["coverage", str(log), "--out", str(out_dir)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out.getvalue() == "parsed 20000 records, 0 malformed lines\n"
+        assert peak < 3 * 2**20, peak
+
     def test_malformed_line_count_reported(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
         write_survey_csv(log)

@@ -4,6 +4,7 @@ import csv
 import io
 import random
 import statistics
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,23 +48,29 @@ def make_record(bssid=AP_A, ssid="eduroam", channel=1, rssi=-60.0, lat=51.8776, 
     return ("2013-05-14T09:00:00Z", bssid, ssid, channel, rssi, lat, lon)
 
 
+def parse(stream, fmt):
+    """``parse_log``'s records, read to the end, and its skipped samples."""
+    records, errors = parse_log(stream, fmt)
+    return list(records), errors
+
+
 class TestCsvParsing:
     def test_well_formed_lines_roundtrip(self):
         text = "\n".join([csv_line(rssi=-60), csv_line(rssi=-61), csv_line(rssi=-62)])
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert errors == []
         # Order preserved; lat and lon are the record's last two fields.
         assert records == [make_record(rssi=rssi) for rssi in (-60.0, -61.0, -62.0)]
 
     def test_header_row_skipped(self):
         text = "t,bssid,ssid,channel,rssi_dbm,lat,lon\n" + csv_line()
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert len(records) == 1
         assert errors == []
 
     def test_positive_rssi_rejected_with_range_note(self):
         text = csv_line() + "\n" + csv_line(rssi="+10")
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert len(records) == 1
         assert len(errors) == 1
         lineno, message = errors[0]
@@ -72,19 +79,19 @@ class TestCsvParsing:
 
     def test_bad_mac_rejected(self):
         text = csv_line() + "\n" + csv_line(bssid="not-a-mac")
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert len(records) == 1
         assert "MAC" in errors[0][1]
 
     def test_unknown_channel_rejected(self):
         text = csv_line() + "\n" + csv_line(channel=37)
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert len(records) == 1
         assert "channel" in errors[0][1]
 
     def test_wrong_column_count_reported_with_line_number(self):
         text = csv_line() + "\nonly,three,columns\n" + csv_line()
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert len(records) == 2
         assert errors[0][0] == 2
 
@@ -104,13 +111,13 @@ class TestCsvParsing:
         ],
     )
     def test_errors_name_the_physical_line_where_the_record_starts(self, lines, expected):
-        records, errors = parse_log(io.StringIO("\n".join(lines) + "\n"), "csv")
+        records, errors = parse(io.StringIO("\n".join(lines) + "\n"), "csv")
         assert errors == expected
         assert len(records) == len(lines) - len(expected)
 
     def test_zero_valid_records_is_an_error(self):
         with pytest.raises(ValueError, match="no valid"):
-            parse_log(io.StringIO("garbage,line\n"), "csv")
+            parse(io.StringIO("garbage,line\n"), "csv")
 
     def test_formats_come_from_one_table(self):
         (subparsers,) = (a for a in build_parser()._actions if a.dest == "command")
@@ -128,7 +135,7 @@ class TestSharedTexts:
             ("09:00", AP_A, "eduroam", " -60.5 "),
         ]
         text = "\n".join(csv_line(t=t, bssid=b, ssid=s, rssi=r) for t, b, s, r in texts)
-        records, errors = parse_log(io.StringIO(text), "csv")
+        records, errors = parse(io.StringIO(text), "csv")
         assert errors == []
         # A t text equal to an RSSI text stays a str beside its float.
         assert records[2][:5] == ("-60.5", AP_A, "eduroam", 1, -60.5)
@@ -164,7 +171,7 @@ class TestSharedTexts:
         ],
     )
     def test_repeated_texts_report_their_first_failing_check(self, lines, expected):
-        records, errors = parse_log(io.StringIO("\n".join(lines) + "\n"), "csv")
+        records, errors = parse(io.StringIO("\n".join(lines) + "\n"), "csv")
         assert errors == expected
         assert len(records) == len(lines) - len(expected)
 
@@ -203,13 +210,13 @@ def test_checks_match_the_record_object_oracle(rows):
             expected_records.append(survey_record_oracle(*row))
         except ValueError as exc:
             expected_errors.append((lineno, str(exc)))
-    assert parse_log(io.StringIO(out.getvalue()), "csv") == (expected_records, expected_errors)
+    assert parse(io.StringIO(out.getvalue()), "csv") == (expected_records, expected_errors)
 
 
 class TestKmlParsing:
     def test_fixture_matches_hand_parsed_oracle(self):
         with open(KML_FIXTURE, "r", encoding="utf-8") as f:
-            records, errors = parse_log(f, "kml")
+            records, errors = parse(f, "kml")
         assert len(records) == 2
         t, bssid, ssid, channel_id, rssi_dbm, lat, lon = records[0]
         # Hand-extracted from tests/data/survey.kml.
@@ -223,7 +230,7 @@ class TestKmlParsing:
 
     def test_broken_placemark_reported(self):
         with open(KML_FIXTURE, "r", encoding="utf-8") as f:
-            _, errors = parse_log(f, "kml")
+            _, errors = parse(f, "kml")
         # The broken placemark starts on line 27 of the fixture.
         assert errors == [(27, "placemark missing fields: rssi_dbm")]
 
@@ -239,7 +246,7 @@ class TestKmlParsing:
         )
         bad = good.replace("-61", "+3")
         text = f"<kml>\n<Document>\n{good}\n\n{bad}</Document>\n</kml>\n"
-        records, errors = parse_log(io.StringIO(text), "kml")
+        records, errors = parse(io.StringIO(text), "kml")
         assert len(records) == 1
         # kml, Document, a 7-line placemark and two blank lines come first.
         assert errors == [(12, "rssi '+3' violates the [-120, 0] dBm range")]
@@ -259,7 +266,7 @@ class TestKmlParsing:
         good = f"<Placemark>\n{fields}{point}"
         bad = f'<Placemark\n id="a">\n{fields.replace("-61", "+3")}{point}'
         text = f"<kml>\n<Document>\n{bad}{good}</Document>\n</kml>\n"
-        records, errors = parse_log(io.StringIO(text), "kml")
+        records, errors = parse(io.StringIO(text), "kml")
         assert len(records) == 1
         assert errors == [(4, "rssi '+3' violates the [-120, 0] dBm range")]
         assert text.splitlines()[2:4] == ["<Placemark", ' id="a">']
@@ -276,13 +283,57 @@ class TestKmlParsing:
         placemarks = "".join(
             f"<Placemark>\n{fields}{when}{point}</Placemark>\n" for when in ["", "<TimeStamp><when/></TimeStamp>\n"]
         )
-        records, errors = parse_log(io.StringIO(f"<kml>\n<Document>\n{placemarks}</Document>\n</kml>\n"), "kml")
+        records, errors = parse(io.StringIO(f"<kml>\n<Document>\n{placemarks}</Document>\n</kml>\n"), "kml")
         assert errors == [(3, "placemark missing fields: t")]
         assert records == [("", AP_A, "e", 1, -60.0, 51.8, 0.9)]
 
+    def test_nested_placemark_is_read_by_its_parent_too(self):
+        """A placemark inside a placemark is a sample of its own, and its
+        fields, read after the parent's own, are the parent's too."""
+
+        def fields(ssid, when):
+            data = "".join(
+                f'<Data name="{k}"><value>{v}</value></Data>'
+                for k, v in [("bssid", AP_A), ("ssid", ssid), ("channel", "1"), ("rssi_dbm", "-60")]
+            )
+            return f"{data}<TimeStamp><when>{when}</when></TimeStamp>"
+
+        inner = f"<Placemark>{fields('inner', 't1')}<Point><coordinates>0.9,51.8</coordinates></Point></Placemark>\n"
+        text = f"<kml>\n<Placemark>{fields('outer', 't0')}\n{inner}</Placemark>\n</kml>\n"
+        records, errors = parse(io.StringIO(text), "kml")
+        assert errors == []
+        assert records == [("t1", AP_A, "inner", 1, -60.0, 51.8, 0.9)] * 2
+
+    def test_placemarks_are_freed_once_read(self, tmp_path):
+        # 3 000 one-line placemarks, whose whole parsed document would take over 8 MiB.
+        data = "".join(
+            f'<Data name="{k}"><value>{v}</value></Data>'
+            for k, v in [("bssid", AP_A), ("ssid", "e"), ("channel", "1"), ("rssi_dbm", "-60")]
+        )
+        log = tmp_path / "survey.kml"
+        log.write_text(
+            "<kml><Document>\n"
+            + "".join(
+                f"<Placemark><ExtendedData>{data}</ExtendedData><TimeStamp><when>t{k}</when></TimeStamp>"
+                "<Point><coordinates>0.9,51.8</coordinates></Point></Placemark>\n"
+                for k in range(3000)
+            )
+            + "</Document></kml>\n"
+        )
+        with open(log, encoding="utf-8") as f:
+            tracemalloc.start()
+            try:
+                records, errors = parse_log(f, "kml")
+                count = sum(1 for _ in records)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (count, errors) == (3000, [])
+        assert peak < 2 * 2**20, peak
+
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):
-            parse_log(io.StringIO("this is not xml"), "kml")
+            parse(io.StringIO("this is not xml"), "kml")
 
 
 # Records of two APs over a few 1 m cells, so that groups hold several samples.
@@ -355,7 +406,7 @@ class TestSummarize:
         shuffled = records[:]
         rng.shuffle(shuffled)
         summaries = summarize(records)
-        assert summaries == summarize(shuffled) == summarize(records[::-1])
+        assert summaries == summarize(shuffled) == summarize(records[::-1]) == summarize(iter(records))
         # The earliest sample names the group, the rest of the record breaking the tie.
         assert [(s.ssid, s.channel) for s in summaries if s.lat == 51.879] == [("alpha", 1)]
 
