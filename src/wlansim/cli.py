@@ -1,17 +1,15 @@
 """Command-line interface: one subcommand per simulator area.
 
-Every output is a CSV table, and its format is decided here alone:
-``csv.writer`` where a field is free text, one line writer everywhere
-else.  ``_write_table`` writes ``summaries.csv``, the records
-``summarize`` returns under ``ApSummary``'s field names, through
-``csv.writer``: an SSID is free text, and a ``None`` distance is an empty
-field.  ``_write_lines`` writes each other table a chunk of rendered lines
-at a time.  Their fields are numbers and texts with no comma, quote, CR or
-LF, such as band names, so none needs quoting.  ``_plain_lines`` renders
-the ``channels`` listing and the ``beamform`` tables.
-``interference.csv`` has a row per AP pair and ``throughput.csv`` a row
-per point, but few distinct verdicts and rates, so ``_pair_lines`` and
-``_curve_lines`` make each one's text once.
+Every output is a CSV table, byte for byte as ``csv.writer`` would write
+it, and its format is decided here alone: ``_write_lines`` writes each
+table's header and then its lines, rendered with ``%s``.  Only an SSID is
+free text, which ``_csv_field`` quotes by csv's minimal rule; every other
+field is a number or a text with no comma, quote, CR or LF, such as a band
+name or a checked MAC address.  ``_plain_lines`` renders the ``channels``
+listing and the ``beamform`` tables, and ``_summary_lines``
+``summaries.csv``.  ``interference.csv`` has a row per AP pair and
+``throughput.csv`` a row per point, but few distinct verdicts and rates,
+so ``_pair_lines`` and ``_curve_lines`` make each one's text once.
 Every file-producing invocation publishes through ``_publish``: outputs
 move into place only once all are written, then ``manifest.json``, which
 records the tool and Python versions (and numpy's, when the command loaded
@@ -26,12 +24,12 @@ bug in wlansim).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from functools import partial
 from itertools import chain, islice, repeat
+from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -61,14 +59,14 @@ PATTERN_GRID_POINTS = 721
 # Upper bound of throughput --points: a larger curve would only fill the disk.
 MAX_CURVE_POINTS = 10**6
 
-# Table lines joined per write by _write_lines.
+# Table lines joined per write by _write_lines, unless a table's texts are already whole blocks.
 CHUNK_LINES = 256
 
 # Floor for dB conversion of zero-magnitude spectrum bins.
 MAG_FLOOR = 1e-15
 
-# A header, such as a NamedTuple's ``_fields``, and its rows or rendered
-# lines, which may be produced lazily while they are written.
+# A header, such as a NamedTuple's ``_fields``, and its rendered lines,
+# which may be produced lazily while they are written.
 Table = tuple[Sequence[str], Iterable]
 
 
@@ -81,20 +79,12 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_table(out: IO[str], table: Table) -> None:
-    """Write one table as CSV: its header line, then one line per row."""
-    header, rows = table
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_lines(out: IO[str], table: Table) -> None:
-    """Write a header line, then the rendered lines, ``CHUNK_LINES`` per write."""
+def _write_lines(out: IO[str], table: Table, per_write: int = CHUNK_LINES) -> None:
+    """Write a header line, then the rendered texts, ``per_write`` joined per write."""
     header, lines = table
     out.write(",".join(header) + "\r\n")
     lines = iter(lines)  # islice of a list would start over at each chunk
-    while chunk := "".join(islice(lines, CHUNK_LINES)):
+    while chunk := "".join(islice(lines, per_write)):
         out.write(chunk)
 
 
@@ -105,26 +95,51 @@ def _plain_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Table:
 
 
 class _Texts(dict):
-    """Key -> ``fmt % key``, made on first use: the text of one verdict or
-    one rate in its table's lines."""
+    """Key -> ``render(key)``, made on first use: the text of one verdict,
+    one rate or one SSID in its table's lines."""
 
-    def __init__(self, fmt: str) -> None:
+    def __init__(self, render: Callable[[object], str]) -> None:
         super().__init__()
-        self.fmt = fmt
+        self.render = render
 
     def __missing__(self, key) -> str:
-        text = self[key] = self.fmt % key
+        text = self[key] = self.render(key)
         return text
 
 
-def _pair_lines(blocks: Iterable[tuple[str, list[tuple[str, Verdict]]]]) -> Iterator[str]:
-    """The interference table's lines, one per AP pair of the blocks
-    ``interference_report`` yields, each verdict's text made once.  No
-    field needs quoting: every bssid passed ``survey._MAC_RE`` when its log
-    was parsed, so it holds no comma, quote, CR or LF, and a verdict's
-    fields are Python numbers."""
-    tails = _Texts(",%s,%s,%s\r\n")  # a Verdict is the tuple of its fields
-    return chain.from_iterable([f"{a},{b}{tails[verdict]}" for b, verdict in block] for a, block in blocks)
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field by its minimal rule:
+    quoted, with every quote doubled, only if it holds a comma, quote, CR
+    or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _summary_lines(summaries: Iterable[ApSummary]) -> Iterator[str]:
+    """The summaries table's lines, one per ``ApSummary``, each field
+    rendered by ``%s`` as ``_plain_lines`` does, each SSID's field made
+    once, and a ``None`` distance as an empty field."""
+    line = ",".join(["%s"] * len(ApSummary._fields)) + "\r\n"
+    ssids = _Texts(_csv_field)
+    return (
+        line % (bssid, ssids[ssid], *fields, "" if distance is None else distance)
+        for bssid, ssid, *fields, distance in summaries
+    )
+
+
+def _pair_lines(blocks: Iterable[tuple[str, list[str], list[Verdict]]]) -> Iterator[str]:
+    """The interference table's text, one per block ``interference_report``
+    yields that has a later AP: the block's lines, one per AP pair, joined
+    at C level, each verdict's text made once.  No field needs quoting:
+    every bssid passed ``survey._MAC_RE`` when its log was parsed, so it
+    holds no comma, quote, CR or LF, and a verdict's fields are Python
+    numbers."""
+    tails = _Texts(",%s,%s,%s\r\n".__mod__)  # a Verdict is the tuple of its fields
+    for a, later, verdicts in blocks:
+        if later:
+            prefix = a + ","
+            yield prefix + prefix.join(map(add, later, map(tails.__getitem__, verdicts)))
 
 
 def _curve_lines(rows: Iterable[tuple[float, float, float]]) -> Iterator[str]:
@@ -134,7 +149,7 @@ def _curve_lines(rows: Iterable[tuple[float, float, float]]) -> Iterator[str]:
     ``str``, where an f-string's ``float.__format__`` took ~15 % longer.
     A rate's text is made from the first rate equal to it, so a -0.0 after
     a 0.0 would read 0.0; the curve's rates are 0.0 and the positive rungs."""
-    rates = _Texts(",%s,")
+    rates = _Texts(",%s,".__mod__)
     return ("%s%s%s\r\n" % (d, rates[rate], snr) for d, rate, snr in rows)
 
 
@@ -309,8 +324,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
     pairs = (["bssid_a", "bssid_b", *Verdict._fields], _pair_lines(pair_blocks))
     outputs = {
-        "summaries.csv": partial(_write_table, table=(ApSummary._fields, summaries)),
-        "interference.csv": partial(_write_lines, table=pairs),
+        "summaries.csv": partial(_write_lines, table=(ApSummary._fields, _summary_lines(summaries))),
+        # One write per AP: its text holds up to one line per AP already.
+        "interference.csv": partial(_write_lines, table=pairs, per_write=1),
     }
     _publish(args.out, outputs, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:

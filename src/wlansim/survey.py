@@ -166,11 +166,12 @@ def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
 def _kml_rows(stream: IO[str]) -> Rows:
     """Placemarks, each at the line its start tag closes on (the document is
     fed a line at a time), which for a one-line tag is the line it starts on.
-    A placemark's subtree is cleared once its fields are read, so the
-    parsed document is never held whole."""
+    A top-level placemark is removed from its parent once its fields are
+    read, so the parsed document is never held whole."""
     import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
 
     parser = ET.XMLPullParser(("start", "end"))
+    path: list[ET.Element] = []  # the elements open at the parser's position, outermost first
     starts: list[int] = []
     try:
         # The "" after the last line closes the document.
@@ -180,15 +181,20 @@ def _kml_rows(stream: IO[str]) -> Rows:
             else:
                 parser.close()
             for event, elem in parser.read_events():
-                if _local_tag(elem) != "Placemark":
-                    continue
                 if event == "start":
-                    starts.append(lineno)
+                    path.append(elem)
+                    if _local_tag(elem) == "Placemark":
+                        starts.append(lineno)
+                    continue
+                path.pop()
+                if _local_tag(elem) != "Placemark":
                     continue
                 fields = _placemark_fields(elem)
                 start = starts.pop()
-                if not starts:  # an enclosing placemark would read this one's fields too
-                    elem.clear()
+                # Only a top-level placemark goes: an enclosing one would read
+                # this one's fields too.  A root placemark has no parent.
+                if not starts and path:
+                    path[-1].remove(elem)
                 missing = [k for k in CSV_COLUMNS if k not in fields]
                 if missing:
                     yield start, f"placemark missing fields: {', '.join(missing)}"
@@ -357,12 +363,13 @@ def fit_path_loss(
 
 def interference_report(
     summaries: Sequence[ApSummary], coverage_threshold_dbm: float
-) -> Iterator[tuple[str, list[tuple[str, Verdict]]]]:
+) -> Iterator[tuple[str, list[str], list[Verdict]]]:
     """Pairwise channel overlap and co-location across the surveyed APs,
     as a lazy stream of one block per AP in bssid order: ``(bssid_a,
-    [(bssid_b, verdict), ...])`` for every ``bssid_b`` after ``bssid_a``.
-    Every per-AP and per-channel table is built before the stream is
-    returned.
+    later, verdicts)``, where ``later`` lists every bssid after
+    ``bssid_a`` and ``verdicts[k]`` is the verdict of the pair ``(bssid_a,
+    later[k])``.  Every per-AP and per-channel table is built before the
+    stream is returned.
 
     An AP's coverage region is the set of cells where its mean RSSI meets
     the threshold, which is finite; two APs are co-located when those
@@ -371,13 +378,16 @@ def interference_report(
 
     A pair's verdict follows from the two channel ids and co-location
     alone, so the at most 2k² verdicts of k channels in use are built once
-    and shared.  Co-location comes from a cell -> APs index whose sets of
-    APs are the bits of an integer, one bit per AP.  The APs near
-    ``bssid_a``, those sharing one of its covered cells, are the union of
-    its cells' sets: one integer OR per cell, however many APs share it.
-    That set is built when ``bssid_a``'s block is made and dropped with
-    it, so memory stays O(APs) beside the index and the block being
-    consumed.
+    and shared.  For each channel in use, two rows hold its verdict with
+    every AP, in bssid order: when apart and when co-located.  Co-location
+    comes from a cell -> APs index whose sets of APs are the bits of an
+    integer, one bit per AP.  The APs near ``bssid_a``, those sharing one
+    of its covered cells, are the union of its cells' sets: one integer OR
+    per cell, however many APs share it.  A block's verdicts are a slice
+    of its channel's "apart" row with the "co-located" entry copied in at
+    each later AP near ``bssid_a``, so only co-located pairs take a Python
+    step.  A block is built when it is reached and dropped with it, so
+    memory stays O(APs) per channel in use beside the index.
     """
     cells: dict[str, set[tuple[int, int]]] = {}
     counts: dict[str, dict[int, int]] = {}
@@ -392,31 +402,39 @@ def interference_report(
         bssid: min(by_channel, key=lambda cid: (-by_channel[cid], cid))
         for bssid, by_channel in counts.items()
     }
-    # verdicts[channel_a][channel_b][co_located], nested so that a pair's
-    # lookup builds no key.
-    verdicts: dict[int, dict[int, tuple[Verdict, Verdict]]] = {}
-    in_use = [channel_by_id(cid) for cid in set(channels.values())]
+    bssids = sorted(cells)
+    ap_channels = [channels[b] for b in bssids]
+    in_use = [channel_by_id(cid) for cid in set(ap_channels)]
+    # channel_a -> (its verdict with each AP when apart, ... when co-located).
+    rows: dict[int, tuple[list[Verdict], list[Verdict]]] = {}
     for a in in_use:
-        verdicts[a.id] = {}
+        apart, close = {}, {}
         for b in in_use:
             fraction = overlap_fraction(a, b)
-            verdicts[a.id][b.id] = (Verdict(fraction, 0, 0), Verdict(fraction, 1, int(fraction > 0.0)))
-    bssids = sorted(cells)
+            apart[b.id] = Verdict(fraction, 0, 0)
+            close[b.id] = Verdict(fraction, 1, int(fraction > 0.0))
+        rows[a.id] = (list(map(apart.__getitem__, ap_channels)), list(map(close.__getitem__, ap_channels)))
     # cell -> the APs covering it, as a set of bits: bit j stands for bssids[j].
     covering: dict[tuple[int, int], int] = {}
     for j, bssid in enumerate(bssids):
         for cell in cells[bssid]:
             covering[cell] = covering.get(cell, 0) | 1 << j
 
-    def blocks() -> Iterator[tuple[str, list[tuple[str, Verdict]]]]:
+    def blocks() -> Iterator[tuple[str, list[str], list[Verdict]]]:
         for i, a in enumerate(bssids):
             near = 0
             for cell in cells[a]:
                 near |= covering[cell]
-            later = bssids[i + 1 :]
-            # For each AP after a, in order, "1" when it is near a, else "0".
-            flags = f"{near >> (i + 1):0{len(later)}b}"[::-1]
-            row = verdicts[channels[a]]
-            yield a, [(b, row[channels[b]][flag == "1"]) for b, flag in zip(later, flags)]
+            first = i + 1
+            apart, close = rows[channels[a]]
+            verdicts = apart[first:]
+            # Bit k of near is now later[k]; each step clears the lowest set bit.
+            near >>= first
+            while near:
+                low = near & -near
+                k = low.bit_length() - 1
+                verdicts[k] = close[first + k]
+                near ^= low
+            yield a, bssids[first:], verdicts
 
     return blocks()

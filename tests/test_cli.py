@@ -596,8 +596,9 @@ class TestCoverageCommand:
         assert "line 1:" not in err
 
     def test_pairs_stream_to_their_csv(self, tmp_path):
-        # Each pair goes to the CSV as it is made: 400 co-located APs make
-        # 79 800 pairs, which as a list would take over 6 MiB.
+        # Each AP's pairs go to the CSV, in one write, as they are made: 400
+        # co-located APs make 79 800 pairs, which as a list would take over
+        # 6 MiB, and the first AP's text holds 399 lines.
         log = tmp_path / "survey.csv"
         log.write_text(
             "".join(

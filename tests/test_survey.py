@@ -5,6 +5,7 @@ import io
 import random
 import statistics
 import tracemalloc
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from oracles import (
 )
 
 import wlansim.survey
-from wlansim.cli import _pair_lines, _write_lines, build_parser
+from wlansim.cli import _pair_lines, _summary_lines, _write_lines, build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.survey import (
     CSV_COLUMNS,
@@ -303,6 +304,9 @@ class TestKmlParsing:
         records, errors = parse(io.StringIO(text), "kml")
         assert errors == []
         assert records == [("t1", AP_A, "inner", 1, -60.0, 51.8, 0.9)] * 2
+        # The outer placemark as the document's root, which has no parent to leave.
+        root = text.removeprefix("<kml>\n").removesuffix("</kml>\n")
+        assert parse(io.StringIO(root), "kml") == (records, [])
 
     def test_placemarks_are_freed_once_read(self, tmp_path):
         # 3 000 one-line placemarks, whose whole parsed document would take over 8 MiB.
@@ -330,6 +334,34 @@ class TestKmlParsing:
                 tracemalloc.stop()
         assert (count, errors) == (3000, [])
         assert peak < 2 * 2**20, peak
+
+    def test_read_placemarks_leave_nothing_behind(self):
+        """The traced peak does not grow with the number of placemarks: a
+        read placemark is no longer a child of its parent.  An emptied child
+        left in place costs ~80 B, which at 10 000 placemarks more than
+        triples the 1 000-placemark peak."""
+        data = "".join(
+            f'<Data name="{k}"><value>{v}</value></Data>'
+            for k, v in [("bssid", AP_A), ("ssid", "e"), ("channel", "1"), ("rssi_dbm", "-60")]
+        )
+        # Equal fields, so the record memos hold one entry whatever the count.
+        placemark = f"<Placemark>{data}<when>t</when><coordinates>0.9,51.8</coordinates></Placemark>\n"
+
+        def peak(count):
+            lines = chain(["<kml><Document>\n"], repeat(placemark, count), ["</Document></kml>\n"])
+            tracemalloc.start()
+            try:
+                records, errors = parse_log(lines, "kml")
+                read = sum(1 for _ in records)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (read, errors) == (count, [])
+            return peak
+
+        peak(10)  # the parser's one-time allocations
+        small, large = peak(1_000), peak(10_000)
+        assert large < 1.2 * small, (small, large)
 
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):
@@ -495,7 +527,11 @@ class Pair(NamedTuple):
 
 def report_pairs(summaries, threshold):
     """The report's per-AP blocks flattened to one row per AP pair."""
-    return [Pair(a, b, *verdict) for a, block in interference_report(summaries, threshold) for b, verdict in block]
+    return [
+        Pair(a, b, *verdict)
+        for a, later, verdicts in interference_report(summaries, threshold)
+        for b, verdict in zip(later, verdicts, strict=True)
+    ]
 
 
 class TestInterferenceReport:
@@ -623,19 +659,90 @@ def test_report_matches_per_pair_oracle(summaries, threshold):
     assert report_pairs(summaries, threshold) == interference_oracle(summaries, threshold)
 
 
-@settings(max_examples=100)
-@given(summaries=summary_lists, threshold=thresholds)
-def test_rendered_report_matches_csv_writer_over_the_oracle(summaries, threshold):
-    got = io.StringIO()
-    header = ["bssid_a", "bssid_b", "overlap", "co_located", "interferes"]
-    _write_lines(got, (header, _pair_lines(interference_report(summaries, threshold))))
-    expected = io.StringIO()
-    writer = csv.writer(expected)
-    writer.writerow(header)
+PAIR_HEADER = ["bssid_a", "bssid_b", "overlap", "co_located", "interferes"]
+
+
+def rendered_report(summaries, threshold):
+    """``interference.csv`` as ``coverage`` writes it, one write per AP."""
+    out = io.StringIO()
+    _write_lines(out, (PAIR_HEADER, _pair_lines(interference_report(summaries, threshold))), per_write=1)
+    return out.getvalue()
+
+
+def oracle_report(summaries, threshold):
+    """The oracle's pairs as ``csv.writer`` writes them."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(PAIR_HEADER)
     writer.writerows(
         (a, b, overlap, int(co_located), int(interferes))
         for a, b, overlap, co_located, interferes in interference_oracle(summaries, threshold)
     )
+    return out.getvalue()
+
+
+@settings(max_examples=100)
+@given(summaries=summary_lists, threshold=thresholds)
+def test_rendered_report_matches_csv_writer_over_the_oracle(summaries, threshold):
+    assert rendered_report(summaries, threshold) == oracle_report(summaries, threshold)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # MACS[0] is near MACS[1] and MACS[4], its first and last later AP
+        # (bit 0 and the top bit), and MACS[1] is near MACS[4], its last.
+        pytest.param([(0, 0), (0, 0), (1, 1), (2, 2), (0, 0)], id="near-at-first-and-last-later-ap"),
+        pytest.param([(0, 0)] * 6, id="every-ap-in-one-cell"),
+        pytest.param([(k, k) for k in range(6)], id="no-ap-co-located"),
+        pytest.param([(0, 0)], id="a-single-ap"),
+    ],
+)
+def test_report_blocks_match_the_oracle_at_their_edges(cells):
+    channels = [1, 6, 1, 3, 11, 36]
+    summaries = [summary_in_cell(MACS[k], channels[k], cell, -70.0) for k, cell in enumerate(cells)]
+    expected = interference_oracle(summaries, -80.0)
+    assert report_pairs(summaries, -80.0) == expected
+    assert len(expected) == len(cells) * (len(cells) - 1) // 2
+    assert rendered_report(summaries, -80.0) == oracle_report(summaries, -80.0)
+    if len(cells) == 1:
+        assert rendered_report(summaries, -80.0) == ",".join(PAIR_HEADER) + "\r\n"
+
+
+# Texts with every character that csv's minimal quoting looks at.
+csv_texts = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), max_size=6)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.lists(
+        st.builds(
+            ApSummary,
+            bssid=st.sampled_from(MACS),
+            ssid=csv_texts,
+            channel=st.sampled_from([1, 36]),
+            cell_x=st.integers(-(2**40), 2**40),
+            cell_y=st.integers(-(2**40), 2**40),
+            lat=finite_floats,
+            lon=finite_floats,
+            mean_rssi_dbm=finite_floats,
+            stddev_rssi_dbm=finite_floats,
+            count=st.integers(1, 10**6),
+            low_confidence=st.sampled_from([0, 1]),
+            distance_m=st.none() | finite_floats,
+        ),
+        max_size=6,
+    )
+)
+@example(rows=[summary_in_cell(AP_A, 1, (0, 0), -60.0)._replace(ssid=s) for s in ["", '"', "a,b", "\r", "\n"]])
+def test_rendered_summaries_match_csv_writer(rows):
+    got = io.StringIO()
+    _write_lines(got, (ApSummary._fields, _summary_lines(rows)))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(ApSummary._fields)
+    writer.writerows(rows)
     assert got.getvalue() == expected.getvalue()
 
 
