@@ -308,6 +308,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     print(f"parsed {parsed} records, {len(errors)} malformed lines")
     for lineno, message in errors:
         print(f"  line {lineno}: {message}", file=sys.stderr)
+    if not parsed:  # after the reasons, so the error explains itself
+        raise ValueError("no valid measurement records in input")
 
     pair_blocks = interference_report(summaries, args.coverage_threshold)
     fit = None

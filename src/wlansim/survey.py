@@ -140,67 +140,70 @@ def _csv_rows(stream: IO[str]) -> Rows:
             yield lineno, row
 
 
-def _local_tag(elem: "ET.Element") -> str:
-    return elem.tag.rsplit("}", 1)[-1]
-
-
-def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for elem in placemark.iter():
-        tag = _local_tag(elem)
-        if tag == "Data":
-            name = elem.get("name", "")
-            for child in elem:
-                if _local_tag(child) == "value":  # <value/> holds "", as an empty CSV field does
-                    fields[name] = child.text or ""
-        elif tag == "when":  # so does <when/>
-            fields["t"] = elem.text or ""
-        elif tag == "coordinates" and elem.text is not None:
-            parts = elem.text.strip().split(",")
-            if len(parts) >= 2:
-                fields["lon"] = parts[0]
-                fields["lat"] = parts[1]
-    return fields
-
-
 def _kml_rows(stream: IO[str]) -> Rows:
     """Placemarks, each at the line its start tag closes on (the document is
     fed a line at a time), which for a one-line tag is the line it starts on.
-    A top-level placemark is removed from its parent once its fields are
-    read, so the parsed document is never held whole."""
-    import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
+    Expat handlers read the document in one pass.  A field is taken as its
+    element closes (a ``value`` in a ``Data``, a ``when``, ``coordinates``)
+    into the innermost open placemark, which gives its fields to the one
+    enclosing it as it closes: the last field element to close wins.  Time
+    is linear in the document, and memory in its nesting depth."""
+    from xml.parsers.expat import ExpatError, ParserCreate  # here, so CSV runs do not load the XML parser
 
-    parser = ET.XMLPullParser(("start", "end"))
-    path: list[ET.Element] = []  # the elements open at the parser's position, outermost first
-    starts: list[int] = []
+    parser = ParserCreate(namespace_separator="}")
+    tags: dict[str, str] = {}  # expat name -> its local part, the tag after any namespace
+    # Each stack's first entry is the document's own: it takes what lies outside any placemark, unread.
+    placemarks: list[tuple[int, dict[str, str]]] = [(0, {})]  # (start line, fields) per open placemark
+    data_names: list[str | None] = [None]  # per open element: its name attribute if it is a Data
+    texts: list[str] = []  # the character data since the last tag
+    rows: list[tuple[int, Sequence[str] | str]] = []  # those closed while the current line is fed
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        texts.clear()
+        tag = tags.get(name) or tags.setdefault(name, name.rsplit("}", 1)[-1])
+        data_names.append(attrs.get("name") if tag == "Data" else None)
+        if tag == "Placemark":
+            placemarks.append((lineno, {}))
+
+    def end(name: str) -> None:
+        tag = tags[name]
+        data_names.pop()
+        text = "".join(texts)  # <value/> and <when/> hold "", as an empty CSV field does
+        texts.clear()
+        at, fields = placemarks[-1]
+        if tag == "value" and data_names[-1] in CSV_COLUMNS:
+            fields[data_names[-1]] = text
+        elif tag == "when":
+            fields["t"] = text
+        elif tag == "coordinates" and len(parts := text.strip().split(",")) >= 2:
+            fields["lon"], fields["lat"] = parts[:2]
+        elif tag == "Placemark":
+            placemarks.pop()
+            placemarks[-1][1].update(fields)
+            missing = ", ".join(k for k in CSV_COLUMNS if k not in fields)
+            rows.append((at, f"placemark missing fields: {missing}" if missing else [fields[k] for k in CSV_COLUMNS]))
+
+    def default(data: str) -> None:
+        # An entity reference that expat leaves unexpanded (one under an external DTD subset,
+        # or a declared external one), named by its first 100 bytes, as ElementTree names it.
+        if data.startswith("&"):
+            entity = data.encode()[:100].decode(errors="replace")
+            position = f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+            raise ExpatError(f"undefined entity {entity}: {position}")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = texts.append
+    parser.DefaultHandlerExpand = default
     try:
         # The "" after the last line closes the document.
         for lineno, line in enumerate(chain(stream, [""]), start=1):
-            if line:
-                parser.feed(line)
-            else:
-                parser.close()
-            for event, elem in parser.read_events():
-                if event == "start":
-                    path.append(elem)
-                    if _local_tag(elem) == "Placemark":
-                        starts.append(lineno)
-                    continue
-                path.pop()
-                if _local_tag(elem) != "Placemark":
-                    continue
-                fields = _placemark_fields(elem)
-                start = starts.pop()
-                # Only a top-level placemark goes: an enclosing one would read
-                # this one's fields too.  A root placemark has no parent.
-                if not starts and path:
-                    path[-1].remove(elem)
-                missing = [k for k in CSV_COLUMNS if k not in fields]
-                if missing:
-                    yield start, f"placemark missing fields: {', '.join(missing)}"
-                else:
-                    yield start, [fields[k] for k in CSV_COLUMNS]
-    except ET.ParseError as exc:
+            try:
+                parser.Parse(line, not line)
+            finally:  # so a line's rows come before its error
+                yield from rows
+                rows.clear()
+    except ExpatError as exc:
         raise ValueError(f"not a parseable KML document: {exc}") from exc
 
 
@@ -220,8 +223,7 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[Iterator[Record], list[tuple[i
     the same RSSI text the same ``float``.
 
     Raises, from the record stream as it is read:
-        ValueError: for an unparseable KML document, or when the stream
-            ends having yielded no record.
+        ValueError: for an unparseable KML document.
     """
     rows = LOG_FORMATS[fmt](stream)
     errors: list[tuple[int, str]] = []
@@ -230,7 +232,6 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[Iterator[Record], list[tuple[i
         # A t text can equal an RSSI text, so the floats have their own memo.
         texts: dict[str, str] = {}
         rssis: dict[str, float] = {}
-        parsed = False
         for lineno, fields in rows:
             if isinstance(fields, str):
                 errors.append((lineno, fields))
@@ -240,10 +241,7 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[Iterator[Record], list[tuple[i
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
                 continue
-            parsed = True
             yield record
-        if not parsed:
-            raise ValueError("no valid measurement records in input")
 
     return records(), errors
 

@@ -3,8 +3,9 @@
 These deliberately recompute results from first principles (breakpoint
 integration, direct transform summation, forward-model synthesis, the
 NLMS recursion one snapshot at a time, a linear staircase scan, the
-survey sample check as a record object once made it) so the code under
-test is checked against a second route, not against itself.  The
+survey sample check as a record object once made it, the KML reader as an
+element tree once made it) so the code under test is checked against a
+second route, not against itself.  The
 near-miss survey field texts that the survey property tests draw from
 are here too, so the parser and CLI properties probe the same inputs.
 """
@@ -12,6 +13,7 @@ are here too, so the parser and CLI properties probe the same inputs.
 import math
 import random
 import re
+from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from wlansim.arrays import synthesize
 from wlansim.channels import channel_by_id, channels_in
 from wlansim.nlms import RELATIVE_EPS
+from wlansim.survey import CSV_COLUMNS
 
 
 def mask_overlap_oracle(a, b) -> float:
@@ -207,3 +210,70 @@ FIELD_NEAR_MISSES = [
     near_misses("90", "90.0001", "-91", "nan", "inf", "1e3", "x", "-90", "51.87761"),
     near_misses("-180", "180.5", "-181", "nan", "-inf", "x", "180", "0.94261"),
 ]
+
+
+# The KML reader as an XMLPullParser over an element tree once made it,
+# verbatim: each placemark walks its descendants, the last field by start
+# tag winning.  It takes time quadratic in placemark nesting depth.
+def _local_tag(elem: "ET.Element") -> str:
+    return elem.tag.rsplit("}", 1)[-1]
+
+
+def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
+    fields: dict[str, str] = {}
+    for elem in placemark.iter():
+        tag = _local_tag(elem)
+        if tag == "Data":
+            name = elem.get("name", "")
+            for child in elem:
+                if _local_tag(child) == "value":  # <value/> holds "", as an empty CSV field does
+                    fields[name] = child.text or ""
+        elif tag == "when":  # so does <when/>
+            fields["t"] = elem.text or ""
+        elif tag == "coordinates" and elem.text is not None:
+            parts = elem.text.strip().split(",")
+            if len(parts) >= 2:
+                fields["lon"] = parts[0]
+                fields["lat"] = parts[1]
+    return fields
+
+
+def kml_rows_oracle(stream):
+    """Placemarks, each at the line its start tag closes on (the document is
+    fed a line at a time), which for a one-line tag is the line it starts on.
+    A top-level placemark is removed from its parent once its fields are
+    read, so the parsed document is never held whole."""
+    import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
+
+    parser = ET.XMLPullParser(("start", "end"))
+    path: list[ET.Element] = []  # the elements open at the parser's position, outermost first
+    starts: list[int] = []
+    try:
+        # The "" after the last line closes the document.
+        for lineno, line in enumerate(chain(stream, [""]), start=1):
+            if line:
+                parser.feed(line)
+            else:
+                parser.close()
+            for event, elem in parser.read_events():
+                if event == "start":
+                    path.append(elem)
+                    if _local_tag(elem) == "Placemark":
+                        starts.append(lineno)
+                    continue
+                path.pop()
+                if _local_tag(elem) != "Placemark":
+                    continue
+                fields = _placemark_fields(elem)
+                start = starts.pop()
+                # Only a top-level placemark goes: an enclosing one would read
+                # this one's fields too.  A root placemark has no parent.
+                if not starts and path:
+                    path[-1].remove(elem)
+                missing = [k for k in CSV_COLUMNS if k not in fields]
+                if missing:
+                    yield start, f"placemark missing fields: {', '.join(missing)}"
+                else:
+                    yield start, [fields[k] for k in CSV_COLUMNS]
+    except ET.ParseError as exc:
+        raise ValueError(f"not a parseable KML document: {exc}") from exc

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import FIELD_NEAR_MISSES, near_misses
+from test_output_digests import CHANNEL_PINS, OUTPUT_PINS
 
 import wlansim
 from wlansim.arrays import MAX_ITERATIONS, Scenario, Source, load_scenario
@@ -366,6 +367,20 @@ class TestCoverageCommand:
         code, _, err = run_cli(["coverage", str(log), "--out", str(tmp_path)], capsys)
         assert code == EXIT_VALIDATION
         assert "no valid" in err
+
+    def test_log_without_a_valid_record_lists_each_reason_then_the_error(self, tmp_path, capsys):
+        log = tmp_path / "survey.csv"
+        log.write_text("garbage,line\n2013-05-14T09:00:00Z,not-a-mac,eduroam,1,-60.0,51.8776,0.9426\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["coverage", str(log), "--out", str(out_dir)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == "parsed 0 records, 2 malformed lines\n"
+        assert err == (
+            "  line 1: expected 7 columns, got 2\n"
+            "  line 2: invalid MAC address 'not-a-mac'\n"
+            "error: no valid measurement records in input\n"
+        )
+        assert not out_dir.exists()
 
     def test_fit_recovers_planted_exponent(self, tmp_path, capsys):
         log = tmp_path / "survey.csv"
@@ -1184,11 +1199,29 @@ def test_summaries_do_not_depend_on_the_libm_variant(tmp_path, samples, options)
     assert tables["default"] == tables["no_fma"]
 
 
+def test_non_beamform_pins_hold_under_the_non_fma_libm(tmp_path):
+    """Every pin of ``test_output_digests`` but beamform's, whose bits
+    depend on the CPU and the libm, holds under glibc's non-FMA libm
+    (``GLIBC_TUNABLES`` as above), with every case run in one child
+    process.  On a CPU or a glibc where the tunable changes nothing, this
+    passes trivially."""
+    cases = [(["channels", "--plan", plan], {"stdout": pin}, None) for plan, pin in CHANNEL_PINS]
+    cases += [(*case.values, str(tmp_path / case.id)) for case in OUTPUT_PINS if case.id != "beamform"]
+    done = run_python(
+        f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_output_digests import output_digests\n"
+        f"print(json.dumps([output_digests(*case) for case in {cases!r}]))",
+        GLIBC_TUNABLES="glibc.cpu.hwcaps=-FMA,-FMA4",
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [pins for _, pins, _ in cases]
+
+
 class TestImports:
-    def test_cli_import_loads_neither_numpy_nor_elementtree(self):
+    def test_cli_import_loads_neither_numpy_nor_pyexpat(self):
         done = run_python(
             "import sys, wlansim.cli\n"
-            "print(sorted(m for m in ('numpy', 'xml.etree.ElementTree') if m in sys.modules))"
+            "print(sorted(m for m in ('numpy', 'pyexpat') if m in sys.modules))"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
@@ -1246,13 +1279,13 @@ class TestImports:
         assert manifest["python_version"] == sys.version.split()[0]
         assert "numpy_version" not in manifest
 
-    def test_csv_coverage_runs_without_numpy_or_elementtree(self, tmp_path):
+    def test_csv_coverage_runs_without_numpy_or_pyexpat(self, tmp_path):
         log = Path(__file__).parent / "data" / "survey_mixed.csv"
         done = run_python(
             "import sys\n"
             "from wlansim.cli import main\n"
             f"code = main(['coverage', {str(log)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-            "print(code, sorted(m for m in ('numpy', 'xml.etree.ElementTree') if m in sys.modules))"
+            "print(code, sorted(m for m in ('numpy', 'pyexpat') if m in sys.modules))"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"

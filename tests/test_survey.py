@@ -4,6 +4,7 @@ import csv
 import io
 import random
 import statistics
+import time
 import tracemalloc
 from itertools import chain, repeat
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     FIELD_NEAR_MISSES,
     interference_oracle,
+    kml_rows_oracle,
     location_cell,
     survey_record_oracle,
     synth_fit_points,
@@ -27,6 +29,7 @@ from wlansim.survey import (
     CSV_COLUMNS,
     LOG_FORMATS,
     ApSummary,
+    _kml_rows,
     fit_path_loss,
     interference_report,
     parse_log,
@@ -115,10 +118,6 @@ class TestCsvParsing:
         records, errors = parse(io.StringIO("\n".join(lines) + "\n"), "csv")
         assert errors == expected
         assert len(records) == len(lines) - len(expected)
-
-    def test_zero_valid_records_is_an_error(self):
-        with pytest.raises(ValueError, match="no valid"):
-            parse(io.StringIO("garbage,line\n"), "csv")
 
     def test_formats_come_from_one_table(self):
         (subparsers,) = (a for a in build_parser()._actions if a.dest == "command")
@@ -254,8 +253,8 @@ class TestKmlParsing:
         assert text.splitlines()[11] == "<Placemark>"
 
     def test_multi_line_start_tag_is_numbered_where_it_closes(self):
-        """The pull parser reports a start tag once its ``>`` is read, so a
-        placemark whose start tag spans lines 3-4 is numbered 4."""
+        """Expat reports a start tag once its ``>`` is read, so a placemark
+        whose start tag spans lines 3-4 is numbered 4."""
         fields = "".join(
             f'<Data name="{k}"><value>{v}</value></Data>\n'
             for k, v in [("bssid", AP_A), ("ssid", "eduroam"), ("channel", "36"), ("rssi_dbm", "-61")]
@@ -304,7 +303,7 @@ class TestKmlParsing:
         records, errors = parse(io.StringIO(text), "kml")
         assert errors == []
         assert records == [("t1", AP_A, "inner", 1, -60.0, 51.8, 0.9)] * 2
-        # The outer placemark as the document's root, which has no parent to leave.
+        # The outer placemark as the document's root.
         root = text.removeprefix("<kml>\n").removesuffix("</kml>\n")
         assert parse(io.StringIO(root), "kml") == (records, [])
 
@@ -337,9 +336,9 @@ class TestKmlParsing:
 
     def test_read_placemarks_leave_nothing_behind(self):
         """The traced peak does not grow with the number of placemarks: a
-        read placemark is no longer a child of its parent.  An emptied child
-        left in place costs ~80 B, which at 10 000 placemarks more than
-        triples the 1 000-placemark peak."""
+        read placemark leaves nothing behind.  Even ~80 B left per
+        placemark would more than triple the 1 000-placemark peak at
+        10 000."""
         data = "".join(
             f'<Data name="{k}"><value>{v}</value></Data>'
             for k, v in [("bssid", AP_A), ("ssid", "e"), ("channel", "1"), ("rssi_dbm", "-60")]
@@ -366,6 +365,148 @@ class TestKmlParsing:
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):
             parse(io.StringIO("this is not xml"), "kml")
+
+    def test_deep_nesting_is_read_in_linear_time(self):
+        """Placemarks nested 8 000 deep, one sample whose fields every
+        enclosing placemark reads too, in a document under 200 KB: each
+        placemark walking its descendants would take time quadratic in the
+        depth, about 5 s."""
+        depth = 8000
+        text = f"<kml>{'<Placemark>' * depth}{SAMPLE_FIELDS}{'</Placemark>' * depth}</kml>\n"
+        assert len(text) < 200_000
+        began = time.perf_counter()
+        records, errors = parse(io.StringIO(text), "kml")
+        elapsed = time.perf_counter() - began
+        assert (records, errors) == ([("t0", AP_A, "e", 1, -60.0, 51.8, 0.9)] * depth, [])
+        assert elapsed < 1.0, elapsed
+
+    def test_the_last_field_element_to_close_wins(self):
+        """A ``Data`` inside a ``Data`` lies outside the KML 2.2 schema.  Its
+        ``value`` closes before the outer one's, so the outer one wins; a
+        walk of the placemark by start tag reads the inner one."""
+        data = '<Data name="t"><Data name="t"><value>A</value></Data><value>B</value></Data>'
+        text = f"<kml><Placemark>{data}{SAMPLE_FIELDS.replace('<when>t0</when>', '')}</Placemark></kml>\n"
+        assert parse(io.StringIO(text), "kml") == ([("B", AP_A, "e", 1, -60.0, 51.8, 0.9)], [])
+        assert read_rows(kml_rows_oracle, text)[0][0][1][0] == "A"
+
+
+# The fields of one valid sample, at t0, as a placemark's children.
+SAMPLE_FIELDS = (
+    "".join(
+        f'<Data name="{k}"><value>{v}</value></Data>'
+        for k, v in [("bssid", AP_A), ("ssid", "e"), ("channel", "1"), ("rssi_dbm", "-60")]
+    )
+    + "<TimeStamp><when>t0</when></TimeStamp><Point><coordinates>0.9,51.8</coordinates></Point>"
+)
+
+
+def read_rows(reader, text):
+    """The rows a KML row reader yields from ``text``, and the message of
+    the error that ends them, or None."""
+    rows = []
+    try:
+        for row in reader(io.StringIO(text)):
+            rows.append(row)
+    except ValueError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+KML_NAMESPACES = 'xmlns="http://www.opengis.net/kml/2.2" xmlns:kml="http://www.opengis.net/kml/2.2"'
+# Field texts, valid ones among them, with an entity, CDATA, a comment and a
+# line break in some; None stands for an empty element, such as <value/>.
+KML_TEXTS = st.sampled_from(
+    [None, "", "t0", "t1", AP_A, "e", "1", "36", "-60", " -61 ", "a&amp;b", "<![CDATA[x<y]]>", "a<!-- c -->b", "a\nb"]
+)
+KML_COORDINATES = st.sampled_from(
+    [None, "", "0.9,51.8", " 0.9 , 51.8 ,10 ", "0.9", "1,2,3", "0.9<!-- c -->,51.8", "<![CDATA[0.9,51.8]]>", "x,y"]
+)
+KML_GAPS = st.sampled_from(["", "\n", " \n  "])
+KML_KINDS = ["Placemark", "Folder", "sample", "ExtendedData", "Data", "TimeStamp", "Point", "comment"]
+
+
+@st.composite
+def kml_documents(draw):
+    """KML documents in the schema's shape, where ``value``, ``when`` and
+    ``coordinates`` hold text only: placemarks nested in placemarks and
+    folders, each tag ``kml:``-prefixed or not, ``ExtendedData``,
+    ``TimeStamp`` and ``Point`` around the fields, empty and missing
+    fields, line breaks between tags, and the document cut at any offset."""
+
+    def element(name, content, attributes=""):
+        tag = draw(st.sampled_from([name, f"kml:{name}"]))
+        return f"<{tag}{attributes}/>" if content is None else f"<{tag}{attributes}>{content}</{tag}>"
+
+    def data(name):
+        return element("Data", element("value", draw(KML_TEXTS)), f' name="{name}"')
+
+    def when():
+        return element("TimeStamp", element("when", draw(KML_TEXTS)))
+
+    def point():
+        return element("Point", element("coordinates", draw(KML_COORDINATES)))
+
+    def content(depth):
+        parts = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(KML_KINDS if depth < 3 else KML_KINDS[3:]))
+            if kind in ("Placemark", "Folder"):
+                parts.append(element(kind, content(depth + 1)))
+            elif kind == "sample":  # a placemark with every field, or all but one, and other content
+                fields = [*map(data, CSV_COLUMNS[1:5]), when(), point()]
+                short = draw(st.integers(0, 2 * len(fields) - 1))  # no field short half the time
+                del fields[short : short + 1]
+                fields.append(content(depth + 1))
+                parts.append(element("Placemark", draw(KML_GAPS).join(draw(st.permutations(fields)))))
+            elif kind == "ExtendedData":
+                names = st.sampled_from([*CSV_COLUMNS, "x"])
+                parts.append(element(kind, "".join(data(draw(names)) for _ in range(draw(st.integers(0, 2))))))
+            elif kind == "Data":
+                parts.append(data(draw(st.sampled_from(CSV_COLUMNS))))
+            elif kind == "TimeStamp":
+                parts.append(when())
+            elif kind == "Point":
+                parts.append(point())
+            else:
+                parts.append("<!-- a\ncomment -->")
+            parts.append(draw(KML_GAPS))
+        return "".join(parts)
+
+    document = draw(st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>\n']))
+    document += element("kml", "\n" + content(0), " " + KML_NAMESPACES) + "\n"
+    if draw(st.integers(0, 3)) == 0:
+        document = document[: draw(st.integers(0, len(document)))]
+    return document
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=kml_documents())
+def test_kml_rows_match_the_element_tree_oracle(document):
+    """On documents in the schema's shape the expat reader yields the rows,
+    and ends with the error text, of the element-tree reader it replaced."""
+    assert read_rows(_kml_rows, document) == read_rows(kml_rows_oracle, document)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        pytest.param("", id="empty"),
+        pytest.param("x", id="not-xml"),
+        pytest.param("<kml>&foo;</kml>", id="undefined-entity"),
+        pytest.param("<kml>\n<Folder></Placemark>\n</kml>", id="mismatched-tag-on-line-2"),
+        pytest.param("<kml/>\njunk", id="junk-after-the-root"),
+        pytest.param("<kml><k:Placemark/></kml>", id="unbound-prefix"),
+        pytest.param('<kml><Data name="a" name="b"/></kml>', id="duplicate-attribute"),
+        pytest.param('<!DOCTYPE kml SYSTEM "x.dtd">\n<kml>&foo;</kml>', id="entity-under-an-external-subset"),
+        pytest.param('<!DOCTYPE kml [<!ENTITY e SYSTEM "e.xml">]>\n<kml>&e;</kml>', id="declared-external-entity"),
+        pytest.param(f'<!DOCTYPE kml SYSTEM "x.dtd">\n<kml>&{"é" * 60};</kml>', id="entity-named-past-100-bytes"),
+        pytest.param(f"<kml><Placemark>{SAMPLE_FIELDS}</Placemark><Folder></kml>", id="rows-before-the-error"),
+    ],
+)
+def test_kml_errors_read_as_the_element_tree_oracle_reads_them(document):
+    rows, message = read_rows(_kml_rows, document)
+    assert message is not None
+    assert (rows, message) == read_rows(kml_rows_oracle, document)
 
 
 # Records of two APs over a few 1 m cells, so that groups hold several samples.
