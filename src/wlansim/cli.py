@@ -79,6 +79,20 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _undecodable_line(path: Path, exc: UnicodeDecodeError) -> str:
+    """The first line of ``path`` that is not UTF-8, and why: ``exc`` counts
+    its position from a decoder chunk.  Latin-1 maps each byte to one
+    character and splits lines as the log readers count them, and a line
+    break never lies inside a UTF-8 sequence, so each line decodes alone."""
+    with open(path, encoding="latin-1") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"line {lineno}: can't decode byte 0x{bad.object[bad.start]:02x}: {bad.reason}"
+    return str(exc)  # the file changed since it was read
+
+
 def _write_lines(out: IO[str], table: Table, per_write: int = CHUNK_LINES) -> None:
     """Write a header line, then the rendered texts, ``per_write`` joined per write."""
     header, lines = table
@@ -297,11 +311,16 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         raise ValueError(f"--coverage-threshold: must be finite, got {args.coverage_threshold}")
     log_path = Path(args.log)
     # utf-8-sig drops a leading byte-order mark, which would otherwise
-    # spoil a CSV header's first name.  The records stream from the log
-    # into their groups, so no list of them is ever held.
-    with open(log_path, "r", encoding="utf-8-sig") as f:
+    # spoil a CSV header's first name.  newline="" keeps a quoted CSV
+    # field's line ends, as the csv module requires; expat normalizes
+    # KML's.  The records stream from the log into their groups, so no
+    # list of them is ever held.
+    with open(log_path, "r", encoding="utf-8-sig", newline="") as f:
         records, errors = parse_log(f, args.format)
-        summaries = summarize(records, ap_position=ap_position)
+        try:
+            summaries = summarize(records, ap_position=ap_position)
+        except UnicodeDecodeError as exc:
+            raise ValueError(_undecodable_line(log_path, exc)) from None
     parsed = 0
     for s in summaries:  # each record is in exactly one group
         parsed += s.count

@@ -13,9 +13,10 @@ channel, signal strength and GPS position.  Two formats are accepted:
 A record is one checked sample as a plain tuple in ``CSV_COLUMNS`` order,
 ``(t, bssid, ssid, channel_id, rssi_dbm, lat, lon)``: text, text, text,
 int, float, float, float, with surrounding whitespace stripped from the
-texts.  Parsing is best effort: a malformed sample is reported with the
-physical line its CSV record starts on, or its KML placemark's start tag
-closes on, and never aborts the run.
+texts.  A log is a text stream with ``read``, such as a file opened with
+``newline=""``: CSV is read by line and KML in blocks.  Parsing is best
+effort: a malformed sample is reported with the physical line where its
+CSV record or KML placemark starts, and never aborts the run.
 """
 
 from __future__ import annotations
@@ -141,13 +142,13 @@ def _csv_rows(stream: IO[str]) -> Rows:
 
 
 def _kml_rows(stream: IO[str]) -> Rows:
-    """Placemarks, each at the line its start tag closes on (the document is
-    fed a line at a time), which for a one-line tag is the line it starts on.
-    Expat handlers read the document in one pass.  A field is taken as its
-    element closes (a ``value`` in a ``Data``, a ``when``, ``coordinates``)
-    into the innermost open placemark, which gives its fields to the one
-    enclosing it as it closes: the last field element to close wins.  Time
-    is linear in the document, and memory in its nesting depth."""
+    """Placemarks, each at the line where its start tag starts, as expat
+    reports it.  Expat handlers read the text stream in one pass, fed in
+    blocks from its ``read``.  A field is taken as its element closes (a
+    ``value`` in a ``Data``, a ``when``, ``coordinates``) into the innermost
+    open placemark, which gives its fields to the one enclosing it as it
+    closes: the last field element to close wins.  Time is linear in the
+    document, and memory in its nesting depth, its longest text and one block."""
     from xml.parsers.expat import ExpatError, ParserCreate  # here, so CSV runs do not load the XML parser
 
     parser = ParserCreate(namespace_separator="}")
@@ -156,14 +157,14 @@ def _kml_rows(stream: IO[str]) -> Rows:
     placemarks: list[tuple[int, dict[str, str]]] = [(0, {})]  # (start line, fields) per open placemark
     data_names: list[str | None] = [None]  # per open element: its name attribute if it is a Data
     texts: list[str] = []  # the character data since the last tag
-    rows: list[tuple[int, Sequence[str] | str]] = []  # those closed while the current line is fed
+    rows: list[tuple[int, Sequence[str] | str]] = []  # those closed while the current block is fed
 
     def start(name: str, attrs: dict[str, str]) -> None:
         texts.clear()
         tag = tags.get(name) or tags.setdefault(name, name.rsplit("}", 1)[-1])
         data_names.append(attrs.get("name") if tag == "Data" else None)
         if tag == "Placemark":
-            placemarks.append((lineno, {}))
+            placemarks.append((parser.CurrentLineNumber, {}))
 
     def end(name: str) -> None:
         tag = tags[name]
@@ -196,11 +197,11 @@ def _kml_rows(stream: IO[str]) -> Rows:
     parser.CharacterDataHandler = texts.append
     parser.DefaultHandlerExpand = default
     try:
-        # The "" after the last line closes the document.
-        for lineno, line in enumerate(chain(stream, [""]), start=1):
+        # The "" after the last block closes the document.
+        for block in chain(iter(lambda: stream.read(1 << 16), ""), [""]):
             try:
-                parser.Parse(line, not line)
-            finally:  # so a line's rows come before its error
+                parser.Parse(block, not block)
+            finally:  # so a block's rows come before its error
                 yield from rows
                 rows.clear()
     except ExpatError as exc:
@@ -215,15 +216,16 @@ def parse_log(stream: IO[str], fmt: str) -> tuple[Iterator[Record], list[tuple[i
     """Parse a survey log in the given format, a key of ``LOG_FORMATS``,
     into a lazy stream of records and a list of skipped samples.
 
-    ``stream`` is read as the records are, and each skipped sample's
-    ``(line, message)`` is appended to the list as the records pass it,
-    so the list is complete once the records are exhausted.  The records
-    of one log share one object per distinct text: every record with the
-    same ``t``, ``bssid`` or ``ssid`` text holds the same ``str``, and
-    the same RSSI text the same ``float``.
+    ``stream``, a text stream with ``read``, is read as the records are,
+    and each skipped sample's ``(line, message)`` is appended to the list
+    as the records pass it, so the list is complete once the records are
+    exhausted.  The records of one log share one object per distinct
+    text: every record with the same ``t``, ``bssid`` or ``ssid`` text
+    holds the same ``str``, and the same RSSI text the same ``float``.
 
     Raises, from the record stream as it is read:
-        ValueError: for an unparseable KML document.
+        ValueError: for an unparseable KML document, or the stream's own
+            ``UnicodeDecodeError``.
     """
     rows = LOG_FORMATS[fmt](stream)
     errors: list[tuple[int, str]] = []

@@ -241,8 +241,11 @@ def _placemark_fields(placemark: "ET.Element") -> dict[str, str]:
 def kml_rows_oracle(stream):
     """Placemarks, each at the line its start tag closes on (the document is
     fed a line at a time), which for a one-line tag is the line it starts on.
-    A top-level placemark is removed from its parent once its fields are
-    read, so the parsed document is never held whole."""
+    So it numbers a placemark as ``survey._kml_rows`` does, by the line its
+    start tag starts on, unless the tag spans lines, which the survey
+    tests' ``kml_documents`` strategy never draws.  A top-level placemark
+    is removed from its parent once its fields are read, so the parsed
+    document is never held whole."""
     import xml.etree.ElementTree as ET  # here, so CSV runs do not load the XML parser
 
     parser = ET.XMLPullParser(("start", "end"))

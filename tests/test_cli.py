@@ -678,6 +678,12 @@ class TestCoverageCommand:
                 id="over-long-field",
             ),
             pytest.param(b"caf\xe9\n", EXIT_VALIDATION, "", "can't decode byte 0xe9", id="not-utf-8"),
+            # 120 rows of 71 bytes put the byte past the decoder's first 8 KiB chunk.
+            pytest.param(
+                b"2013-05-14T09:09:00Z,00:11:22:33:44:55,eduroam,1,-60.0,51.8776,0.9426\n" * 120 + b"caf\xff\n",
+                EXIT_VALIDATION, "", "error: line 152: can't decode byte 0xff: invalid start byte",
+                id="not-utf-8-past-8-kib",
+            ),
             *(
                 pytest.param(
                     f"2013-05-14T09:09:00Z,{row}\n".encode(), EXIT_OK, "parsed 30 records, 1 malformed lines",
@@ -708,6 +714,22 @@ class TestCoverageCommand:
         assert out_text in out
         assert err_text in err
         assert out_dir.exists() == (code == EXIT_OK)
+
+    def test_quoted_line_ends_keep_their_bytes(self, tmp_path, capsys):
+        """The log is opened with newline="", so an SSID's CRLF and CR reach
+        summaries.csv as written, and a later row keeps its physical line."""
+        row = "2013-05-14T09:00:00Z,00:11:22:33:44:{},{},1,-60.0,51.8776,0.9426\r\n"
+        log = tmp_path / "survey.csv"
+        log.write_bytes(
+            (",".join(CSV_COLUMNS) + "\r\n" + row.format(55, '"a\r\nb"') + row.format(66, '"c\rd"')
+             + "bad,row\r\n").encode()
+        )
+        code, out, err = run_cli(["coverage", str(log), "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_OK
+        assert "parsed 2 records, 1 malformed lines" in out
+        assert "line 6: expected 7 columns, got 2" in err
+        with open(tmp_path / "out" / "summaries.csv", encoding="utf-8", newline="") as f:
+            assert [r[1] for r in csv.reader(f)] == ["ssid", "a\r\nb", "c\rd"]
 
 
 # Each rejected throughput input and what its message must hold.
@@ -1218,75 +1240,45 @@ def test_non_beamform_pins_hold_under_the_non_fma_libm(tmp_path):
 
 
 class TestImports:
-    def test_cli_import_loads_neither_numpy_nor_pyexpat(self):
+    def test_cli_import_loads_no_command_modules(self):
+        # numpy and pyexpat come only with the commands that use them;
+        # dataclasses with none; inspect only with numpy; and the writer
+        # modules only with _publish and _sha256_file, as `channels` writes no file.
         done = run_python(
             "import sys, wlansim.cli\n"
-            "print(sorted(m for m in ('numpy', 'pyexpat') if m in sys.modules))"
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
-
-    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # No command needs dataclasses; inspect comes only with numpy, which beamform loads.
-        done = run_python(
-            "import sys, wlansim.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
-
-    def test_cli_import_loads_none_of_the_writer_modules(self):
-        # Only _publish and _sha256_file use them, and `channels` writes no file.
-        done = run_python(
-            "import sys, wlansim.cli\n"
-            "print(sorted(m for m in ('datetime', 'hashlib', 'json') if m in sys.modules))"
+            "modules = ('numpy', 'pyexpat', 'dataclasses', 'inspect', 'datetime', 'hashlib', 'json')\n"
+            "print(sorted(m for m in modules if m in sys.modules))"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,unloaded",
         [
-            ["channels"],
-            ["throughput", "--points", "5"],
-            ["coverage", str(DATA / "survey_mixed.csv")],
-            ["beamform", "--iterations", "50"],
+            (["channels"], ["dataclasses"]),
+            (["throughput", "--points", "5"], ["dataclasses", "numpy"]),
+            (["coverage", str(DATA / "survey_mixed.csv")], ["dataclasses", "numpy", "pyexpat"]),
+            (["beamform", "--iterations", "50"], ["dataclasses"]),
         ],
         ids=["channels", "throughput", "coverage", "beamform"],
     )
-    def test_run_loads_no_dataclasses(self, tmp_path, argv):
-        out_args = [] if argv[0] == "channels" else ["--out", str(tmp_path / "out")]
+    def test_run_loads_no_dataclasses(self, tmp_path, argv, unloaded):
+        """Each command in a child of its own, which exits 0 without
+        loading ``dataclasses``, nor ``numpy`` for throughput or CSV
+        coverage, nor ``pyexpat`` for CSV coverage."""
+        out_dir = tmp_path / "out"
+        out_args = [] if argv[0] == "channels" else ["--out", str(out_dir)]
         done = run_python(
             "import sys\n"
             "from wlansim.cli import main\n"
             f"code = main({[*argv, *out_args]!r})\n"
-            "print(code, 'dataclasses' in sys.modules)"
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 False"
-
-    def test_throughput_runs_without_numpy(self, tmp_path):
-        out_dir = tmp_path / "out"
-        done = run_python(
-            "import sys\n"
-            "from wlansim.cli import main\n"
-            f"code = main(['throughput', '--points', '5', '--out', {str(out_dir)!r}])\n"
-            "print(code, 'numpy' in sys.modules)"
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 False"
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["python_version"] == sys.version.split()[0]
-        assert "numpy_version" not in manifest
-
-    def test_csv_coverage_runs_without_numpy_or_pyexpat(self, tmp_path):
-        log = Path(__file__).parent / "data" / "survey_mixed.csv"
-        done = run_python(
-            "import sys\n"
-            "from wlansim.cli import main\n"
-            f"code = main(['coverage', {str(log)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-            "print(code, sorted(m for m in ('numpy', 'pyexpat') if m in sys.modules))"
+            f"print(code, [m for m in {unloaded!r} if m in sys.modules])"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
-        assert (tmp_path / "out" / "summaries.csv").exists()
+        if argv[0] == "throughput":
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["python_version"] == sys.version.split()[0]
+            assert "numpy_version" not in manifest
+        if argv[0] == "coverage":
+            assert (out_dir / "summaries.csv").exists()

@@ -6,7 +6,6 @@ import random
 import statistics
 import time
 import tracemalloc
-from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -252,9 +251,9 @@ class TestKmlParsing:
         assert errors == [(12, "rssi '+3' violates the [-120, 0] dBm range")]
         assert text.splitlines()[11] == "<Placemark>"
 
-    def test_multi_line_start_tag_is_numbered_where_it_closes(self):
-        """Expat reports a start tag once its ``>`` is read, so a placemark
-        whose start tag spans lines 3-4 is numbered 4."""
+    def test_multi_line_start_tag_is_numbered_where_it_starts(self):
+        """A placemark whose start tag spans lines 3-4 is numbered 3, as a
+        CSV record whose quoted field spans lines is numbered by its first."""
         fields = "".join(
             f'<Data name="{k}"><value>{v}</value></Data>\n'
             for k, v in [("bssid", AP_A), ("ssid", "eduroam"), ("channel", "36"), ("rssi_dbm", "-61")]
@@ -268,8 +267,17 @@ class TestKmlParsing:
         text = f"<kml>\n<Document>\n{bad}{good}</Document>\n</kml>\n"
         records, errors = parse(io.StringIO(text), "kml")
         assert len(records) == 1
-        assert errors == [(4, "rssi '+3' violates the [-120, 0] dBm range")]
+        assert errors == [(3, "rssi '+3' violates the [-120, 0] dBm range")]
         assert text.splitlines()[2:4] == ["<Placemark", ' id="a">']
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_ends_are_counted_across_blocks(self, end):
+        """The CLI opens a log with newline="", so expat meets CR and CRLF
+        as written, and a block may end between a CR and its LF."""
+        text = end.join(["<kml>", "<Document>", "", f"<Placemark>{SAMPLE_FIELDS}</Placemark>", "</Document></kml>", ""])
+        for cap in (1, 2, 3, 64):
+            rows, message = read_rows(_kml_rows, text, cap)
+            assert ([line for line, _ in rows], message) == ([4], None)
 
     def test_placemark_without_timestamp_is_refused(self):
         """A placemark must carry its TimeStamp/when, as a CSV row must
@@ -347,10 +355,10 @@ class TestKmlParsing:
         placemark = f"<Placemark>{data}<when>t</when><coordinates>0.9,51.8</coordinates></Placemark>\n"
 
         def peak(count):
-            lines = chain(["<kml><Document>\n"], repeat(placemark, count), ["</Document></kml>\n"])
+            log = io.StringIO(f"<kml><Document>\n{placemark * count}</Document></kml>\n")
             tracemalloc.start()
             try:
-                records, errors = parse_log(lines, "kml")
+                records, errors = parse_log(log, "kml")
                 read = sum(1 for _ in records)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -361,6 +369,15 @@ class TestKmlParsing:
         peak(10)  # the parser's one-time allocations
         small, large = peak(1_000), peak(10_000)
         assert large < 1.2 * small, (small, large)
+
+    def test_a_one_line_document_yields_its_first_row_after_one_block(self):
+        """The reader feeds expat blocks of at most 64 Ki characters, so a
+        one-line document of 10 000 placemarks, about 3 MB, is not read
+        whole before its first row."""
+        log = io.StringIO(f"<kml><Document>{f'<Placemark>{SAMPLE_FIELDS}</Placemark>' * 10_000}</Document></kml>")
+        records, errors = parse_log(log, "kml")
+        assert next(records) == ("t0", AP_A, "e", 1, -60.0, 51.8, 0.9)
+        assert log.tell() <= 65_536, log.tell()
 
     def test_not_xml_rejected(self):
         with pytest.raises(ValueError, match="KML"):
@@ -400,12 +417,26 @@ SAMPLE_FIELDS = (
 )
 
 
-def read_rows(reader, text):
-    """The rows a KML row reader yields from ``text``, and the message of
-    the error that ends them, or None."""
+class CappedReads(io.StringIO):
+    """A text stream whose ``read(n)`` returns at most ``cap`` characters,
+    so a reader fed from it meets tags, texts, CDATA, comments and entities
+    split across blocks."""
+
+    def __init__(self, text, cap):
+        super().__init__(text)
+        self.cap = cap
+
+    def read(self, size=-1):
+        return super().read(self.cap if size is None or size < 0 else min(size, self.cap))
+
+
+def read_rows(reader, text, cap=None):
+    """The rows a KML row reader yields from ``text``, read at most ``cap``
+    characters at a time if given, and the message of the error that ends
+    them, or None."""
     rows = []
     try:
-        for row in reader(io.StringIO(text)):
+        for row in reader(io.StringIO(text) if cap is None else CappedReads(text, cap)):
             rows.append(row)
     except ValueError as exc:
         return rows, str(exc)
@@ -480,11 +511,12 @@ def kml_documents(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(document=kml_documents())
-def test_kml_rows_match_the_element_tree_oracle(document):
+@given(document=kml_documents(), cap=st.sampled_from([1, 2, 3, 7, 64]))
+def test_kml_rows_match_the_element_tree_oracle(document, cap):
     """On documents in the schema's shape the expat reader yields the rows,
-    and ends with the error text, of the element-tree reader it replaced."""
-    assert read_rows(_kml_rows, document) == read_rows(kml_rows_oracle, document)
+    and ends with the error text, of the element-tree reader it replaced,
+    however short the blocks its stream gives it."""
+    assert read_rows(_kml_rows, document, cap) == read_rows(kml_rows_oracle, document)
 
 
 @pytest.mark.parametrize(
