@@ -1,21 +1,22 @@
 """Command-line interface: one subcommand per simulator area.
 
 Every output is a CSV table, byte for byte as ``csv.writer`` would write
-it, and its format is decided here alone: ``_write_lines`` writes each
-table's header and then its lines, rendered with ``%s``.  Only an SSID is
-free text, which ``_csv_field`` quotes by csv's minimal rule; every other
-field is a number or a text with no comma, quote, CR or LF, such as a band
-name or a checked MAC address.  ``_plain_lines`` renders the ``channels``
+it, and its format is decided here alone: a table is its header and its
+rendered texts, each field rendered with ``%s``.  Only an SSID is free
+text, which ``_csv_field`` quotes by csv's minimal rule; every other field
+is a number or a text with no comma, quote, CR or LF, such as a band name
+or a checked MAC address.  ``_plain_lines`` renders the ``channels``
 listing and the ``beamform`` tables, and ``_summary_lines``
 ``summaries.csv``.  ``interference.csv`` has a row per AP pair and
 ``throughput.csv`` a row per point, but few distinct verdicts and rates,
 so ``_pair_lines`` and ``_curve_lines`` make each one's text once.
-Every file-producing invocation publishes through ``_publish``: outputs
-move into place only once all are written, then ``manifest.json``, which
-records the tool and Python versions (and numpy's, when the command loaded
-it), a SHA-256 digest of the effective input configuration, the seed in
-effect, a timestamp, the output list and each output's SHA-256.  A failed
-run leaves no partial set.
+Every file-producing invocation publishes through ``_publish``, which
+writes each table through ``_write_lines``, one rendered text per write.
+Outputs move into place only once all are written, then ``manifest.json``,
+which records the tool and Python versions (and numpy's, when the command
+loaded it), a SHA-256 digest of the effective input configuration, the
+seed in effect, a timestamp, the output list and each output's SHA-256.
+A failed run leaves no half-written set.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error (a
 bug in wlansim).
@@ -27,8 +28,7 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -59,14 +59,12 @@ PATTERN_GRID_POINTS = 721
 # Upper bound of throughput --points: a larger curve would only fill the disk.
 MAX_CURVE_POINTS = 10**6
 
-# Table lines joined per write by _write_lines, unless a table's texts are already whole blocks.
-CHUNK_LINES = 256
-
 # Floor for dB conversion of zero-magnitude spectrum bins.
 MAG_FLOOR = 1e-15
 
-# A header, such as a NamedTuple's ``_fields``, and its rendered lines,
-# which may be produced lazily while they are written.
+# A header, such as a NamedTuple's ``_fields``, and its rendered texts:
+# lines, or one block per AP for ``interference.csv``, which may be
+# produced lazily while they are written.
 Table = tuple[Sequence[str], Iterable]
 
 
@@ -93,13 +91,12 @@ def _undecodable_line(path: Path, exc: UnicodeDecodeError) -> str:
     return str(exc)  # the file changed since it was read
 
 
-def _write_lines(out: IO[str], table: Table, per_write: int = CHUNK_LINES) -> None:
-    """Write a header line, then the rendered texts, ``per_write`` joined per write."""
+def _write_lines(out: IO[str], table: Table) -> None:
+    """Write a header line, then each rendered text as it is made."""
     header, lines = table
     out.write(",".join(header) + "\r\n")
-    lines = iter(lines)  # islice of a list would start over at each chunk
-    while chunk := "".join(islice(lines, per_write)):
-        out.write(chunk)
+    for text in lines:
+        out.write(text)
 
 
 def _plain_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Table:
@@ -167,8 +164,8 @@ def _curve_lines(rows: Iterable[tuple[float, float, float]]) -> Iterator[str]:
     return ("%s%s%s\r\n" % (d, rates[rate], snr) for d, rate, snr in rows)
 
 
-def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]], config: dict) -> None:
-    """Write each output by calling its writer with the file open, then
+def _publish(out_arg: str | None, outputs: dict[str, Table], config: dict) -> None:
+    """Write each output table through ``_write_lines``, then
     ``manifest.json``, into the output directory.
 
     Outputs go to ``.<name>.tmp`` first.  The old manifest is removed before
@@ -183,9 +180,9 @@ def _publish(out_arg: str | None, outputs: dict[str, Callable[[IO[str]], None]],
     out_dir.mkdir(parents=True, exist_ok=True)
     temps = {name: out_dir / f".{name}.tmp" for name in [*outputs, "manifest.json"]}
     try:
-        for name, write in outputs.items():
+        for name, table in outputs.items():
             with open(temps[name], "w", encoding="utf-8", newline="") as f:
-                write(f)
+                _write_lines(f, table)
         manifest = {
             "tool_version": __version__,
             "python_version": sys.version.split()[0],
@@ -277,14 +274,13 @@ def cmd_beamform(args: argparse.Namespace) -> int:
         return _plain_lines(["normalized_freq", "magnitude", "magnitude_db"], rows)
 
     # Published only now, so a rejected, diverged or failed run leaves no directory.
-    tables = {
+    outputs = {
         "trace.csv": _plain_lines(["n", "error_power", "output_re", "output_im"], trace_rows),
         "weights.csv": _plain_lines(["n", "element", "re", "im"], weight_rows),
         "pattern.csv": _plain_lines(["angle_rad", "gain_db"], pattern),
         "spectrum_before.csv": spectrum(before),
         "spectrum_after.csv": spectrum(after),
     }
-    outputs = {name: partial(_write_lines, table=table) for name, table in tables.items()}
     _publish(args.out, outputs, scenario.to_dict())  # the effective scenario: flag overrides count
 
     # A field with no finite value is left out, as an undefined plateau is:
@@ -343,11 +339,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
     # Published only now, so a rejected run leaves no directory.
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out", "log")}
-    pairs = (["bssid_a", "bssid_b", *Verdict._fields], _pair_lines(pair_blocks))
     outputs = {
-        "summaries.csv": partial(_write_lines, table=(ApSummary._fields, _summary_lines(summaries))),
-        # One write per AP: its text holds up to one line per AP already.
-        "interference.csv": partial(_write_lines, table=pairs, per_write=1),
+        "summaries.csv": (ApSummary._fields, _summary_lines(summaries)),
+        "interference.csv": (["bssid_a", "bssid_b", *Verdict._fields], _pair_lines(pair_blocks)),
     }
     _publish(args.out, outputs, {**options, "log_sha256": _sha256_file(log_path)})
     if fit is not None:
@@ -388,7 +382,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     curve = (["distance_m", "rate_mbps", "snr_db"], _curve_lines(chain([first_row], rows)))
-    _publish(args.out, {"throughput.csv": partial(_write_lines, table=curve)}, options)
+    _publish(args.out, {"throughput.csv": curve}, options)
     print(f"cap_mbps={first_row[1]}")
     return EXIT_OK
 

@@ -259,7 +259,7 @@ class TestBeamformCommand:
     def test_shorter_run_is_a_prefix_of_a_longer_one(self, tmp_path, capsys):
         # Each input row is keyed on its sample index and the recursion is
         # causal, so iterations past n leave the first n trace rows as they
-        # are.  700 rows span two whole 256-row chunks and part of a third.
+        # are.
         lines = {}
         for n in (300, 700):
             argv = ["beamform", "--iterations", str(n), "--out", str(tmp_path / str(n))]
@@ -808,8 +808,7 @@ class TestThroughputCommand:
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_shorter_curve_is_a_prefix_of_a_longer_one(self, tmp_path, capsys):
-        # Each distance is computed from its own index.  1 000 points end
-        # inside a 256-line chunk, which the longer curve writes whole.
+        # Each distance is computed from its own index.
         lines = {}
         for n in (1000, 5000):
             argv = ["throughput", "--points", str(n), "--step", "0.37", "--out", str(tmp_path / str(n))]
@@ -818,12 +817,10 @@ class TestThroughputCommand:
         assert len(lines[1000]) == 1001
         assert lines[5000][:1001] == lines[1000]
 
-    def test_curve_streams_to_its_csv(self, tmp_path, monkeypatch):
-        # Each row goes to the CSV as it is computed, a chunk at a time.
-        # With 64-row chunks the run peaks under 0.6 MiB, the modules the
-        # manifest imports included; a writer that held the 20 000 rows
-        # would take over 2 MiB.
-        monkeypatch.setattr(wlansim.cli, "CHUNK_LINES", 64)
+    def test_curve_streams_to_its_csv(self, tmp_path):
+        # Each row goes to the CSV as it is computed, one line per write.
+        # The run peaks near 0.66 MiB, the modules the manifest imports
+        # included; a writer that held the 20 000 rows would take over 2 MiB.
         tracemalloc.start()
         try:
             with redirect_stdout(io.StringIO()):

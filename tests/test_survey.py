@@ -7,6 +7,7 @@ import statistics
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -22,7 +23,7 @@ from oracles import (
 )
 
 import wlansim.survey
-from wlansim.cli import _pair_lines, _summary_lines, _write_lines, build_parser
+from wlansim.cli import _curve_lines, _pair_lines, _summary_lines, _write_lines, build_parser
 from wlansim.channels import channel_by_id, overlap_fraction
 from wlansim.survey import (
     CSV_COLUMNS,
@@ -838,7 +839,7 @@ PAIR_HEADER = ["bssid_a", "bssid_b", "overlap", "co_located", "interferes"]
 def rendered_report(summaries, threshold):
     """``interference.csv`` as ``coverage`` writes it, one write per AP."""
     out = io.StringIO()
-    _write_lines(out, (PAIR_HEADER, _pair_lines(interference_report(summaries, threshold))), per_write=1)
+    _write_lines(out, (PAIR_HEADER, _pair_lines(interference_report(summaries, threshold))))
     return out.getvalue()
 
 
@@ -880,6 +881,42 @@ def test_report_blocks_match_the_oracle_at_their_edges(cells):
     assert rendered_report(summaries, -80.0) == oracle_report(summaries, -80.0)
     if len(cells) == 1:
         assert rendered_report(summaries, -80.0) == ",".join(PAIR_HEADER) + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "header,texts",
+    [
+        pytest.param(
+            PAIR_HEADER,
+            lambda: _pair_lines(interference_report(
+                [summary_in_cell(MACS[k], channel, (0, 0), -70.0) for k, channel in enumerate([1, 6, 1, 36])],
+                -80.0,
+            )),
+            id="pairs-of-4-aps",
+        ),
+        pytest.param(
+            ["distance_m", "rate_mbps", "snr_db"],
+            lambda: _curve_lines((float(d), 6.5 * (d % 3), 30.0 - d) for d in range(1, 21)),
+            id="curve-of-20-points",
+        ),
+    ],
+)
+def test_each_write_is_one_text_the_table_yielded(header, texts):
+    # An AP's pair text can hold a line per AP, so joining texts would make
+    # a write as large as the whole table.
+    yielded = []
+
+    def kept():
+        for text in texts():
+            yielded.append(text)
+            yield text
+
+    writes = []  # each object the stream's write is given
+    _write_lines(SimpleNamespace(write=writes.append), (header, kept()))
+    assert writes[0] == ",".join(header) + "\r\n"
+    assert len(yielded) >= 3
+    assert len(writes) == 1 + len(yielded)
+    assert all(written is text for written, text in zip(writes[1:], yielded))
 
 
 # Texts with every character that csv's minimal quoting looks at.

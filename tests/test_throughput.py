@@ -6,13 +6,11 @@ import math
 from fractions import Fraction
 from itertools import cycle, islice
 from typing import NamedTuple
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wlansim.cli
 from wlansim.cli import EXIT_OK, _curve_lines, _write_lines, main
 from wlansim.propagation import SPEED_OF_LIGHT, friis_path_loss
 from wlansim.throughput import (
@@ -198,24 +196,16 @@ RATES = st.sampled_from(
 ) | st.floats(min_value=0.0)
 
 
-# The chunk size the rendering test patches in, so that each example renders
-# a few rows; the 30 000-row digest pin covers the real CHUNK_LINES.
-TEST_CHUNK_ROWS = 8
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     drawn=st.lists(st.tuples(EDGE_FLOATS, RATES, EDGE_FLOATS), min_size=1, max_size=12),
-    count=st.sampled_from([0, 1, TEST_CHUNK_ROWS - 1, TEST_CHUNK_ROWS, TEST_CHUNK_ROWS + 1]),
+    count=st.sampled_from([0, 1, 7, 8, 9]),
 )
 def test_rendered_curve_matches_csv_writer(drawn, count):
-    # The drawn rows repeat to fill a count on either side of a chunk.
+    # The drawn rows repeat when the count exceeds them.
     rows = list(islice(cycle(drawn), count))
     got = io.StringIO()
-    # _write_lines reads the chunk size on each call.  Patched here, since
-    # hypothesis rejects the function-scoped monkeypatch fixture.
-    with patch.object(wlansim.cli, "CHUNK_LINES", TEST_CHUNK_ROWS):
-        _write_lines(got, (["distance_m", "rate_mbps", "snr_db"], _curve_lines(rows)))
+    _write_lines(got, (["distance_m", "rate_mbps", "snr_db"], _curve_lines(rows)))
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(["distance_m", "rate_mbps", "snr_db"])
