@@ -5,13 +5,17 @@ geometry, a set of angular sources (one of which is the desired signal),
 the additive noise power, and the adaptation parameters.  Snapshots are
 complex baseband observation vectors.
 
-All randomness comes from counter-based Philox4x64 streams (Salmon et
+All randomness comes from counter-based Philox4x64-10 streams (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed on
 ``(seed, stream)`` with ``0 <= seed < 2**64``: stream 0 is the noise and
 stream ``1 + i`` the symbols of source ``i``.  Sample ``n`` reads a fixed
 range of words at a fixed counter offset, so any snapshot is reproducible
 in isolation, independent of generation order, and a range of snapshots
-comes from one draw per stream.
+comes from one draw per stream.  The words are computed here in numpy
+integer arithmetic and equal numpy's ``Philox(key=(stream << 64) | seed)``,
+so ``numpy.random`` is never loaded.  Block ``c`` of a stream encrypts the
+counter ``c + 1``, which must stay below ``2**64``; ``MAX_ITERATIONS`` times
+a row's width in words keeps it there.
 """
 
 from __future__ import annotations
@@ -227,13 +231,50 @@ def steering_vector(theta_rad: float, num_elements: int, spacing_wavelengths: fl
     return np.exp(-2j * np.pi * k * spacing_wavelengths * math.sin(theta_rad))
 
 
+# Philox4x64-10's round multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # High and low words of the 128-bit products a * m, from 32-bit halves;
+    # neither u nor v can pass 2**64 - 1.
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    u = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
+    v = a_lo * m_hi + (u & _LOW32)
+    return a_hi * m_hi + (u >> _SHIFT32) + (v >> _SHIFT32), a * np.uint64(m)
+
+
 def _stream_words(seed: int, stream: int, words: range) -> np.ndarray:
-    # Words ``words`` (a range of step 1) of the (seed, stream) Philox4x64
-    # sequence, whose word 4c is the first that Philox(counter=c) returns
-    # (numpy encrypts counter value c + 1 first, so word 0 is the output
-    # of counter value 1).
-    bitgen = np.random.Philox(key=(stream << 64) | seed, counter=words.start // 4)
-    return bitgen.random_raw(words.start % 4 + len(words))[words.start % 4 :]
+    # Words ``words`` (a range of step 1) of the (seed, stream) Philox4x64-10
+    # sequence.  Block c, words 4c to 4c + 3, encrypts the counter c + 1
+    # under the key (seed, stream), as numpy's Philox(key=(stream << 64) |
+    # seed) does from counter 0; it needs c + 1 < 2**64, which MAX_ITERATIONS
+    # times a row's width in words keeps.  Key and scalar steps are Python
+    # ints, so no numpy scalar overflows or changes type.
+    first = words.start // 4
+    counter = np.arange(first + 1, -(-words.stop // 4) + 1, dtype=np.uint64)
+    mask = 2**64 - 1
+    k0, k1 = seed, stream
+    # Round 1: counter words 1-3 are zero, so lane 2's product is zero and
+    # the round leaves lane 0 the key word k0 and lane 1 zero.
+    hi, lo = _mulhilo(counter, _PHILOX_M0)
+    x0, x2, x3 = k0, hi ^ np.uint64(k1), lo
+    # Round 2: lane 0 is one number, so its product is a Python int.
+    k0, k1 = (k0 + _PHILOX_W0) & mask, (k1 + _PHILOX_W1) & mask
+    p0 = _PHILOX_M0 * x0
+    hi, lo = _mulhilo(x2, _PHILOX_M1)
+    x0, x1, x2, x3 = hi ^ np.uint64(k0), lo, np.uint64((p0 >> 64) ^ k1) ^ x3, np.uint64(p0 & mask)
+    # Rounds 3-10.
+    for _ in range(8):
+        k0, k1 = (k0 + _PHILOX_W0) & mask, (k1 + _PHILOX_W1) & mask
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+    return np.stack((x0, x1, x2, x3), axis=1).reshape(-1)[words.start % 4 :][: len(words)]
 
 
 def _source_samples(source: Source, seed: int, stream: int, rows: range) -> np.ndarray:

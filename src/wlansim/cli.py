@@ -218,7 +218,7 @@ def cmd_channels(args: argparse.Namespace) -> int:
 
 
 def cmd_beamform(args: argparse.Namespace) -> int:
-    # Imported here, not at module level: numpy costs every other command ~0.13 s and ~13 MB.
+    # Imported here, not at module level: numpy costs every other command ~0.06 s and ~13.7 MB.
     from . import nlms
     from .arrays import ROLE_DESIRED, WAVEFORM_SINUSOID, array_pattern, gain_db, load_scenario, synthesize
     from .spectrum import dft_magnitude, suppression_report

@@ -2,7 +2,8 @@
 
 These deliberately recompute results from first principles (breakpoint
 integration, direct transform summation, forward-model synthesis, the
-NLMS recursion one snapshot at a time, a linear staircase scan, the
+NLMS recursion one snapshot at a time, numpy's own Philox bit
+generator, a linear staircase scan, the
 survey sample check as a record object once made it, the KML reader as an
 element tree once made it) so the code under test is checked against a
 second route, not against itself.  The
@@ -84,6 +85,13 @@ def dft_oracle(signal) -> np.ndarray:
     size = len(x)
     kn = np.outer(np.arange(size), np.arange(size)) % size
     return np.abs(np.exp(-2j * np.pi * kn / size) @ x)
+
+
+def philox_words_oracle(seed: int, stream: int, words: range) -> np.ndarray:
+    """Words ``words`` of the ``(seed, stream)`` Philox4x64-10 sequence from
+    numpy's bit generator: ``Philox(counter=c)`` returns word ``4c`` first."""
+    bitgen = np.random.Philox(key=(stream << 64) | seed, counter=words.start // 4)
+    return bitgen.random_raw(words.start % 4 + len(words))[words.start % 4 :]
 
 
 def synth_fit_points(exponent, ref_loss=40.0, eirp=20.0, noise=None, seed=0, count=50):

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlansim.arrays import (
     GAIN_FLOOR_DB,
@@ -22,6 +24,8 @@ from wlansim.arrays import (
     _stream_words,
 )
 from wlansim.nlms import CHUNK_ROWS
+
+from oracles import philox_words_oracle
 
 
 def scenario_with(**overrides) -> Scenario:
@@ -269,6 +273,27 @@ class TestSynthesize:
         assert not np.allclose(X[:, 0] - d, d)
         words = [_stream_words(7, stream, range(64)) for stream in (0, 1, 2)]
         assert not np.any(words[0] == words[1]) and not np.any(words[1] == words[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 3),
+    start=st.integers(0, 10**4),
+    length=st.integers(0, 70),
+)
+# The extreme seeds, a start at every residue mod 4, an empty range, and a
+# start past 2**34 words, whose counters pass 2**32.
+@example(seed=0, stream=0, start=0, length=0)
+@example(seed=2**64 - 1, stream=1, start=1, length=1)
+@example(seed=0, stream=2, start=2, length=7)
+@example(seed=2**64 - 1, stream=3, start=3, length=70)
+@example(seed=20240511, stream=0, start=2**34 + 5, length=30)
+def test_stream_words_equal_numpys_philox(seed, stream, start, length):
+    words = range(start, start + length)
+    got = _stream_words(seed, stream, words)
+    assert got.dtype == np.uint64
+    assert got.tolist() == philox_words_oracle(seed, stream, words).tolist()
 
 
 class TestScenarioIO:

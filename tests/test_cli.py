@@ -1255,14 +1255,15 @@ class TestImports:
             (["channels"], ["dataclasses"]),
             (["throughput", "--points", "5"], ["dataclasses", "numpy"]),
             (["coverage", str(DATA / "survey_mixed.csv")], ["dataclasses", "numpy", "pyexpat"]),
-            (["beamform", "--iterations", "50"], ["dataclasses"]),
+            (["beamform", "--iterations", "50"], ["dataclasses", "numpy.random"]),
         ],
         ids=["channels", "throughput", "coverage", "beamform"],
     )
     def test_run_loads_no_dataclasses(self, tmp_path, argv, unloaded):
         """Each command in a child of its own, which exits 0 without
         loading ``dataclasses``, nor ``numpy`` for throughput or CSV
-        coverage, nor ``pyexpat`` for CSV coverage."""
+        coverage, nor ``pyexpat`` for CSV coverage, nor ``numpy.random``
+        for beamform."""
         out_dir = tmp_path / "out"
         out_args = [] if argv[0] == "channels" else ["--out", str(out_dir)]
         done = run_python(

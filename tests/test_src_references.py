@@ -3,8 +3,9 @@ package code, so nothing in the package lives only for its tests; the
 CSV output format is decided in one place, ``cli``; ``cli`` takes only
 ``run`` from ``nlms``, and ``survey`` only the channel lookup and the
 overlap from ``channels``; no variable is raised to a power with ``**``,
-which on a float is libm's ``pow``; and no float is summed by the builtin
-``sum``, whose rounding depends on the Python version."""
+which on a float is libm's ``pow``; no float is summed by the builtin
+``sum``, whose rounding depends on the Python version; and nothing
+imports or names ``numpy.random``."""
 
 import ast
 from pathlib import Path
@@ -166,3 +167,31 @@ def builtin_sum_sites(src: Path) -> list[tuple[str, int]]:
 
 def test_no_builtin_sum_in_src():
     assert builtin_sum_sites(SRC) == []
+
+
+def _dotted_names(node: ast.AST) -> list[str]:
+    """The dotted names an import statement binds or an attribute of a bare name reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    return []
+
+
+def numpy_random_sites(src: Path) -> list[tuple[str, int]]:
+    """``(module, line)`` of each import of ``numpy.random`` (or of a name
+    in it) in ``src``, and of each ``np.random`` or ``numpy.random``
+    attribute.  Importing it loads every bit generator and the generator
+    classes; the one cipher the package needs, Philox, it computes itself."""
+    return [
+        (path.stem, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(name.split(".")[:2] in (["numpy", "random"], ["np", "random"]) for name in _dotted_names(node))
+    ]
+
+
+def test_no_numpy_random_in_src():
+    assert numpy_random_sites(SRC) == []
