@@ -253,27 +253,18 @@ def _stream_words(seed: int, stream: int, words: range) -> np.ndarray:
     # sequence.  Block c, words 4c to 4c + 3, encrypts the counter c + 1
     # under the key (seed, stream), as numpy's Philox(key=(stream << 64) |
     # seed) does from counter 0; it needs c + 1 < 2**64, which MAX_ITERATIONS
-    # times a row's width in words keeps.  Key and scalar steps are Python
-    # ints, so no numpy scalar overflows or changes type.
-    first = words.start // 4
-    counter = np.arange(first + 1, -(-words.stop // 4) + 1, dtype=np.uint64)
+    # times a row's width in words keeps.  The counter's lanes 1-3 are zero.
+    # Ten equal rounds follow, each bumping the key after it; the key words
+    # are Python ints, so no numpy scalar overflows or changes type.
+    x0 = np.arange(words.start // 4 + 1, -(-words.stop // 4) + 1, dtype=np.uint64)
+    x1 = x2 = x3 = np.zeros_like(x0)
     mask = 2**64 - 1
     k0, k1 = seed, stream
-    # Round 1: counter words 1-3 are zero, so lane 2's product is zero and
-    # the round leaves lane 0 the key word k0 and lane 1 zero.
-    hi, lo = _mulhilo(counter, _PHILOX_M0)
-    x0, x2, x3 = k0, hi ^ np.uint64(k1), lo
-    # Round 2: lane 0 is one number, so its product is a Python int.
-    k0, k1 = (k0 + _PHILOX_W0) & mask, (k1 + _PHILOX_W1) & mask
-    p0 = _PHILOX_M0 * x0
-    hi, lo = _mulhilo(x2, _PHILOX_M1)
-    x0, x1, x2, x3 = hi ^ np.uint64(k0), lo, np.uint64((p0 >> 64) ^ k1) ^ x3, np.uint64(p0 & mask)
-    # Rounds 3-10.
-    for _ in range(8):
-        k0, k1 = (k0 + _PHILOX_W0) & mask, (k1 + _PHILOX_W1) & mask
+    for _ in range(10):
         hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
         hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
         x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W0) & mask, (k1 + _PHILOX_W1) & mask
     return np.stack((x0, x1, x2, x3), axis=1).reshape(-1)[words.start % 4 :][: len(words)]
 
 

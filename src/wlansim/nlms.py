@@ -44,7 +44,8 @@ def update(
 ) -> tuple[complex, complex, np.ndarray]:
     """One NLMS iteration: the output ``y``, the error ``e`` and the next weights.
 
-    A zero denominator ``||x||^2 + eps`` skips the update, and a zero error
+    Expects finite ``w``, ``x`` and ``d`` and ``mu, eps >= 0``.  A zero
+    denominator ``||x||^2 + eps`` skips the update, and a zero error
     returns ``w`` itself: adding a zero array would rewrite the sign of
     negative zeros.
     """
@@ -98,10 +99,10 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     a fixed scenario; bit-identical to the fold in ``tests/oracles.py``.
 
     Raises:
-        ValueError: if the adaptation diverges, naming the iteration.  The
-            error power is ``e.real * e.real + e.imag * e.imag``, which
-            overflows to ``inf`` and never raises, so one finite check of
-            the error power and the weights per chunk finds it.
+        ValueError: if the adaptation diverges, naming the first iteration
+            whose error power or updated weights are not finite, whatever
+            the run length or ``CHUNK_ROWS``.  The error power overflows to
+            ``inf`` and never raises, so each row's is checked as it is made.
     """
     n_iter = scenario.iterations
     tail = final_tenth(n_iter)
@@ -120,25 +121,27 @@ def run(scenario: Scenario) -> ConvergenceTrace:
     tail_start = n_iter - tail
     w_sum = np.zeros(scenario.num_elements, dtype=complex)
 
-    # Divergence is detected and reported per chunk below; numpy's
-    # overflow warnings would only repeat it.
+    # Divergence is detected and reported below; numpy's overflow warnings
+    # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_iter, CHUNK_ROWS):
             rows = range(first, min(first + CHUNK_ROWS, n_iter))
             X, d = synthesize(scenario, rows)
             for n, x, dn in zip(rows, X, d.tolist()):
-                y, e, w = update(w, x, dn, mu, eps)
-                err[n] = e.real * e.real + e.imag * e.imag
+                y, e, w_next = update(w, x, dn, mu, eps)
+                err[n] = power = e.real * e.real + e.imag * e.imag
+                if not math.isfinite(power):
+                    # Non-finite weights give a non-finite output (inf * 0
+                    # is NaN), so the row before may have diverged first.
+                    raise _diverged(n if np.isfinite(w).all() else n - 1, mu)
+                w = w_next
                 out[n] = y
                 if (n + 1) % tail == 0 or n == n_iter - 1:
                     snapshots.append((n, w.copy()))
                 if n >= tail_start:
                     w_sum += w
-            bad = np.flatnonzero(~np.isfinite(err[rows.start : rows.stop]))
-            if bad.size:
-                raise _diverged(rows.start + int(bad[0]), mu)
-            if not np.isfinite(w).all():
-                raise _diverged(rows.stop - 1, mu)
+        if not np.isfinite(w).all():
+            raise _diverged(n_iter - 1, mu)
 
     return ConvergenceTrace(
         error_power=err,

@@ -206,6 +206,28 @@ class TestBeamformCommand:
         assert err == "error: iterations: must be <= 1000000, got 1000001\n"
         assert not out_dir.exists()
 
+    def test_divergence_names_the_same_iteration_at_any_run_length(self, tmp_path, capsys):
+        """A step size so large that the first update overflows the weights
+        while that iteration's error power is finite (the 1e-156 amplitudes
+        of the NLMS test are below the amplitude bound, so a document
+        reaches the case this way): one iteration or more than a chunk,
+        the run names iteration 0 and writes nothing."""
+        data = {**load_scenario().to_dict(), "step_size": 1e300, "noise_power": 0.0}
+        for source in data["sources"]:
+            source["amplitude"] = 1e-10
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        errors = []
+        for iterations in ("1", "1025"):
+            out_dir = tmp_path / f"out{iterations}"
+            argv = ["beamform", "--scenario", str(scenario), "--iterations", iterations, "--out", str(out_dir)]
+            code, _, err = run_cli(argv, capsys)
+            assert code == EXIT_VALIDATION
+            assert not out_dir.exists()
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: iteration 0: adaptation diverged")
+
     def test_each_spectrum_is_transformed_once(self, tmp_path, capsys, monkeypatch):
         calls = []
 

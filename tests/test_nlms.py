@@ -266,7 +266,7 @@ def test_power_of_two_scale_leaves_the_weights_bit_identical(k, seed, noise_powe
     "step_size,amplitude,iteration",
     [
         pytest.param(3.0, 1.0, 532, id="1.0"),
-        pytest.param(3.0, 1e-156, 1, id="1e-156"),
+        pytest.param(3.0, 1e-156, 0, id="1e-156"),
         pytest.param(2.5, None, 927, id="shipped-2.5"),
     ],
 )
@@ -275,9 +275,9 @@ def test_divergence_is_a_validation_error_naming_the_iteration(step_size, amplit
     scenario: noiseless with every amplitude set, or as shipped where the
     amplitude is None.  At unit amplitude, and at 2.5, the error power
     overflows to inf; at 1e-156 the input energy is subnormal, so the
-    update overflows the weights first.  Every case reaches the per-chunk
-    finite check, which names the first iteration whose error power is
-    not finite."""
+    update overflows the weights first.  Every case reaches the finite
+    check, which names the first iteration whose error power or updated
+    weights are not finite."""
     scenario = load_scenario(step_size=step_size)
     if amplitude is not None:
         scenario = scenario._replace(
@@ -285,3 +285,69 @@ def test_divergence_is_a_validation_error_naming_the_iteration(step_size, amplit
         )
     with pytest.raises(ValueError, match=rf"^iteration {iteration}: adaptation diverged"):
         run(scenario)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2])
+@pytest.mark.parametrize("iterations", [1, 2, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_divergence_names_the_same_iteration_whatever_the_run_length_or_chunk(iterations, chunk_rows, monkeypatch):
+    """The 1e-156 case above: iteration 0's update overflows the weights
+    while its error power is still finite, so iteration 0 is named whether
+    the run ends there, a chunk ends there or neither."""
+    if chunk_rows is not None:
+        monkeypatch.setattr("wlansim.nlms.CHUNK_ROWS", chunk_rows)
+    scenario = load_scenario(step_size=3.0, iterations=iterations)
+    scenario = scenario._replace(
+        sources=tuple(s._replace(amplitude=1e-156) for s in scenario.sources), noise_power=0.0
+    )
+    with pytest.raises(ValueError, match=r"^iteration 0: adaptation diverged"):
+        run(scenario)
+
+
+MIRROR_GRID = np.linspace(-math.pi / 2, math.pi / 2, 181).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_elements=st.integers(1, 16),
+    spacing=st.floats(0.1, 2.0),
+    step_size=st.floats(0.0, 2.0, exclude_max=True),
+    iterations=st.integers(1, 400),
+    sources=st.lists(
+        st.tuples(
+            st.floats(-1.5, 1.5),
+            st.one_of(st.sampled_from([0.0, 0.5, -0.5]), st.floats(-0.5, 0.5)),
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mirrored_scenario_runs_the_conjugate_adaptation(num_elements, spacing, step_size, iterations, sources):
+    """Noise-free sinusoid sources with every angle and frequency negated:
+    IEEE negation is exact and every kernel is conjugate-symmetric, so the
+    weights and outputs are exactly the conjugates, the error power is the
+    same and the pattern over the negated grid is the same.  Compared by
+    value, so the sign of a zero is not."""
+    roles = ["desired"] + ["interferer"] * (len(sources) - 1)
+    base = small_scenario(
+        num_elements=num_elements,
+        spacing_wavelengths=spacing,
+        step_size=step_size,
+        iterations=iterations,
+        sources=tuple(Source(r, a, "sinusoid", f, amp) for r, (a, f, amp) in zip(roles, sources)),
+    )
+    mirror = base._replace(
+        sources=tuple(s._replace(angle_rad=-s.angle_rad, normalized_freq=-s.normalized_freq) for s in base.sources)
+    )
+    a, b = run(base), run(mirror)
+    assert (b.error_power == a.error_power).all()
+    assert (b.outputs == a.outputs.conj()).all()
+    assert (b.converged_weights == a.converged_weights.conj()).all()
+    assert [n for n, _ in b.weight_snapshots] == [n for n, _ in a.weight_snapshots]
+    for (_, wb), (_, wa) in zip(b.weight_snapshots, a.weight_snapshots):
+        assert (wb == wa.conj()).all()
+    from wlansim.arrays import array_pattern
+
+    pattern = array_pattern(a.converged_weights, spacing, MIRROR_GRID)
+    mirrored = array_pattern(b.converged_weights, spacing, [-theta for theta in MIRROR_GRID])
+    assert [gain for _, gain in mirrored] == [gain for _, gain in pattern]
